@@ -1,5 +1,6 @@
 """End-to-end runs, scenario library verdicts, replay, files, CLI."""
 
+import hashlib
 import json
 
 import pytest
@@ -106,7 +107,54 @@ class TestScenarioLibrary:
             builtin_scenario(name).validate()
 
 
+# sha256 over a run's trace bytes, report JSON and step vectors (one
+# canonical JSON line each). Any change to what a run emits moves these,
+# so a refactor of the simulator or the checkers must leave them alone.
+GOLDEN_DIGESTS = {
+    "fig1_scripted_path": "9655431ef9cc916d72f41ef66e68e19c8498d23c9499b00896f0518ea9a0d558",
+    "fully_connected_baseline": "97a38a19f389666ee3d1645e122198f32af2cb9f995a544476cbe39981b5583a",
+    "lemma2_3f_impossible": "fe8d9260a80bfca1c474274279230794da28bc89fef0817841b3e683b5a44348",
+    "necessity_f_proper": "cbb704053d5259242cf71fc9312dd731bc3acaa90e7fdbe15c0d51f4a6553f4a",
+    "necessity_improper_mix": "299edda2f1ddf80240307206da30640d83cd90ba209884b555f752993e894214",
+    "partition_never": "1aafb4fa5de150da644cddf1ac6905aae76cf595c0e2601c8ec5593f4521ce57",
+    "stale_log_overshoot": "86fb135a097fe7ce1ca6b8422816d3c0aa803090d6bbbabef9e6bd96d6e430a0",
+    "golden_waypoint_n40": "a36760652958abf6ea80cd7e773e06126869fb82845f53455a47653d8e6e4973",
+}
+
+
+def golden_waypoint_n40() -> ScenarioConfig:
+    # Roaming nodes, lossy links and an equivocating adversary: agreement
+    # comes at round 27 of 30, so both open and closed phases are covered.
+    return ScenarioConfig(
+        name="golden_waypoint_n40", n=40, f=4, r_c=2, epsilon=0.001, max_rounds=30,
+        arena=(10.0, 10.0), radius=3.0, loss_rate=0.1,
+        mobility={"model": "random-waypoint", "speed": [0.5, 2.0]},
+        adversary={
+            "strategy": "extreme-split", "v_hi": 2.0, "v_lo": -1.0,
+            "byz_set": [3, 11, 22, 37],
+        },
+        seed=20120601,
+    )
+
+
+def run_digest(config: ScenarioConfig) -> str:
+    trace, report = run_scenario(config)
+    h = hashlib.sha256(trace_bytes(trace))
+    h.update(report_to_json(report).encode())
+    for rec in vectors_from_trace(trace):
+        h.update(json.dumps(rec, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+    return h.hexdigest()
+
+
 class TestReplay:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_outputs_match_golden_digest(self, name):
+        config = golden_waypoint_n40() if name == "golden_waypoint_n40" else builtin_scenario(name)
+        assert run_digest(config) == GOLDEN_DIGESTS[name]
+
+    def test_golden_digests_cover_the_library(self):
+        assert set(LIBRARY) <= set(GOLDEN_DIGESTS)
+
     @pytest.mark.parametrize(
         "name", ["fully_connected_baseline", "necessity_improper_mix", "stale_log_overshoot"]
     )
