@@ -2,11 +2,9 @@
 in partially connected mobile networks."""
 
 from .protocol import (
-    LogEntry,
     NodeState,
     ProtocolParams,
     StepResult,
-    ValueLog,
     admission_test,
     average,
     count_relative,
@@ -16,11 +14,9 @@ from .protocol import (
 )
 from .dynamics import (
     Arena,
-    JointGraph,
     RoundGraph,
     build_round_graph,
     deliver,
-    joint_graph,
     joint_neighbor_set,
     move_step,
 )
@@ -30,7 +26,6 @@ from .analysis import (
     Group,
     GroupClassification,
     PhaseBounds,
-    check_cardinality,
     check_condition,
     check_convergence,
     check_legality,
@@ -54,9 +49,7 @@ __all__ = [
     "ConditionVerdict",
     "Group",
     "GroupClassification",
-    "JointGraph",
     "LIBRARY",
-    "LogEntry",
     "NodeState",
     "PhaseBounds",
     "ProtocolParams",
@@ -65,14 +58,12 @@ __all__ = [
     "ScenarioConfig",
     "StepResult",
     "Trace",
-    "ValueLog",
     "admission_test",
     "average",
     "build_report",
     "build_round_graph",
     "builtin_scenario",
     "byzantine_outbox",
-    "check_cardinality",
     "check_condition",
     "check_convergence",
     "check_legality",
@@ -85,7 +76,6 @@ __all__ = [
     "deliver",
     "is_common_new_start",
     "is_proper",
-    "joint_graph",
     "joint_neighbor_set",
     "legal_reference_round",
     "load_scenario",

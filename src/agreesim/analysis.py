@@ -21,11 +21,6 @@ from .protocol import NodeId, Value, is_common_new_start
 from .trace import Trace
 
 
-def check_cardinality(n: int, f: int) -> bool:
-    """True when the population can out-vote the fakes: n >= 3f+1."""
-    return n >= 3 * f + 1
-
-
 def legal_reference_round(r: int, r_c: int) -> int:
     """Phase-start round whose extrema bound values at round r.
 
@@ -406,6 +401,20 @@ def trace_phases(trace: Trace) -> list[int]:
     return [trace.phase_of(r) for r in trace.common_starts() if r <= trace.last_round]
 
 
+def holds_infinitely_often(flags: list[bool], window: int) -> bool:
+    """Whether every ``window`` consecutive phases contain a satisfied one.
+
+    A finite-horizon proxy for "satisfied infinitely often": up to
+    ``window`` phases need one satisfied phase, and no phases at all hold
+    vacuously.
+    """
+    if window < 1:
+        raise AnalysisError(f"window must be >= 1, got {window}")
+    if len(flags) <= window:
+        return any(flags) if flags else True
+    return all(any(flags[i:i + window]) for i in range(len(flags) - window + 1))
+
+
 @dataclass
 class ConditionReport:
     per_phase: list[ConditionVerdict]
@@ -423,24 +432,15 @@ def condition_report(
 ) -> ConditionReport:
     """Aggregate condition verdicts over every phase of a trace.
 
-    In ``per-phase`` mode all phases must be satisfied. In
-    ``infinitely-often`` mode it suffices that every window of ``window``
-    consecutive phases contains a satisfied one (a finite-horizon proxy
-    for "satisfied infinitely often").
+    In ``per-phase`` mode all phases must be satisfied; in
+    ``infinitely-often`` mode ``holds_infinitely_often`` decides.
     """
     verdicts = [check_condition(trace, k, delta, strict) for k in trace_phases(trace)]
     flags = [v.satisfied for v in verdicts]
     if mode == "per-phase":
         ok = all(flags)
     elif mode == "infinitely-often":
-        if window < 1:
-            raise AnalysisError(f"window must be >= 1, got {window}")
-        if len(flags) <= window:
-            ok = any(flags) if flags else True
-        else:
-            ok = all(
-                any(flags[i:i + window]) for i in range(len(flags) - window + 1)
-            )
+        ok = holds_infinitely_often(flags, window)
     else:
         raise AnalysisError(f"unknown condition mode {mode!r}")
     return ConditionReport(

@@ -98,9 +98,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     print(f"condition ({args.mode}): {'holds' if cond.ok else 'does not hold'} "
           f"[{satisfied}/{len(cond.per_phase)} phases satisfied]")
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-        )
+        write_report(report, args.out)
     return EXIT_OK if report.invariants_ok else EXIT_CHECK_FAILED
 
 

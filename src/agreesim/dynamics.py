@@ -57,15 +57,6 @@ class RoundGraph:
         return (sender, receiver) in self.edges
 
 
-@dataclass(frozen=True)
-class JointGraph:
-    window: tuple[int, int]
-    edges: frozenset[tuple[NodeId, NodeId]]
-
-    def in_neighbors(self, i: NodeId) -> set[NodeId]:
-        return {j for j, k in self.edges if k == i}
-
-
 class Stationary:
     """Nodes never move."""
 
@@ -214,19 +205,6 @@ def deliver(
     return inboxes
 
 
-def joint_graph(graphs: list[RoundGraph]) -> JointGraph:
-    """Union of consecutive round graphs over a contiguous window."""
-    if not graphs:
-        raise TraceError("joint_graph needs at least one round graph")
-    rounds = [g.round for g in graphs]
-    if rounds != list(range(rounds[0], rounds[0] + len(rounds))):
-        raise TraceError(f"joint_graph window is not contiguous: {rounds}")
-    edges: set[tuple[NodeId, NodeId]] = set()
-    for g in graphs:
-        edges |= g.edges
-    return JointGraph(window=(rounds[0], rounds[-1]), edges=frozenset(edges))
-
-
 def joint_neighbor_set(trace: Trace, i: NodeId, r: int) -> set[NodeId]:
     """Senders node i actually heard since its latest retention-window start.
 
@@ -245,14 +223,6 @@ def joint_neighbor_set(trace: Trace, i: NodeId, r: int) -> set[NodeId]:
                 senders.add(sender)
     senders.discard(i)
     return senders
-
-
-def graphs_from_trace(trace: Trace, r_a: int, r_b: int) -> list[RoundGraph]:
-    """Reconstruct the per-round graphs for a window of a trace."""
-    return [
-        RoundGraph(round=r, edges=frozenset(trace.record(r).edges))
-        for r in range(r_a, r_b + 1)
-    ]
 
 
 def retained_values(trace: Trace, i: NodeId, r: int) -> dict[NodeId, Value]:

@@ -14,7 +14,7 @@ import csv
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .adversary import (
@@ -28,13 +28,13 @@ from .adversary import (
     byzantine_outbox,
 )
 from .analysis import (
-    check_cardinality,
     check_condition,
     check_convergence,
     check_legality,
     check_phase_progress,
     check_safety,
     check_validity,
+    holds_infinitely_often,
     spread_series,
     trace_phases,
 )
@@ -205,13 +205,7 @@ def simulate(config: ScenarioConfig, seed: int | None = None) -> Trace:
                 delivered=sorted(m for msgs in inboxes.values() for m in msgs),
                 values_start=values_start,
                 local_start=local_start,
-                logs={
-                    i: {
-                        e.sender: (e.value, e.recv_round)
-                        for e in res.merged_log.sorted_entries()
-                    }
-                    for i, res in results.items()
-                },
+                logs={i: res.merged_log for i, res in results.items()},
                 computed={i: res.computed for i, res in results.items()},
             )
         )
@@ -247,27 +241,6 @@ class RunReport:
     def invariants_ok(self) -> bool:
         return self.validity_ok and self.legality_ok and self.safety_ok
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "converged": self.converged,
-            "converged_at": self.converged_at,
-            "validity_ok": self.validity_ok,
-            "legality_ok": self.legality_ok,
-            "safety_ok": self.safety_ok,
-            "cardinality_ok": self.cardinality_ok,
-            "condition_per_phase": self.condition_per_phase,
-            "condition_ok_all_phases": self.condition_ok_all_phases,
-            "condition_ok_io": self.condition_ok_io,
-            "io_window": self.io_window,
-            "progress_ok": self.progress_ok,
-            "progress_violations": self.progress_violations,
-            "max_stagnant_streak": self.max_stagnant_streak,
-            "phase_starts": self.phase_starts,
-            "final_spread": self.final_spread,
-        }
-
 
 def build_report(trace: Trace, delta: float, io_window: int = IO_WINDOW_DEFAULT) -> RunReport:
     validity = check_validity(trace)
@@ -291,10 +264,6 @@ def build_report(trace: Trace, delta: float, io_window: int = IO_WINDOW_DEFAULT)
         for v in verdicts
     ]
     flags = [v.satisfied for v in verdicts]
-    if len(flags) <= io_window:
-        io_ok = any(flags) if flags else True
-    else:
-        io_ok = all(any(flags[i:i + io_window]) for i in range(len(flags) - io_window + 1))
     progress = check_phase_progress(trace, delta, verdicts=verdicts)
     phase_starts = [
         {
@@ -313,10 +282,10 @@ def build_report(trace: Trace, delta: float, io_window: int = IO_WINDOW_DEFAULT)
         validity_ok=validity.ok,
         legality_ok=legality.ok,
         safety_ok=safety.ok,
-        cardinality_ok=check_cardinality(trace.params.n, trace.params.f),
+        cardinality_ok=trace.params.meets_cardinality_bound,
         condition_per_phase=per_phase,
         condition_ok_all_phases=all(flags) if flags else True,
-        condition_ok_io=io_ok,
+        condition_ok_io=holds_infinitely_often(flags, io_window),
         io_window=io_window,
         progress_ok=progress.ok,
         progress_violations=[f"{v.kind}@phase{v.phase}: {v.detail}" for v in progress.violations],
@@ -327,7 +296,7 @@ def build_report(trace: Trace, delta: float, io_window: int = IO_WINDOW_DEFAULT)
 
 
 def report_to_json(report: RunReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    return json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
 
 
 def write_report(report: RunReport, path: str | Path) -> None:

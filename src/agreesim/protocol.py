@@ -49,69 +49,8 @@ class ProtocolParams:
         return self.n >= 3 * self.f + 1
 
 
-@dataclass(frozen=True)
-class LogEntry:
-    sender: NodeId
-    value: Value
-    recv_round: int
-
-
-class ValueLog:
-    """Retained values, at most one entry per sender (most recent wins)."""
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: dict[NodeId, LogEntry] | None = None):
-        self._entries: dict[NodeId, LogEntry] = dict(entries or {})
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, sender: NodeId) -> bool:
-        return sender in self._entries
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ValueLog):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{e.sender}:{e.value}@{e.recv_round}" for e in self.sorted_entries()
-        )
-        return f"ValueLog({inner})"
-
-    def get(self, sender: NodeId) -> LogEntry | None:
-        return self._entries.get(sender)
-
-    def senders(self) -> set[NodeId]:
-        return set(self._entries)
-
-    def values(self) -> list[Value]:
-        return [e.value for e in self.sorted_entries()]
-
-    def sorted_entries(self) -> list[LogEntry]:
-        """Ascending by (value, sender): the canonical tie-broken sort order."""
-        return sorted(self._entries.values(), key=lambda e: (e.value, e.sender))
-
-    def merged(self, incoming: list[LogEntry]) -> "ValueLog":
-        """New log with ``incoming`` applied, most recent value per sender."""
-        entries = dict(self._entries)
-        for entry in incoming:
-            prior = entries.get(entry.sender)
-            if prior is None or entry.recv_round >= prior.recv_round:
-                entries[entry.sender] = entry
-        return ValueLog(entries)
-
-    def without(self, removed: list[LogEntry]) -> "ValueLog":
-        entries = dict(self._entries)
-        for entry in removed:
-            entries.pop(entry.sender, None)
-        return ValueLog(entries)
-
-    @staticmethod
-    def empty() -> "ValueLog":
-        return ValueLog()
+# Retained values: sender -> (value, receive round), most recent per sender.
+Log = dict[NodeId, tuple[Value, int]]
 
 
 @dataclass
@@ -120,7 +59,7 @@ class NodeState:
 
     id: NodeId
     value: Value
-    log: ValueLog = field(default_factory=ValueLog.empty)
+    log: Log = field(default_factory=dict)
     last_local_start: int = 1
 
 
@@ -134,17 +73,14 @@ class StepResult:
 
     state: NodeState
     broadcast: Value
-    merged_log: ValueLog
-    x: int
-    y: int
+    merged_log: Log
     computed: bool
 
 
-def count_relative(log: ValueLog, v_i: Value) -> tuple[int, int]:
+def count_relative(log: Log, v_i: Value) -> tuple[int, int]:
     """Counts of log entries >= v_i and <= v_i; ties count on both sides."""
-    values = log.values()
-    x = sum(1 for v in values if v >= v_i)
-    y = sum(1 for v in values if v <= v_i)
+    x = sum(1 for v, _ in log.values() if v >= v_i)
+    y = sum(1 for v, _ in log.values() if v <= v_i)
     return x, y
 
 
@@ -153,30 +89,31 @@ def admission_test(x: int, y: int, f: int) -> bool:
     return x >= f + 1 or y >= f + 1
 
 
-def reduce_log(log: ValueLog, f: int, x: int, y: int, v_i: Value) -> ValueLog:
+def reduce_log(log: Log, f: int, x: int, y: int, v_i: Value) -> Log:
     """Trim extreme values before averaging.
 
-    ``B`` is the top-f slice and ``S`` the bottom-f slice of the sorted log
-    (slices may overlap when the log is short; removal is per entry). When
-    more values sit at or above v_i, all of B goes plus any of S strictly
-    below v_i; otherwise all of S goes plus any of B strictly above v_i.
-    Between f and 2f entries are removed and at least one survives.
+    ``B`` is the top-f slice and ``S`` the bottom-f slice of the log sorted
+    by (value, sender) (slices may overlap when the log is short; removal
+    is per entry). When more values sit at or above v_i, all of B goes plus
+    any of S strictly below v_i; otherwise all of S goes plus any of B
+    strictly above v_i. Between f and 2f entries are removed and at least
+    one survives. Survivors keep the sorted order.
     """
     if not admission_test(x, y, f):
         raise ProtocolError(
             f"reduce_log called without admission (x={x}, y={y}, f={f})"
         )
-    entries = log.sorted_entries()
-    top = entries[len(entries) - f:] if f > 0 else []
-    bottom = entries[:f]
+    order = sorted(log, key=lambda s: (log[s][0], s))
+    top = order[len(order) - f:] if f > 0 else []
+    bottom = order[:f]
     if x > y:
-        removed = list(top) + [e for e in bottom if e.value < v_i]
+        removed = set(top).union(s for s in bottom if log[s][0] < v_i)
     else:
-        removed = list(bottom) + [e for e in top if e.value > v_i]
-    return log.without(removed)
+        removed = set(bottom).union(s for s in top if log[s][0] > v_i)
+    return {s: log[s] for s in order if s not in removed}
 
 
-def average(log: ValueLog, v_i: Value) -> Value:
+def average(log: Log, v_i: Value) -> Value:
     """Equal-weight mean of the surviving values and the node's own value.
 
     The exact mean always lies within the range of its inputs, but the
@@ -184,7 +121,7 @@ def average(log: ValueLog, v_i: Value) -> Value:
     would break the protocol's range invariants; the result is therefore
     pinned back into that range.
     """
-    values = log.values()
+    values = [v for v, _ in log.values()]
     mean = (v_i + math.fsum(values)) / (len(values) + 1)
     lo = min(values + [v_i])
     hi = max(values + [v_i])
@@ -208,30 +145,27 @@ def step_round(
     dropped at ingestion so averages stay well-defined. Pure: inputs are
     never mutated, and identical inputs give bit-identical outputs.
     """
-    for sender, _ in inbox:
+    broadcast = state.value
+    merged = dict(state.log)
+    for sender, value in inbox:
         if sender == state.id:
             raise ProtocolError(f"node {state.id} received its own broadcast")
-    broadcast = state.value
-    incoming = [
-        LogEntry(sender, value, r)
-        for sender, value in inbox
-        if math.isfinite(value)
-    ]
-    merged = state.log.merged(incoming)
+        if math.isfinite(value):
+            merged[sender] = (value, r)
     x, y = count_relative(merged, state.value)
     if admission_test(x, y, params.f):
         survivors = reduce_log(merged, params.f, x, y, state.value)
         new_state = replace(
             state,
             value=average(survivors, state.value),
-            log=ValueLog.empty(),
+            log={},
             last_local_start=r + 1,
         )
         computed = True
     elif r % params.r_c == 0:
-        new_state = replace(state, log=ValueLog.empty(), last_local_start=r + 1)
+        new_state = replace(state, log={}, last_local_start=r + 1)
         computed = False
     else:
         new_state = replace(state, log=merged)
         computed = False
-    return StepResult(new_state, broadcast, merged, x, y, computed)
+    return StepResult(new_state, broadcast, merged, computed)

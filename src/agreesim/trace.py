@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import TraceError
-from .protocol import NodeId, ProtocolParams, Value
+from .protocol import Log, NodeId, ProtocolParams, Value
 
 SCHEMA_VERSION = 1
 
@@ -33,7 +33,7 @@ class RoundRecord:
     delivered: list[Message]
     values_start: dict[NodeId, Value]
     local_start: dict[NodeId, int]
-    logs: dict[NodeId, dict[NodeId, tuple[Value, int]]]
+    logs: dict[NodeId, Log]
     computed: dict[NodeId, bool]
 
 
@@ -83,9 +83,6 @@ class Trace:
 
     def phase_of(self, r: int) -> int:
         return (r - 1) // self.params.r_c
-
-    def deliveries_to(self, i: NodeId, r: int) -> list[Message]:
-        return [m for m in self.record(r).delivered if m[1] == i]
 
 
 def _round_to_json(rec: RoundRecord) -> dict:

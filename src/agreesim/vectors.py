@@ -10,30 +10,18 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .protocol import (
-    LogEntry,
-    NodeState,
-    ProtocolParams,
-    StepResult,
-    ValueLog,
-    step_round,
-)
+from .protocol import Log, NodeState, ProtocolParams, StepResult, step_round
 from .trace import Trace
 
 VECTOR_SCHEMA = 1
 
 
-def _log_to_json(log: ValueLog) -> dict:
-    return {str(e.sender): [e.value, e.recv_round] for e in log.sorted_entries()}
+def _log_to_json(log: Log) -> dict:
+    return {str(sender): list(entry) for sender, entry in log.items()}
 
 
-def _log_from_json(obj: dict) -> ValueLog:
-    return ValueLog(
-        {
-            int(sender): LogEntry(int(sender), pair[0], pair[1])
-            for sender, pair in obj.items()
-        }
-    )
+def _log_from_json(obj: dict) -> Log:
+    return {int(sender): (pair[0], pair[1]) for sender, pair in obj.items()}
 
 
 def step_vector(
@@ -66,12 +54,6 @@ def step_vector(
 
 def vectors_from_trace(trace: Trace) -> list[dict]:
     """Recompute every correct node's steps of a trace as vectors."""
-    params = ProtocolParams(
-        n=trace.params.n,
-        f=trace.params.f,
-        r_c=trace.params.r_c,
-        epsilon=trace.params.epsilon,
-    )
     states = {
         i: NodeState(id=i, value=v) for i, v in trace.initial_values.items()
     }
@@ -83,8 +65,8 @@ def vectors_from_trace(trace: Trace) -> list[dict]:
                 for sender, receiver, value in rec.delivered
                 if receiver == i
             ]
-            result = step_round(states[i], inbox, rec.round, params)
-            records.append(step_vector(states[i], inbox, rec.round, params, result))
+            result = step_round(states[i], inbox, rec.round, trace.params)
+            records.append(step_vector(states[i], inbox, rec.round, trace.params, result))
             states[i] = result.state
     return records
 

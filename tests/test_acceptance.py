@@ -22,7 +22,7 @@ from agreesim.analysis import (
     trace_phases,
 )
 from agreesim.harness import report_to_json, run_scenario, simulate, trace_bytes
-from agreesim.protocol import ValueLog, LogEntry, admission_test, average, count_relative, reduce_log
+from agreesim.protocol import admission_test, average, count_relative, reduce_log
 from agreesim.scenarios import ScenarioConfig, builtin_scenario
 
 from reference import reference_average, reference_reduce
@@ -148,15 +148,13 @@ def test_criterion_3_reduce_oracle():
             sorted_values = list(values)
             for f in (0, 1, 2):
                 for v_i in own_values:
-                    log = ValueLog(
-                        {s: LogEntry(s, v, 1) for s, v in enumerate(sorted_values)}
-                    )
+                    log = {s: (v, 1) for s, v in enumerate(sorted_values)}
                     x, y = count_relative(log, v_i)
                     if not admission_test(x, y, f):
                         continue
                     survivors = reduce_log(log, f, x, y, v_i)
                     expected, removed = reference_reduce(sorted_values, f, v_i)
-                    assert survivors.values() == expected, (sorted_values, f, v_i)
+                    assert sorted(v for v, _ in survivors.values()) == expected, (sorted_values, f, v_i)
                     assert f <= removed <= 2 * f, (sorted_values, f, v_i)
                     assert len(expected) >= 1
                     assert average(survivors, v_i) == reference_average(expected, v_i)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from agreesim.analysis import (
     Group,
     PhaseBounds,
-    check_cardinality,
     check_condition,
     check_convergence,
     check_legality,
@@ -17,6 +16,7 @@ from agreesim.analysis import (
     classify_value,
     condition_report,
     groups_converged,
+    holds_infinitely_often,
     is_proper,
     legal_reference_round,
     spread_series,
@@ -413,10 +413,26 @@ class TestPhaseProgress:
         assert report.max_stagnant_streak >= params.n
 
 
-class TestCardinality:
-    @pytest.mark.parametrize("n,f,ok", [(4, 1, True), (3, 1, False), (7, 2, True), (1, 0, True)])
-    def test_bound(self, n, f, ok):
-        assert check_cardinality(n, f) is ok
+class TestInfinitelyOften:
+    def test_no_phases_hold_vacuously(self):
+        assert holds_infinitely_often([], 3)
+
+    @pytest.mark.parametrize(
+        "flags,ok",
+        [([False], False), ([True], True), ([False, False, True], True), ([False] * 3, False)],
+    )
+    def test_up_to_one_window_needs_one_satisfied_phase(self, flags, ok):
+        assert holds_infinitely_often(flags, 3) is ok
+
+    def test_every_window_needs_a_satisfied_phase(self):
+        flags = [True, False, False, False, True]
+        assert not holds_infinitely_often(flags, 3)
+        assert holds_infinitely_often(flags, 4)
+        assert holds_infinitely_often([True, False, False, True, False, False, True], 3)
+
+    def test_rejects_empty_window(self):
+        with pytest.raises(AnalysisError):
+            holds_infinitely_often([True], 0)
 
 
 def test_spread_series_covers_every_round():

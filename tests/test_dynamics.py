@@ -1,4 +1,4 @@
-"""Mobility models, disk graphs, lossy delivery, joint graphs."""
+"""Mobility models, disk graphs, lossy delivery, joint neighbor sets."""
 
 import random
 
@@ -14,7 +14,6 @@ from agreesim.dynamics import (
     TeleportRandom,
     build_round_graph,
     deliver,
-    joint_graph,
     joint_neighbor_set,
     move_step,
 )
@@ -137,53 +136,6 @@ class TestDeliver:
     def test_rejects_bad_loss_rate(self):
         with pytest.raises(ConfigError):
             deliver(full_graph([0, 1]), [], 1.5, random.Random(0))
-
-
-class TestJointGraph:
-    def test_single_round_window_is_that_graph(self):
-        g = RoundGraph(round=3, edges=frozenset({(0, 1)}))
-        j = joint_graph([g])
-        assert j.window == (3, 3)
-        assert j.edges == g.edges
-
-    def test_union_of_two_rounds(self):
-        g1 = RoundGraph(round=1, edges=frozenset({(0, 1)}))
-        g2 = RoundGraph(round=2, edges=frozenset({(1, 2)}))
-        assert joint_graph([g1, g2]).edges == frozenset({(0, 1), (1, 2)})
-
-    def test_union_is_idempotent(self):
-        g1 = RoundGraph(round=1, edges=frozenset({(0, 1), (2, 0)}))
-        g2 = RoundGraph(round=2, edges=frozenset({(0, 1), (2, 0)}))
-        assert joint_graph([g1, g2]).edges == g1.edges
-
-    def test_rejects_non_contiguous_window(self):
-        g1 = RoundGraph(round=1, edges=frozenset())
-        g3 = RoundGraph(round=3, edges=frozenset())
-        with pytest.raises(TraceError):
-            joint_graph([g1, g3])
-
-    @given(
-        edge_sets=st.lists(
-            st.frozensets(
-                st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
-                    lambda e: e[0] != e[1]
-                ),
-                max_size=8,
-            ),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    def test_union_is_order_independent_set_union(self, edge_sets):
-        graphs = [
-            RoundGraph(round=r + 1, edges=edges)
-            for r, edges in enumerate(edge_sets)
-        ]
-        joint = joint_graph(graphs)
-        expected = frozenset().union(*edge_sets)
-        assert joint.edges == expected
-        reversed_union = frozenset().union(*reversed(edge_sets))
-        assert joint.edges == reversed_union
 
 
 class TestJointNeighborSet:

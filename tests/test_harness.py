@@ -1,5 +1,6 @@
 """End-to-end runs, scenario library verdicts, replay, files, CLI."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -191,7 +192,7 @@ class TestFiles:
     def test_report_round_trips_as_json(self):
         _trace, report = run_scenario(builtin_scenario("fully_connected_baseline"))
         blob = report_to_json(report)
-        assert json.loads(blob) == report.to_dict()
+        assert json.loads(blob) == dataclasses.asdict(report)
 
     def test_scenario_files_round_trip(self, tmp_path):
         config = builtin_scenario("necessity_f_proper")

@@ -8,10 +8,8 @@ from hypothesis import given, strategies as st
 
 from agreesim.errors import ProtocolError
 from agreesim.protocol import (
-    LogEntry,
     NodeState,
     ProtocolParams,
-    ValueLog,
     admission_test,
     average,
     count_relative,
@@ -25,9 +23,12 @@ from reference import reference_admitted, reference_average, reference_reduce
 
 def make_log(values, senders=None, recv_round=1):
     senders = senders if senders is not None else range(len(values))
-    return ValueLog(
-        {s: LogEntry(s, v, recv_round) for s, v in zip(senders, values)}
-    )
+    return {s: (v, recv_round) for s, v in zip(senders, values)}
+
+
+def log_values(log):
+    """The log's values in ascending order."""
+    return sorted(v for v, _ in log.values())
 
 
 PARAMS = ProtocolParams(n=8, f=1, r_c=4, epsilon=0.1)
@@ -38,7 +39,7 @@ class TestCountRelative:
         assert count_relative(make_log([3, 5, 5, 7]), 5.0) == (3, 3)
 
     def test_empty_log(self):
-        assert count_relative(ValueLog.empty(), 0.0) == (0, 0)
+        assert count_relative({}, 0.0) == (0, 0)
 
     def test_strict_sides(self):
         assert count_relative(make_log([1, 4, 9]), 5.0) == (1, 2)
@@ -80,18 +81,18 @@ class TestReduce:
     def test_case_b_removes_low_and_high_outlier(self):
         log = make_log([1, 4, 9])
         x, y = count_relative(log, 5.0)
-        assert reduce_log(log, 1, x, y, 5.0).values() == [4]
+        assert log_values(reduce_log(log, 1, x, y, 5.0)) == [4]
 
     def test_tie_x_equals_y_goes_to_case_b(self):
         log = make_log([2, 3, 8, 9])
         x, y = count_relative(log, 5.0)
         assert (x, y) == (2, 2)
-        assert reduce_log(log, 1, x, y, 5.0).values() == [3, 8]
+        assert log_values(reduce_log(log, 1, x, y, 5.0)) == [3, 8]
 
     def test_f_zero_removes_nothing(self):
         log = make_log([1, 4, 9])
         x, y = count_relative(log, 5.0)
-        assert reduce_log(log, 0, x, y, 5.0).values() == [1, 4, 9]
+        assert log_values(reduce_log(log, 0, x, y, 5.0)) == [1, 4, 9]
 
     def test_rejects_unadmitted_call(self):
         log = make_log([1, 9])
@@ -103,7 +104,7 @@ class TestReduce:
         log = make_log([10.0, 10.0])
         x, y = count_relative(log, 0.0)
         survivors = reduce_log(log, 1, x, y, 0.0)
-        assert survivors.values() == [10.0]
+        assert log_values(survivors) == [10.0]
 
     @given(
         values=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0]), min_size=1, max_size=7),
@@ -117,7 +118,7 @@ class TestReduce:
             return
         survivors = reduce_log(log, f, x, y, v_i)
         expected, removed = reference_reduce(sorted(values), f, v_i)
-        assert survivors.values() == expected
+        assert log_values(survivors) == expected
         assert f <= removed <= 2 * f
         assert len(survivors) >= 1
         assert average(survivors, v_i) == reference_average(expected, v_i)
@@ -134,18 +135,15 @@ class TestReduce:
         if len(byz) > f:
             return
         byz_senders = set(range(100, 100 + len(byz)))
-        entries = {i: LogEntry(i, v, 1) for i, v in enumerate(corr)}
-        entries.update(
-            {s: LogEntry(s, v, 1) for s, v in zip(sorted(byz_senders), byz)}
-        )
-        log = ValueLog(entries)
+        log = make_log(corr)
+        log.update(make_log(byz, senders=sorted(byz_senders)))
         x, y = count_relative(log, v_i)
         if not admission_test(x, y, f):
             return
         survivors = reduce_log(log, f, x, y, v_i)
         lo = min(corr + [v_i])
         hi = max(corr + [v_i])
-        for value in survivors.values():
+        for value in log_values(survivors):
             assert lo <= value <= hi
 
     @given(
@@ -164,7 +162,7 @@ class TestReduce:
         x, y = count_relative(log, v_i)
         assert admission_test(x, y, f)
         survivors = reduce_log(log, f, x, y, v_i)
-        assert any(v >= threshold for v in survivors.values())
+        assert any(v >= threshold for v in log_values(survivors))
 
 
 class TestAverage:
@@ -172,7 +170,7 @@ class TestAverage:
         assert average(make_log([4]), 5.0) == 4.5
 
     def test_empty_is_identity(self):
-        assert average(ValueLog.empty(), 7.0) == 7.0
+        assert average({}, 7.0) == 7.0
 
     def test_two_survivors(self):
         assert average(make_log([3, 8]), 5.0) == 16 / 3
@@ -202,7 +200,7 @@ class TestStepRound:
         result = step_round(state, [(2, 4.0)], 3, PARAMS)
         assert not result.computed
         assert result.state.value == 5.0
-        assert result.state.log.values() == [4.0]
+        assert log_values(result.state.log) == [4.0]
         assert result.state.last_local_start == 1
 
     def test_periodic_reset_path(self):
@@ -229,8 +227,7 @@ class TestStepRound:
         state = NodeState(id=0, value=5.0)
         r1 = step_round(state, [(1, 3.0)], 1, PARAMS)
         r2 = step_round(r1.state, [(1, 7.0)], 2, PARAMS)
-        entry = r2.state.log.get(1)
-        assert entry.value == 7.0 and entry.recv_round == 2
+        assert r2.state.log[1] == (7.0, 2)
         assert len(r2.state.log) == 1
 
     @given(
@@ -244,12 +241,12 @@ class TestStepRound:
     )
     def test_pure_and_deterministic(self, value, inbox, r):
         state = NodeState(id=0, value=value, log=make_log([2.0], senders=[7]))
-        before = state.log.values()
+        before = dict(state.log)
         a = step_round(state, inbox, r, PARAMS)
         b = step_round(state, inbox, r, PARAMS)
         assert a.state == b.state
         assert a.broadcast == b.broadcast
-        assert state.value == value and state.log.values() == before
+        assert state.value == value and state.log == before
 
     def test_merge_keeps_at_most_one_entry_per_sender(self):
         # One sender on each side of the node's value: admission never
@@ -257,15 +254,15 @@ class TestStepRound:
         state = NodeState(id=0, value=0.0)
         for r in range(1, 4):
             state = step_round(state, [(1, float(r)), (2, -float(r))], r, PARAMS).state
-        assert state.log.senders() == {1, 2}
-        assert state.log.get(1).value == 3.0
-        assert state.log.get(2).value == -3.0
+        assert set(state.log) == {1, 2}
+        assert state.log[1][0] == 3.0
+        assert state.log[2][0] == -3.0
 
 
 class TestParams:
     def test_cardinality_flag(self):
-        assert ProtocolParams(4, 1, 1, 0.1).meets_cardinality_bound
-        assert not ProtocolParams(3, 1, 1, 0.1).meets_cardinality_bound
+        for n, f, ok in [(4, 1, True), (3, 1, False), (7, 2, True), (1, 0, True)]:
+            assert ProtocolParams(n, f, 1, 0.1).meets_cardinality_bound is ok, (n, f)
 
     def test_rejects_bad_values(self):
         with pytest.raises(ProtocolError):
