@@ -435,6 +435,12 @@ class TestInfinitelyOften:
             holds_infinitely_often([True], 0)
 
 
+class TestCardinality:
+    @pytest.mark.parametrize("n,f,ok", [(4, 1, True), (3, 1, False), (7, 2, True), (1, 0, True)])
+    def test_bound(self, n, f, ok):
+        assert ProtocolParams(n, f, 1, 0.1).meets_cardinality_bound is ok
+
+
 def test_spread_series_covers_every_round():
     trace = simulate(builtin_scenario("fully_connected_baseline"))
     rows = spread_series(trace, 0.05)
