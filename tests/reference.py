@@ -1,9 +1,12 @@
-"""Independent brute-force reference for the trim-and-average step.
+"""Independent brute-force references used as test oracles.
 
-Works on plain sorted value lists with explicit index sets, recomputing
-the side counts itself, so it shares no code path with the package's
-log-based implementation.
+The trim-and-average reference works on plain sorted value lists with
+explicit index sets, recomputing the side counts itself, so it shares no
+code path with the package's log-based implementation. The safety
+reference rescans every later round once per phase start.
 """
+
+from agreesim.analysis import RangeCheck, Violation
 
 
 def reference_counts(sorted_values, v_i):
@@ -36,3 +39,16 @@ def reference_reduce(sorted_values, f, v_i):
 
 def reference_average(values, v_i):
     return (v_i + sum(values)) / (len(values) + 1)
+
+
+def reference_check_safety(trace):
+    """From each phase start on, values never leave that start's envelope."""
+    violations = []
+    last = trace.last_round + 1
+    for r in trace.common_starts():
+        lo, hi = trace.v_min(r), trace.v_max(r)
+        for rr in range(r, last + 1):
+            for i, v in sorted(trace.values_at(rr).items()):
+                if not lo <= v <= hi:
+                    violations.append(Violation(i, rr, v, lo, hi))
+    return RangeCheck(ok=not violations, violations=violations)

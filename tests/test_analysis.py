@@ -27,6 +27,7 @@ from agreesim.harness import simulate
 from agreesim.protocol import NodeState, ProtocolParams, step_round
 from agreesim.scenarios import ScenarioConfig, builtin_scenario
 from agreesim.trace import RoundRecord, Trace
+from reference import reference_check_safety
 
 
 def make_round(r, values, delivered, local_start, logs=None, computed=None, byz_sent=None):
@@ -129,6 +130,49 @@ class TestRangeChecks:
         for r in range(1, trace.last_round + 1):
             assert trace.v_max(r + 1) <= trace.v_max(r)
             assert trace.v_min(r + 1) >= trace.v_min(r)
+
+
+def values_trace(vectors, r_c):
+    """Trace whose rounds carry only round-start values; the last vector is final."""
+    n = len(vectors[0])
+    return Trace(
+        params=ProtocolParams(n=n, f=0, r_c=r_c, epsilon=1.0),
+        byz_set=set(),
+        initial_values=dict(vectors[0]),
+        rounds=[
+            make_round(r, vectors[r - 1], [], {i: 1 for i in vectors[0]})
+            for r in range(1, len(vectors))
+        ],
+        final_values=dict(vectors[-1]),
+    )
+
+
+@st.composite
+def small_value_traces(draw):
+    # Few distinct integer values, so ties and widening phase starts are common.
+    n = draw(st.integers(1, 4))
+    rounds = draw(st.integers(1, 9))
+    r_c = draw(st.integers(1, 4))
+    value = st.integers(0, 4).map(float)
+    vectors = [{i: draw(value) for i in range(n)} for _ in range(rounds + 1)]
+    return values_trace(vectors, r_c)
+
+
+class TestSafetyOracle:
+    @given(trace=small_value_traces())
+    def test_matches_quadratic_reference(self, trace):
+        got, want = check_safety(trace), reference_check_safety(trace)
+        pairs = [(v.node, v.round) for v in got.violations]
+        assert got.ok == want.ok
+        assert set(pairs) == {(v.node, v.round) for v in want.violations}
+
+    def test_widening_phase_start_fails_against_an_earlier_start(self):
+        # Round 2 opens a phase whose envelope [0, 3] contains its own
+        # values, but 3 lies outside round 1's envelope [0, 2].
+        trace = values_trace([{0: 0.0, 1: 2.0}, {0: 0.0, 1: 3.0}, {0: 1.0, 1: 1.0}], r_c=1)
+        result = check_safety(trace)
+        assert not result.ok
+        assert {(v.node, v.round) for v in result.violations} == {(1, 2)}
 
 
 BOUNDS = PhaseBounds(phase=0, start_round=1, v_min=0.0, v_max=10.0, delta=1.0)
