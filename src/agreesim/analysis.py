@@ -13,9 +13,12 @@ ones.
 from __future__ import annotations
 
 import enum
+import itertools
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .dynamics import joint_neighbor_set, retained_values
+from .dynamics import joint_neighbor_set, retained_values, window_deliveries
 from .errors import AnalysisError
 from .protocol import NodeId, Value, is_common_new_start
 from .trace import Trace
@@ -60,46 +63,48 @@ class RangeCheck:
         return self.violations[0] if self.violations else None
 
 
-def _value_rounds(trace: Trace) -> range:
+def _range_check(trace: Trace, envelopes: Iterable[tuple[Value, Value]]) -> RangeCheck:
+    """Test every correct value against its round's ``(lo, hi)``.
+
+    ``envelopes`` yields one bound pair per round, round 1 first.
+    """
+    violations = []
     # Round-start values exist for rounds 1..T and for the post-run point T+1.
-    return range(1, trace.last_round + 2)
+    for r, (lo, hi) in zip(range(1, trace.last_round + 2), envelopes):
+        for i, v in sorted(trace.values_at(r).items()):
+            if not lo <= v <= hi:
+                violations.append(Violation(i, r, v, lo, hi))
+    return RangeCheck(ok=not violations, violations=violations)
 
 
 def check_validity(trace: Trace) -> RangeCheck:
     """Every correct value stays inside the initial correct range forever."""
     lo = min(trace.initial_values.values())
     hi = max(trace.initial_values.values())
-    violations = []
-    for r in _value_rounds(trace):
-        for i, v in sorted(trace.values_at(r).items()):
-            if not lo <= v <= hi:
-                violations.append(Violation(i, r, v, lo, hi))
-    return RangeCheck(ok=not violations, violations=violations)
+    return _range_check(trace, itertools.repeat((lo, hi)))
 
 
 def check_legality(trace: Trace) -> RangeCheck:
     """Every correct value is bounded by its reference phase-start extrema."""
-    violations = []
-    for r in _value_rounds(trace):
-        d = legal_reference_round(r, trace.params.r_c)
-        lo, hi = trace.v_min(d), trace.v_max(d)
-        for i, v in sorted(trace.values_at(r).items()):
-            if not lo <= v <= hi:
-                violations.append(Violation(i, r, v, lo, hi))
-    return RangeCheck(ok=not violations, violations=violations)
+    refs = (legal_reference_round(r, trace.params.r_c) for r in itertools.count(1))
+    return _range_check(trace, ((trace.v_min(d), trace.v_max(d)) for d in refs))
 
 
 def check_safety(trace: Trace) -> RangeCheck:
-    """From each phase start on, values never leave that start's envelope."""
-    violations = []
-    last = trace.last_round + 1
-    for r in trace.common_starts():
-        lo, hi = trace.v_min(r), trace.v_max(r)
-        for rr in range(r, last + 1):
-            for i, v in sorted(trace.values_at(rr).items()):
-                if not lo <= v <= hi:
-                    violations.append(Violation(i, rr, v, lo, hi))
-    return RangeCheck(ok=not violations, violations=violations)
+    """From each phase start on, values never leave that start's envelope.
+
+    A value lies inside every earlier start's envelope exactly when it lies
+    inside their intersection, so each round is checked once against the
+    running intersection (an empty one flags every value).
+    """
+    def envelopes():
+        lo, hi = -math.inf, math.inf
+        for r in itertools.count(1):
+            if is_common_new_start(r, trace.params.r_c):
+                lo, hi = max(lo, trace.v_min(r)), min(hi, trace.v_max(r))
+            yield lo, hi
+
+    return _range_check(trace, envelopes())
 
 
 class Group(enum.Enum):
@@ -264,7 +269,7 @@ class ConvergenceResult:
     at_round: int | None
 
 
-def check_convergence(trace: Trace, epsilon: float | None = None) -> ConvergenceResult:
+def check_convergence(trace: Trace) -> ConvergenceResult:
     """First phase start whose correct spread is below epsilon.
 
     Mid-phase dips do not count: retained old values can push the spread
@@ -273,9 +278,7 @@ def check_convergence(trace: Trace, epsilon: float | None = None) -> Convergence
     (evaluated at delta = epsilon/2, where the two are provably the same
     test); any disagreement is an internal error.
     """
-    eps = trace.params.epsilon if epsilon is None else epsilon
-    if not eps > 0:
-        raise AnalysisError(f"epsilon must be > 0, got {eps}")
+    eps = trace.params.epsilon
     for r in trace.common_starts():
         by_spread = trace.spread(r) < eps
         by_groups = groups_converged(trace.values_at(r), eps / 2.0)
@@ -315,22 +318,16 @@ def _proper_senders(
     the window to have been proper at its delivery round.
     """
     retained = retained_values(trace, i, r_prime)
-    senders = []
-    for j in sorted(retained):
-        if not is_proper(retained[j], group, bounds):
-            continue
-        if strict:
-            start = trace.record(r_prime).local_start[i]
-            all_proper = True
-            for rr in range(start, r_prime + 1):
-                for sender, receiver, value in trace.record(rr).delivered:
-                    if sender == j and receiver == i:
-                        if not is_proper(value, group, bounds):
-                            all_proper = False
-            if not all_proper:
-                continue
-        senders.append(j)
-    return senders
+    improper = set()
+    if strict:
+        improper = {
+            j for j, value in window_deliveries(trace, i, r_prime)
+            if not is_proper(value, group, bounds)
+        }
+    return [
+        j for j in sorted(retained)
+        if is_proper(retained[j], group, bounds) and j not in improper
+    ]
 
 
 def check_condition(
@@ -466,20 +463,18 @@ class ProgressReport:
     examined_phases: int
 
 
-def check_phase_progress(
-    trace: Trace, delta: float, verdicts: list[ConditionVerdict] | None = None
-) -> ProgressReport:
+def check_phase_progress(trace: Trace, verdicts: list[ConditionVerdict]) -> ProgressReport:
     """Extremum-holder attrition across stagnant phases.
 
     For consecutive phase starts where the condition held, agreement was
     not yet reached, and neither extremum moved, the combined number of
     minimum and maximum holders must shrink; and no stagnant stretch may
-    last n phases. Precomputed condition verdicts may be passed in.
+    last n phases. ``verdicts`` holds the condition verdict of every phase.
     """
     eps = trace.params.epsilon
     n = trace.params.n
     starts = trace.common_starts()
-    by_phase = {} if verdicts is None else {v.phase: v for v in verdicts}
+    by_phase = {v.phase: v for v in verdicts}
     violations: list[ProgressViolation] = []
     streak = 0
     max_streak = 0
@@ -490,8 +485,7 @@ def check_phase_progress(
         if trace.spread(r) < eps:
             streak = 0
             continue
-        verdict = by_phase.get(k) or check_condition(trace, k, delta)
-        if not verdict.satisfied:
+        if not by_phase[k].satisfied:
             streak = 0
             continue
         examined += 1

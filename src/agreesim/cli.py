@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every requested check passes, 1 when a protocol
 guarantee (validity, legality, safety) is violated, 2 for usage or
-configuration errors.
+configuration errors and unreadable or malformed traces.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .analysis import condition_report, check_convergence
-from .errors import AgreesimError, ConfigError
+from .errors import AgreesimError, ConfigError, TraceError
 from .harness import (
     IO_WINDOW_DEFAULT,
     build_report,
@@ -80,7 +80,10 @@ def _parse_mode(raw: str) -> tuple[str, int]:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    trace = read_trace(args.trace)
+    try:
+        trace = read_trace(args.trace)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read trace {args.trace}: {exc}") from None
     eps = trace.params.epsilon
     delta = args.delta if args.delta is not None else eps / 2.0
     if not 0.0 < delta <= eps / 2.0:
@@ -195,6 +198,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except TraceError as exc:
+        print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AgreesimError as exc:
         print(f"error: {exc}", file=sys.stderr)

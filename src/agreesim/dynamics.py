@@ -47,9 +47,6 @@ class RoundGraph:
     round: int
     edges: frozenset[tuple[NodeId, NodeId]]
 
-    def in_neighbors(self, i: NodeId) -> set[NodeId]:
-        return {j for j, k in self.edges if k == i}
-
     def out_neighbors(self, j: NodeId) -> set[NodeId]:
         return {k for s, k in self.edges if s == j}
 
@@ -205,24 +202,30 @@ def deliver(
     return inboxes
 
 
-def joint_neighbor_set(trace: Trace, i: NodeId, r: int) -> set[NodeId]:
-    """Senders node i actually heard since its latest retention-window start.
+def window_deliveries(trace: Trace, i: NodeId, r: int) -> list[tuple[NodeId, Value]]:
+    """(sender, value) of every message delivered to node i in its window.
 
-    Only delivered messages count: an edge over which every message was
-    lost communicates nothing. The window runs from i's local new starting
-    round in effect at round r through round r itself.
+    The window runs from i's local new starting round in effect at round r
+    through round r itself; deliveries come oldest first.
     """
     record = trace.record(r)
     if i not in record.local_start:
         raise TraceError(f"node {i} is not a correct node of this trace")
-    start = record.local_start[i]
-    senders: set[NodeId] = set()
-    for rr in range(start, r + 1):
-        for sender, receiver, _value in trace.record(rr).delivered:
-            if receiver == i:
-                senders.add(sender)
-    senders.discard(i)
-    return senders
+    return [
+        (sender, value)
+        for rr in range(record.local_start[i], r + 1)
+        for sender, receiver, value in trace.record(rr).delivered
+        if receiver == i
+    ]
+
+
+def joint_neighbor_set(trace: Trace, i: NodeId, r: int) -> set[NodeId]:
+    """Senders node i actually heard since its latest retention-window start.
+
+    Only delivered messages count: an edge over which every message was
+    lost communicates nothing.
+    """
+    return {sender for sender, _value in window_deliveries(trace, i, r)} - {i}
 
 
 def retained_values(trace: Trace, i: NodeId, r: int) -> dict[NodeId, Value]:
@@ -231,11 +234,8 @@ def retained_values(trace: Trace, i: NodeId, r: int) -> dict[NodeId, Value]:
     Most recent value per sender, delivered in i's current retention
     window. Equals the post-merge log the node itself acted on.
     """
-    record = trace.record(r)
-    start = record.local_start[i]
-    latest: dict[NodeId, tuple[int, Value]] = {}
-    for rr in range(start, r + 1):
-        for sender, receiver, value in trace.record(rr).delivered:
-            if receiver == i and math.isfinite(value):
-                latest[sender] = (rr, value)
-    return {sender: value for sender, (_, value) in latest.items()}
+    return {
+        sender: value
+        for sender, value in window_deliveries(trace, i, r)
+        if math.isfinite(value)
+    }

@@ -242,7 +242,7 @@ class RunReport:
         return self.validity_ok and self.legality_ok and self.safety_ok
 
 
-def build_report(trace: Trace, delta: float, io_window: int = IO_WINDOW_DEFAULT) -> RunReport:
+def build_report(trace: Trace, delta: float) -> RunReport:
     validity = check_validity(trace)
     legality = check_legality(trace)
     safety = check_safety(trace)
@@ -264,7 +264,7 @@ def build_report(trace: Trace, delta: float, io_window: int = IO_WINDOW_DEFAULT)
         for v in verdicts
     ]
     flags = [v.satisfied for v in verdicts]
-    progress = check_phase_progress(trace, delta, verdicts=verdicts)
+    progress = check_phase_progress(trace, verdicts)
     phase_starts = [
         {
             "round": r,
@@ -285,8 +285,8 @@ def build_report(trace: Trace, delta: float, io_window: int = IO_WINDOW_DEFAULT)
         cardinality_ok=trace.params.meets_cardinality_bound,
         condition_per_phase=per_phase,
         condition_ok_all_phases=all(flags) if flags else True,
-        condition_ok_io=holds_infinitely_often(flags, io_window),
-        io_window=io_window,
+        condition_ok_io=holds_infinitely_often(flags, IO_WINDOW_DEFAULT),
+        io_window=IO_WINDOW_DEFAULT,
         progress_ok=progress.ok,
         progress_violations=[f"{v.kind}@phase{v.phase}: {v.detail}" for v in progress.violations],
         max_stagnant_streak=progress.max_stagnant_streak,

@@ -12,10 +12,11 @@ that identical runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import TraceError
+from .errors import ProtocolError, TraceError
 from .protocol import Log, NodeId, ProtocolParams, Value
 
 SCHEMA_VERSION = 1
@@ -152,28 +153,54 @@ def trace_to_lines(trace: Trace) -> list[str]:
     return lines
 
 
+@contextmanager
+def _at_line(lineno: int):
+    """Turn a record that is not JSON or lacks a field into a TraceError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, ProtocolError) as exc:
+        raise TraceError(f"line {lineno}: malformed record ({type(exc).__name__}: {exc})") from None
+
+
 def trace_from_lines(lines: list[str]) -> Trace:
-    records = [json.loads(line) for line in lines if line.strip()]
-    if not records or records[0].get("type") != "header":
+    records = []
+    for lineno, line in enumerate(lines, 1):
+        if line.strip():
+            with _at_line(lineno):
+                obj = json.loads(line)
+                records.append((lineno, obj, obj.get("type")))
+    if not records or records[0][2] != "header":
         raise TraceError("trace does not start with a header record")
-    header = records[0]
+    lineno, header, _ = records[0]
     if header.get("schema") != SCHEMA_VERSION:
         raise TraceError(f"unsupported trace schema {header.get('schema')!r}")
-    p = header["params"]
-    trace = Trace(
-        params=ProtocolParams(n=p["n"], f=p["f"], r_c=p["r_c"], epsilon=p["epsilon"]),
-        byz_set=set(header["byz_set"]),
-        initial_values={int(k): v for k, v in header["initial_values"].items()},
-        scenario_name=header.get("scenario", ""),
-        seed=header.get("seed", 0),
-    )
-    for obj in records[1:]:
-        if obj["type"] == "round":
-            trace.rounds.append(_round_from_json(obj))
-        elif obj["type"] == "final":
-            trace.final_values = {int(k): v for k, v in obj["values"].items()}
-        else:
-            raise TraceError(f"unknown trace record type {obj['type']!r}")
+    with _at_line(lineno):
+        p = header["params"]
+        trace = Trace(
+            params=ProtocolParams(n=p["n"], f=p["f"], r_c=p["r_c"], epsilon=p["epsilon"]),
+            byz_set=set(header["byz_set"]),
+            initial_values={int(k): v for k, v in header["initial_values"].items()},
+            scenario_name=header.get("scenario", ""),
+            seed=header.get("seed", 0),
+        )
+    ids = set(trace.initial_values)
+    if not ids:
+        raise TraceError(f"line {lineno}: header lists no initial values")
+    for lineno, obj, kind in records[1:]:
+        with _at_line(lineno):
+            if kind == "round":
+                rec = _round_from_json(obj)
+                trace.rounds.append(rec)
+                by_node = [rec.values_start, rec.local_start, rec.logs, rec.computed]
+            elif kind == "final":
+                trace.final_values = {int(k): v for k, v in obj["values"].items()}
+                by_node = [trace.final_values]
+            else:
+                raise TraceError(f"line {lineno}: unknown trace record type {kind!r}")
+        if any(set(per_node) != ids for per_node in by_node):
+            raise TraceError(f"line {lineno}: node ids differ from the header's initial values")
+    if not trace.final_values:  # a final record without values fails the id check
+        raise TraceError("trace has no final record")
     expected = list(range(1, len(trace.rounds) + 1))
     if [rec.round for rec in trace.rounds] != expected:
         raise TraceError("trace rounds are not contiguous from 1")

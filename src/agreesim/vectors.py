@@ -24,6 +24,16 @@ def _log_from_json(obj: dict) -> Log:
     return {int(sender): (pair[0], pair[1]) for sender, pair in obj.items()}
 
 
+def _outputs(result: StepResult) -> dict:
+    return {
+        "broadcast": result.broadcast,
+        "value": result.state.value,
+        "log": _log_to_json(result.state.log),
+        "last_local_start": result.state.last_local_start,
+        "computed": result.computed,
+    }
+
+
 def step_vector(
     state: NodeState,
     inbox: list[tuple[int, float]],
@@ -42,13 +52,7 @@ def step_vector(
             "last_local_start": state.last_local_start,
         },
         "inbox": [[sender, value] for sender, value in inbox],
-        "expect": {
-            "broadcast": result.broadcast,
-            "value": result.state.value,
-            "log": _log_to_json(result.state.log),
-            "last_local_start": result.state.last_local_start,
-            "computed": result.computed,
-        },
+        "expect": _outputs(result),
     }
 
 
@@ -98,13 +102,7 @@ def replay_vector(record: dict) -> list[str]:
     inbox = [(pair[0], pair[1]) for pair in record["inbox"]]
     result = step_round(state, inbox, record["round"], params)
     expect = record["expect"]
-    got = {
-        "broadcast": result.broadcast,
-        "value": result.state.value,
-        "log": _log_to_json(result.state.log),
-        "last_local_start": result.state.last_local_start,
-        "computed": result.computed,
-    }
+    got = _outputs(result)
     return [
         f"{key}: expected {expect[key]!r}, got {got[key]!r}"
         for key in expect

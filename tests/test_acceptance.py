@@ -228,7 +228,7 @@ def test_criterion_8_phase_progress():
         if not all(v.satisfied for v in verdicts):
             continue
         qualifying += 1
-        report = check_phase_progress(trace, delta, verdicts=verdicts)
+        report = check_phase_progress(trace, verdicts)
         assert report.ok, (config.name, report.violations)
         assert report.max_stagnant_streak < trace.params.n
         starts = trace.common_starts()

@@ -20,6 +20,7 @@ from agreesim.analysis import (
     is_proper,
     legal_reference_round,
     spread_series,
+    trace_phases,
     validate_witness,
 )
 from agreesim.errors import AnalysisError
@@ -165,6 +166,7 @@ class TestSafetyOracle:
         pairs = [(v.node, v.round) for v in got.violations]
         assert got.ok == want.ok
         assert set(pairs) == {(v.node, v.round) for v in want.violations}
+        assert len(pairs) == len(set(pairs))
 
     def test_widening_phase_start_fails_against_an_earlier_start(self):
         # Round 2 opens a phase whose envelope [0, 3] contains its own
@@ -413,19 +415,23 @@ class TestCondition:
         assert not check_condition(trace, 0, 0.5, strict=True).satisfied
 
 
+def all_verdicts(trace, delta):
+    return [check_condition(trace, k, delta) for k in trace_phases(trace)]
+
+
 class TestPhaseProgress:
     def test_single_node_passes_vacuously(self):
         config = ScenarioConfig(
             name="solo", n=1, f=0, r_c=1, epsilon=0.1, max_rounds=5,
             initial_values={"mode": "explicit", "values": [3.0]}, seed=1,
         )
-        report = check_phase_progress(simulate(config), 0.05)
+        trace = simulate(config)
+        report = check_phase_progress(trace, all_verdicts(trace, 0.05))
         assert report.ok and report.examined_phases == 0
 
     def test_baseline_makes_progress(self):
-        report = check_phase_progress(
-            simulate(builtin_scenario("fully_connected_baseline")), 0.05
-        )
+        trace = simulate(builtin_scenario("fully_connected_baseline"))
+        report = check_phase_progress(trace, all_verdicts(trace, 0.05))
         assert report.ok
 
     def test_stagnant_trace_is_flagged(self):
@@ -450,7 +456,7 @@ class TestPhaseProgress:
             rounds=rounds,
             final_values=dict(values),
         )
-        report = check_phase_progress(trace, 0.5)
+        report = check_phase_progress(trace, all_verdicts(trace, 0.5))
         assert not report.ok
         kinds = {v.kind for v in report.violations}
         assert kinds == {"no-attrition", "stagnation"}

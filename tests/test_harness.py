@@ -362,6 +362,30 @@ class TestCli:
         assert code == 1
         assert "VIOLATED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "defect", ["truncated", "no_delivered", "no_final", "empty_values", "missing_file"]
+    )
+    def test_check_rejects_malformed_trace_with_usage_exit(self, tmp_path, capsys, defect):
+        trace_path = tmp_path / "trace.jsonl"
+        write_trace(simulate(builtin_scenario("fully_connected_baseline")), trace_path)
+        lines = trace_path.read_text().splitlines()
+        first_round = json.loads(lines[1])
+        if defect == "truncated":
+            lines[1] = lines[1][: len(lines[1]) // 2]
+        elif defect == "no_delivered":
+            del first_round["delivered"]
+            lines[1] = json.dumps(first_round)
+        elif defect == "no_final":
+            lines.pop()
+        elif defect == "empty_values":
+            first_round["values_start"] = {}
+            lines[1] = json.dumps(first_round)
+        trace_path.write_text("\n".join(lines) + "\n")
+        if defect == "missing_file":
+            trace_path = tmp_path / "absent.jsonl"
+        assert main(["check", "--trace", str(trace_path)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
     def test_scenarios_list_and_export(self, tmp_path, capsys):
         assert main(["scenarios", "list"]) == 0
         listed = capsys.readouterr().out.split()
