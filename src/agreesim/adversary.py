@@ -123,16 +123,15 @@ class AdversaryStrategy:
             raise ConfigError(
                 f"{len(self.byz_set)} faulty nodes exceed the bound f={f}"
             )
-        bad = [i for i in self.byz_set if not 0 <= i < n]
+        bad = [i for i in self.byz_set if type(i) is not int or not 0 <= i < n]
         if bad:
-            raise ConfigError(f"faulty ids {bad} outside 0..{n - 1}")
+            raise ConfigError(f"faulty ids {bad} are not integers in 0..{n - 1}")
 
 
 def byzantine_outbox(
     strategy: AdversaryStrategy,
     b: NodeId,
     graph: RoundGraph,
-    r: int,
     view: RoundView,
     rng: random.Random,
 ) -> list[Message]:

@@ -189,10 +189,6 @@ class GroupClassification:
     bounds: PhaseBounds
     tags: dict[NodeId, Group]
     byz_tags: dict[NodeId, frozenset[Group]]
-    collapsed: bool
-
-    def members(self, group: Group) -> set[NodeId]:
-        return {i for i, g in self.tags.items() if g is group}
 
     def counts(self) -> dict[Group, int]:
         out = {g: 0 for g in Group}
@@ -232,7 +228,6 @@ def classify_groups(
         bounds=bounds,
         tags=tags,
         byz_tags={i: frozenset(gs) for i, gs in byz_tags.items()},
-        collapsed=bounds.collapsed,
     )
 
 

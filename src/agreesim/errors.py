@@ -1,5 +1,7 @@
 """Exception types shared across the simulator."""
 
+from contextlib import contextmanager
+
 
 class AgreesimError(Exception):
     """Base class for all simulator errors."""
@@ -23,3 +25,12 @@ class TraceError(AgreesimError):
 
 class AnalysisError(AgreesimError):
     """An analysis precondition failed or internal cross-checks disagreed."""
+
+
+@contextmanager
+def malformed(error: type[AgreesimError], what: str):
+    """Turn a missing key, a wrong type or a short list in an input into ``error``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, ProtocolError) as exc:
+        raise error(f"{what} ({type(exc).__name__}: {exc})") from None

@@ -17,16 +17,7 @@ import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .adversary import (
-    AdversaryStrategy,
-    ExtremeSplit,
-    FixedValue,
-    RandomLegal,
-    RoundView,
-    ScriptedTable,
-    Silent,
-    byzantine_outbox,
-)
+from .adversary import RoundView, byzantine_outbox
 from .analysis import (
     check_condition,
     check_convergence,
@@ -38,20 +29,11 @@ from .analysis import (
     spread_series,
     trace_phases,
 )
-from .dynamics import (
-    Arena,
-    RandomWaypoint,
-    Scripted,
-    Stationary,
-    TeleportRandom,
-    build_round_graph,
-    deliver,
-    move_step,
-)
+from .dynamics import build_round_graph, deliver, move_step
 from .errors import AgreesimError, ConfigError
-from .protocol import NodeState, ProtocolParams, is_common_new_start, step_round
-from .scenarios import ScenarioConfig
-from .trace import RoundRecord, Trace, trace_to_lines
+from .protocol import NodeState, is_common_new_start, step_round
+from .scenarios import ScenarioConfig, _initial_positions, _initial_values
+from .trace import RoundRecord, Trace
 
 IO_WINDOW_DEFAULT = 3
 
@@ -59,82 +41,6 @@ IO_WINDOW_DEFAULT = 3
 def substream(seed: int, *parts) -> random.Random:
     """Independent child stream, stable across runs and platforms."""
     return random.Random(f"{seed}/" + "/".join(str(p) for p in parts))
-
-
-def build_mobility(config: ScenarioConfig, arena: Arena):
-    spec = config.mobility
-    model = spec.get("model")
-    if model == "stationary":
-        return Stationary()
-    if model == "random-waypoint":
-        speed = spec.get("speed", [0.5, 2.0])
-        return RandomWaypoint(arena, float(speed[0]), float(speed[1]))
-    if model == "scripted":
-        waypoints = {
-            int(i): [(float(x), float(y)) for x, y in path]
-            for i, path in spec.get("waypoints", {}).items()
-        }
-        return Scripted(arena, waypoints)
-    if model == "teleport-random":
-        return TeleportRandom(arena)
-    raise ConfigError(f"unknown mobility model {model!r}")
-
-
-def build_adversary(config: ScenarioConfig) -> AdversaryStrategy:
-    spec = config.adversary
-    strategy = spec.get("strategy")
-    if strategy == "silent":
-        behavior = Silent()
-    elif strategy == "fixed-value":
-        behavior = FixedValue(float(spec["value"]))
-    elif strategy == "extreme-split":
-        behavior = ExtremeSplit(float(spec["v_hi"]), float(spec["v_lo"]))
-    elif strategy == "random-legal":
-        lo, hi = spec.get("range", [0.0, 1.0])
-        behavior = RandomLegal(float(lo), float(hi))
-    elif strategy == "scripted":
-        raw = spec.get("table")
-        if raw is None and "table_file" in spec:
-            try:
-                raw = json.loads(Path(spec["table_file"]).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ConfigError(
-                    f"cannot read scripted table {spec['table_file']}: {exc}"
-                ) from None
-        table = {}
-        for key, row in (raw or {}).items():
-            round_key = "*" if key == "*" else int(key)
-            table[round_key] = {int(r): float(v) for r, v in row.items()}
-        behavior = ScriptedTable(table)
-    else:
-        raise ConfigError(f"unknown adversary strategy {strategy!r}")
-    out = AdversaryStrategy(behavior=behavior, byz_set=config.byz_set)
-    out.validate(config.n, config.f)
-    return out
-
-
-def _initial_positions(config: ScenarioConfig, arena: Arena, rng: random.Random):
-    spec = config.initial_positions
-    if spec.get("mode") == "explicit":
-        coords = spec.get("coords", {})
-        positions = {}
-        for i in range(config.n):
-            raw = coords.get(str(i), coords.get(i))
-            pos = (float(raw[0]), float(raw[1]))
-            if not arena.contains(pos):
-                raise ConfigError(f"initial position {pos} of node {i} outside arena")
-            positions[i] = pos
-        return positions
-    return {i: arena.random_point(rng) for i in range(config.n)}
-
-
-def _initial_values(config: ScenarioConfig, rng: random.Random):
-    spec = config.initial_values
-    correct = config.correct_ids
-    if spec.get("mode") == "explicit":
-        return {i: float(v) for i, v in zip(correct, spec["values"])}
-    lo, hi = spec.get("range", [0.0, 1.0])
-    return {i: rng.uniform(float(lo), float(hi)) for i in correct}
 
 
 def run_scenario(config: ScenarioConfig, seed: int | None = None) -> tuple[Trace, "RunReport"]:
@@ -146,16 +52,12 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None) -> tuple[Trace
 
 def simulate(config: ScenarioConfig, seed: int | None = None) -> Trace:
     """Execute a scenario's lock-step rounds and record the full trace."""
-    config.validate()
+    params, arena, model, adversary = config.validate()
     run_seed = config.seed if seed is None else seed
-    params = ProtocolParams(n=config.n, f=config.f, r_c=config.r_c, epsilon=config.epsilon)
-    arena = Arena(*config.arena)
-    model = build_mobility(config, arena)
-    adversary = build_adversary(config)
     positions = _initial_positions(config, arena, substream(run_seed, "init-pos"))
     values = _initial_values(config, substream(run_seed, "init-values"))
     states = {i: NodeState(id=i, value=values[i]) for i in config.correct_ids}
-    byz = config.byz_set
+    byz = adversary.byz_set
     trace = Trace(
         params=params,
         byz_set=byz,
@@ -187,7 +89,7 @@ def simulate(config: ScenarioConfig, seed: int | None = None) -> Trace:
         byz_sent = []
         for b in sorted(byz):
             byz_sent.extend(
-                byzantine_outbox(adversary, b, graph, r, view, substream(run_seed, "adv", r, b))
+                byzantine_outbox(adversary, b, graph, view, substream(run_seed, "adv", r, b))
             )
         inboxes = deliver(graph, outbox + byz_sent, config.loss_rate, substream(run_seed, "loss", r))
 
@@ -284,7 +186,7 @@ def build_report(trace: Trace, delta: float) -> RunReport:
         safety_ok=safety.ok,
         cardinality_ok=trace.params.meets_cardinality_bound,
         condition_per_phase=per_phase,
-        condition_ok_all_phases=all(flags) if flags else True,
+        condition_ok_all_phases=all(flags),
         condition_ok_io=holds_infinitely_often(flags, IO_WINDOW_DEFAULT),
         io_window=IO_WINDOW_DEFAULT,
         progress_ok=progress.ok,
@@ -309,10 +211,6 @@ def write_series_csv(trace: Trace, delta: float, path: str | Path) -> None:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-
-
-def trace_bytes(trace: Trace) -> bytes:
-    return ("\n".join(trace_to_lines(trace)) + "\n").encode()
 
 
 def _set_path(data: dict, dotted: str, value) -> None:

@@ -34,6 +34,8 @@ class ProtocolParams:
     epsilon: float
 
     def __post_init__(self) -> None:
+        if not all(type(v) is int for v in (self.n, self.f, self.r_c)):
+            raise ProtocolError(f"n, f, r_c must be integers: {self.n!r}, {self.f!r}, {self.r_c!r}")
         if self.n < 1:
             raise ProtocolError(f"n must be >= 1, got {self.n}")
         if self.f < 0:

@@ -11,10 +11,21 @@ partitioned setups that must provably stay stuck.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-from .errors import ConfigError
+from .adversary import (
+    AdversaryStrategy,
+    ExtremeSplit,
+    FixedValue,
+    RandomLegal,
+    ScriptedTable,
+    Silent,
+)
+from .dynamics import Arena, MobilityModel, RandomWaypoint, Scripted, Stationary, TeleportRandom
+from .errors import ConfigError, malformed
+from .protocol import ProtocolParams
 
 SCENARIO_SCHEMA = 1
 
@@ -53,59 +64,48 @@ class ScenarioConfig:
     def effective_max_rounds(self) -> int:
         return 100 * self.r_c * self.n if self.max_rounds is None else self.max_rounds
 
-    def validate(self) -> None:
-        errors = []
-        if self.n < 1:
-            errors.append(f"n must be >= 1, got {self.n}")
-        if self.f < 0:
-            errors.append(f"f must be >= 0, got {self.f}")
-        if self.r_c < 1:
-            errors.append(f"r_c must be >= 1, got {self.r_c}")
-        if not self.epsilon > 0:
-            errors.append(f"epsilon must be > 0, got {self.epsilon}")
-        if self.delta is not None and not 0 < self.delta <= self.epsilon / 2.0:
-            errors.append(
-                f"delta must lie in (0, epsilon/2], got {self.delta}"
-            )
-        if self.effective_max_rounds < 1:
-            errors.append(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if len(self.arena) != 2 or self.arena[0] <= 0 or self.arena[1] <= 0:
-            errors.append(f"arena must be two positive sides, got {self.arena}")
-        if not self.radius > 0:
-            errors.append(f"radius must be > 0, got {self.radius}")
-        if not 0.0 <= self.loss_rate <= 1.0:
-            errors.append(f"loss_rate must be in [0,1], got {self.loss_rate}")
-        byz = self.byz_set
-        if len(byz) > self.f:
-            errors.append(f"{len(byz)} faulty nodes exceed the bound f={self.f}")
-        if any(not 0 <= b < self.n for b in byz):
-            errors.append(f"faulty ids {sorted(byz)} must lie in 0..{self.n - 1}")
-        model = self.mobility.get("model")
-        if model not in {"stationary", "random-waypoint", "scripted", "teleport-random"}:
-            errors.append(f"unknown mobility model {model!r}")
-        strategy = self.adversary.get("strategy")
-        if strategy not in {"silent", "fixed-value", "extreme-split", "random-legal", "scripted"}:
-            errors.append(f"unknown adversary strategy {strategy!r}")
-        values = self.initial_values
-        if values.get("mode") == "explicit":
-            got = len(values.get("values", []))
-            want = len(self.correct_ids)
-            if got != want:
-                errors.append(
-                    f"explicit initial values: got {got}, need one per correct node ({want})"
-                )
-        elif values.get("mode") != "uniform":
-            errors.append(f"unknown initial_values mode {values.get('mode')!r}")
-        positions = self.initial_positions
-        if positions.get("mode") == "explicit":
-            coords = positions.get("coords", {})
-            missing = [i for i in range(self.n) if str(i) not in coords and i not in coords]
-            if missing:
-                errors.append(f"explicit positions missing nodes {missing}")
-        elif positions.get("mode") != "uniform":
-            errors.append(f"unknown initial_positions mode {positions.get('mode')!r}")
-        if errors:
-            raise ConfigError("; ".join(errors))
+    def validate(self) -> tuple[ProtocolParams, Arena, MobilityModel, AdversaryStrategy]:
+        """Check every field once, building the run's params, arena, mobility and adversary."""
+        with malformed(ConfigError, "malformed scenario"):
+            params = ProtocolParams(n=self.n, f=self.f, r_c=self.r_c, epsilon=self.epsilon)
+            if type(self.seed) is not int:
+                raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+            if type(self.effective_max_rounds) is not int or self.effective_max_rounds < 1:
+                raise ConfigError(f"max_rounds must be an integer >= 1, got {self.max_rounds!r}")
+            if self.delta is not None and not 0 < self.delta <= self.epsilon / 2.0:
+                raise ConfigError(f"delta must lie in (0, epsilon/2], got {self.delta}")
+            if not self.radius > 0:
+                raise ConfigError(f"radius must be > 0, got {self.radius}")
+            if not 0.0 <= self.loss_rate <= 1.0:
+                raise ConfigError(f"loss_rate must be in [0,1], got {self.loss_rate}")
+            arena = Arena(*self.arena)
+            mobility = build_mobility(self, arena)
+            adversary = build_adversary(self)
+            if not self.correct_ids:
+                raise ConfigError("every node is faulty; a run needs a correct node")
+            # Parse the initial values and positions without drawing: the run draws them.
+            values = self.initial_values
+            if values.get("mode") == "explicit":
+                got, want = len(values.get("values", [])), len(self.correct_ids)
+                if got != want:
+                    raise ConfigError(
+                        f"explicit initial values: got {got}, need one per correct node ({want})"
+                    )
+                _initial_values(self, None)
+            elif values.get("mode") == "uniform":
+                _lo, _hi = map(float, values.get("range", [0.0, 1.0]))
+            else:
+                raise ConfigError(f"unknown initial_values mode {values.get('mode')!r}")
+            positions = self.initial_positions
+            if positions.get("mode") == "explicit":
+                coords = positions.get("coords", {})
+                missing = [i for i in range(self.n) if str(i) not in coords and i not in coords]
+                if missing:
+                    raise ConfigError(f"explicit positions missing nodes {missing}")
+                _initial_positions(self, arena, None)
+            elif positions.get("mode") != "uniform":
+                raise ConfigError(f"unknown initial_positions mode {positions.get('mode')!r}")
+        return params, arena, mobility, adversary
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -115,6 +115,8 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(obj: dict) -> "ScenarioConfig":
+        if not isinstance(obj, dict):
+            raise ConfigError(f"a scenario must be a JSON object, got {type(obj).__name__}")
         data = dict(obj)
         schema = data.pop("schema", SCENARIO_SCHEMA)
         if schema != SCENARIO_SCHEMA:
@@ -122,12 +124,86 @@ class ScenarioConfig:
         unknown = set(data) - {f.name for f in ScenarioConfig.__dataclass_fields__.values()}
         if unknown:
             raise ConfigError(f"unknown scenario fields {sorted(unknown)}")
-        if "arena" in data:
-            data["arena"] = tuple(data["arena"])
-        try:
+        with malformed(ConfigError, "malformed scenario"):
+            if "arena" in data:
+                data["arena"] = tuple(data["arena"])
             return ScenarioConfig(**data)
-        except TypeError as exc:
-            raise ConfigError(f"bad scenario document: {exc}") from None
+
+
+def build_mobility(config: ScenarioConfig, arena: Arena):
+    spec = config.mobility
+    model = spec.get("model")
+    if model == "stationary":
+        return Stationary()
+    if model == "random-waypoint":
+        speed = spec.get("speed", [0.5, 2.0])
+        return RandomWaypoint(arena, float(speed[0]), float(speed[1]))
+    if model == "scripted":
+        waypoints = {
+            int(i): [(float(x), float(y)) for x, y in path]
+            for i, path in spec.get("waypoints", {}).items()
+        }
+        return Scripted(arena, waypoints)
+    if model == "teleport-random":
+        return TeleportRandom(arena)
+    raise ConfigError(f"unknown mobility model {model!r}")
+
+
+def build_adversary(config: ScenarioConfig) -> AdversaryStrategy:
+    spec = config.adversary
+    strategy = spec.get("strategy")
+    if strategy == "silent":
+        behavior = Silent()
+    elif strategy == "fixed-value":
+        behavior = FixedValue(float(spec["value"]))
+    elif strategy == "extreme-split":
+        behavior = ExtremeSplit(float(spec["v_hi"]), float(spec["v_lo"]))
+    elif strategy == "random-legal":
+        lo, hi = spec.get("range", [0.0, 1.0])
+        behavior = RandomLegal(float(lo), float(hi))
+    elif strategy == "scripted":
+        raw = spec.get("table")
+        if raw is None and "table_file" in spec:
+            try:
+                raw = json.loads(Path(spec["table_file"]).read_text())
+            except (OSError, json.JSONDecodeError) as exc:
+                raise ConfigError(
+                    f"cannot read scripted table {spec['table_file']}: {exc}"
+                ) from None
+        table = {}
+        for key, row in (raw or {}).items():
+            round_key = "*" if key == "*" else int(key)
+            table[round_key] = {int(r): float(v) for r, v in row.items()}
+        behavior = ScriptedTable(table)
+    else:
+        raise ConfigError(f"unknown adversary strategy {strategy!r}")
+    out = AdversaryStrategy(behavior=behavior, byz_set=config.byz_set)
+    out.validate(config.n, config.f)
+    return out
+
+
+def _initial_positions(config: ScenarioConfig, arena: Arena, rng: random.Random):
+    spec = config.initial_positions
+    if spec.get("mode") == "explicit":
+        coords = spec.get("coords", {})
+        positions = {}
+        for i in range(config.n):
+            raw = coords.get(str(i), coords.get(i))
+            pos = (float(raw[0]), float(raw[1]))
+            if not arena.contains(pos):
+                raise ConfigError(f"initial position {pos} of node {i} outside arena")
+            positions[i] = pos
+        return positions
+    return {i: arena.random_point(rng) for i in range(config.n)}
+
+
+def _initial_values(config: ScenarioConfig, rng: random.Random):
+    spec = config.initial_values
+    correct = config.correct_ids
+    if spec.get("mode") == "explicit":
+        return {i: float(v) for i, v in zip(correct, spec["values"])}
+    lo, hi = spec.get("range", [0.0, 1.0])
+    return {i: rng.uniform(float(lo), float(hi)) for i in correct}
 
 
 def save_scenario(config: ScenarioConfig, path: str | Path) -> None:
@@ -140,7 +216,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from None
     config = ScenarioConfig.from_dict(obj)
-    table_file = config.adversary.get("table_file")
+    with malformed(ConfigError, "malformed scenario"):
+        table_file = config.adversary.get("table_file")
     if table_file is not None and not Path(table_file).is_absolute():
         config.adversary = dict(
             config.adversary, table_file=str(Path(path).parent / table_file)

@@ -11,12 +11,13 @@ that identical runs produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
-from contextlib import contextmanager
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ProtocolError, TraceError
+from .errors import TraceError, malformed
 from .protocol import Log, NodeId, ProtocolParams, Value
 
 SCHEMA_VERSION = 1
@@ -90,22 +91,28 @@ def _round_to_json(rec: RoundRecord) -> dict:
     return {
         "type": "round",
         "round": rec.round,
-        "positions": {str(k): list(v) for k, v in sorted(rec.positions.items())},
+        "positions": {str(k): list(v) for k, v in rec.positions.items()},
         "edges": [list(e) for e in sorted(rec.edges)],
         "byz_sent": [list(m) for m in sorted(rec.byz_sent)],
         "delivered": [list(m) for m in sorted(rec.delivered)],
-        "values_start": {str(k): v for k, v in sorted(rec.values_start.items())},
-        "local_start": {str(k): v for k, v in sorted(rec.local_start.items())},
+        "values_start": {str(k): v for k, v in rec.values_start.items()},
+        "local_start": {str(k): v for k, v in rec.local_start.items()},
         "logs": {
-            str(i): {str(j): list(entry) for j, entry in sorted(log.items())}
-            for i, log in sorted(rec.logs.items())
+            str(i): {str(j): list(entry) for j, entry in log.items()}
+            for i, log in rec.logs.items()
         },
-        "computed": {str(k): v for k, v in sorted(rec.computed.items())},
+        "computed": {str(k): v for k, v in rec.computed.items()},
     }
 
 
+def _require(types: set, field: str, values: Iterable) -> None:
+    """Raise TypeError unless every value's type is in ``types``, so never for a bool."""
+    if not set(map(type, values)) <= types:
+        raise TypeError(f"{field} must hold {'numbers' if float in types else 'integers'}")
+
+
 def _round_from_json(obj: dict) -> RoundRecord:
-    return RoundRecord(
+    rec = RoundRecord(
         round=obj["round"],
         positions={int(k): (v[0], v[1]) for k, v in obj["positions"].items()},
         edges=[(e[0], e[1]) for e in obj["edges"]],
@@ -119,6 +126,19 @@ def _round_from_json(obj: dict) -> RoundRecord:
         },
         computed={int(k): v for k, v in obj["computed"].items()},
     )
+    chain = itertools.chain.from_iterable
+    messages = rec.byz_sent + rec.delivered
+    entries = [entry for log in rec.logs.values() for entry in log.values()]
+    _require({int}, "round", [rec.round])
+    _require({int}, "edges", chain(rec.edges))
+    _require({int}, "message node ids", [m[0] for m in messages] + [m[1] for m in messages])
+    _require({int}, "local_start", rec.local_start.values())
+    _require({int}, "log rounds", [r for _v, r in entries])
+    _require({int, float}, "values_start", rec.values_start.values())
+    _require({int, float}, "message values", [m[2] for m in messages])
+    _require({int, float}, "logs", [v for v, _r in entries])
+    _require({int, float}, "positions", chain(rec.positions.values()))
+    return rec
 
 
 def _dumps(obj: dict) -> str:
@@ -138,7 +158,7 @@ def trace_to_lines(trace: Trace) -> list[str]:
             "epsilon": trace.params.epsilon,
         },
         "byz_set": sorted(trace.byz_set),
-        "initial_values": {str(k): v for k, v in sorted(trace.initial_values.items())},
+        "initial_values": {str(k): v for k, v in trace.initial_values.items()},
     }
     lines = [_dumps(header)]
     lines.extend(_dumps(_round_to_json(rec)) for rec in trace.rounds)
@@ -146,27 +166,18 @@ def trace_to_lines(trace: Trace) -> list[str]:
         _dumps(
             {
                 "type": "final",
-                "values": {str(k): v for k, v in sorted(trace.final_values.items())},
+                "values": {str(k): v for k, v in trace.final_values.items()},
             }
         )
     )
     return lines
 
 
-@contextmanager
-def _at_line(lineno: int):
-    """Turn a record that is not JSON or lacks a field into a TraceError."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError, ProtocolError) as exc:
-        raise TraceError(f"line {lineno}: malformed record ({type(exc).__name__}: {exc})") from None
-
-
 def trace_from_lines(lines: list[str]) -> Trace:
     records = []
     for lineno, line in enumerate(lines, 1):
         if line.strip():
-            with _at_line(lineno):
+            with malformed(TraceError, f"line {lineno}: malformed record"):
                 obj = json.loads(line)
                 records.append((lineno, obj, obj.get("type")))
     if not records or records[0][2] != "header":
@@ -174,7 +185,7 @@ def trace_from_lines(lines: list[str]) -> Trace:
     lineno, header, _ = records[0]
     if header.get("schema") != SCHEMA_VERSION:
         raise TraceError(f"unsupported trace schema {header.get('schema')!r}")
-    with _at_line(lineno):
+    with malformed(TraceError, f"line {lineno}: malformed record"):
         p = header["params"]
         trace = Trace(
             params=ProtocolParams(n=p["n"], f=p["f"], r_c=p["r_c"], epsilon=p["epsilon"]),
@@ -183,17 +194,20 @@ def trace_from_lines(lines: list[str]) -> Trace:
             scenario_name=header.get("scenario", ""),
             seed=header.get("seed", 0),
         )
+        _require({int}, "byz_set", trace.byz_set)
+        _require({int, float}, "header values", [p["epsilon"], *trace.initial_values.values()])
     ids = set(trace.initial_values)
     if not ids:
         raise TraceError(f"line {lineno}: header lists no initial values")
     for lineno, obj, kind in records[1:]:
-        with _at_line(lineno):
+        with malformed(TraceError, f"line {lineno}: malformed record"):
             if kind == "round":
                 rec = _round_from_json(obj)
                 trace.rounds.append(rec)
                 by_node = [rec.values_start, rec.local_start, rec.logs, rec.computed]
             elif kind == "final":
                 trace.final_values = {int(k): v for k, v in obj["values"].items()}
+                _require({int, float}, "final values", trace.final_values.values())
                 by_node = [trace.final_values]
             else:
                 raise TraceError(f"line {lineno}: unknown trace record type {kind!r}")

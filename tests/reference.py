@@ -3,10 +3,16 @@
 The trim-and-average reference works on plain sorted value lists with
 explicit index sets, recomputing the side counts itself, so it shares no
 code path with the package's log-based implementation. The safety
-reference rescans every later round once per phase start.
+reference rescans every later round once per phase start. ``trace_bytes``
+gives the bytes ``write_trace`` would write, for tests that compare runs.
 """
 
 from agreesim.analysis import RangeCheck, Violation
+from agreesim.trace import trace_to_lines
+
+
+def trace_bytes(trace):
+    return ("\n".join(trace_to_lines(trace)) + "\n").encode()
 
 
 def reference_counts(sorted_values, v_i):

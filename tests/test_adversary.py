@@ -52,12 +52,12 @@ STRATEGY_GRAPH = star_graph(9, [0, 1, 2])
 class TestStrategies:
     def test_silent_sends_nothing(self):
         strat = AdversaryStrategy(Silent(), {9})
-        out = byzantine_outbox(strat, 9, STRATEGY_GRAPH, 1, make_view(), random.Random(0))
+        out = byzantine_outbox(strat, 9, STRATEGY_GRAPH, make_view(), random.Random(0))
         assert out == []
 
     def test_fixed_value_reaches_every_neighbor(self):
         strat = AdversaryStrategy(FixedValue(42.0), {9})
-        out = byzantine_outbox(strat, 9, STRATEGY_GRAPH, 1, make_view(), random.Random(0))
+        out = byzantine_outbox(strat, 9, STRATEGY_GRAPH, make_view(), random.Random(0))
         assert sorted(out) == [(9, 0, 42.0), (9, 1, 42.0), (9, 2, 42.0)]
 
     def test_extreme_split_targets_by_phase_start_value(self):
@@ -66,7 +66,7 @@ class TestStrategies:
         out = dict(
             (receiver, value)
             for _sender, receiver, value in byzantine_outbox(
-                strat, 9, STRATEGY_GRAPH, 1, view, random.Random(0)
+                strat, 9, STRATEGY_GRAPH, view, random.Random(0)
             )
         )
         assert out[0] == 11.0
@@ -78,7 +78,7 @@ class TestStrategies:
         # delivery layer keeps both.
         view = make_view(values={0: 10.0, 1: 0.0})
         strat = AdversaryStrategy(ExtremeSplit(11.0, -1.0), {9})
-        out = byzantine_outbox(strat, 9, star_graph(9, [0, 1]), 1, view, random.Random(0))
+        out = byzantine_outbox(strat, 9, star_graph(9, [0, 1]), view, random.Random(0))
         inboxes = deliver(star_graph(9, [0, 1]), out, 0.0, random.Random(0))
         assert inboxes[0] == [(9, 0, 11.0)]
         assert inboxes[1] == [(9, 1, -1.0)]
@@ -86,8 +86,8 @@ class TestStrategies:
     def test_random_legal_draws_stay_in_range_and_replay(self):
         strat = AdversaryStrategy(RandomLegal(0.0, 1.0), {9})
         view = make_view()
-        a = byzantine_outbox(strat, 9, STRATEGY_GRAPH, 1, view, random.Random(5))
-        b = byzantine_outbox(strat, 9, STRATEGY_GRAPH, 1, view, random.Random(5))
+        a = byzantine_outbox(strat, 9, STRATEGY_GRAPH, view, random.Random(5))
+        b = byzantine_outbox(strat, 9, STRATEGY_GRAPH, view, random.Random(5))
         assert a == b
         assert all(0.0 <= value <= 1.0 for _s, _r, value in a)
 
@@ -98,15 +98,15 @@ class TestStrategies:
     def test_scripted_table_with_default_row(self):
         table = ScriptedTable({1: {0: 5.0}, "*": {1: 7.0}})
         strat = AdversaryStrategy(table, {9})
-        r1 = byzantine_outbox(strat, 9, STRATEGY_GRAPH, 1, make_view(r=1), random.Random(0))
-        r2 = byzantine_outbox(strat, 9, STRATEGY_GRAPH, 2, make_view(r=2), random.Random(0))
+        r1 = byzantine_outbox(strat, 9, STRATEGY_GRAPH, make_view(r=1), random.Random(0))
+        r2 = byzantine_outbox(strat, 9, STRATEGY_GRAPH, make_view(r=2), random.Random(0))
         assert r1 == [(9, 0, 5.0)]
         assert r2 == [(9, 1, 7.0)]
 
     def test_scripted_table_skips_unreachable_receivers(self):
         table = ScriptedTable({"*": {0: 5.0, 7: 6.0}})
         strat = AdversaryStrategy(table, {9})
-        out = byzantine_outbox(strat, 9, STRATEGY_GRAPH, 1, make_view(), random.Random(0))
+        out = byzantine_outbox(strat, 9, STRATEGY_GRAPH, make_view(), random.Random(0))
         assert out == [(9, 0, 5.0)]
 
 
@@ -114,7 +114,7 @@ class TestOutboxDiscipline:
     def test_only_controlled_nodes_emit(self):
         strat = AdversaryStrategy(FixedValue(1.0), {9})
         with pytest.raises(ConfigError):
-            byzantine_outbox(strat, 3, STRATEGY_GRAPH, 1, make_view(), random.Random(0))
+            byzantine_outbox(strat, 3, STRATEGY_GRAPH, make_view(), random.Random(0))
 
     def test_at_most_one_message_per_receiver(self):
         class Doubler:
@@ -122,7 +122,7 @@ class TestOutboxDiscipline:
                 return [(r, 1.0) for r in receivers] + [(r, 2.0) for r in receivers]
 
         strat = AdversaryStrategy(Doubler(), {9})
-        out = byzantine_outbox(strat, 9, STRATEGY_GRAPH, 1, make_view(), random.Random(0))
+        out = byzantine_outbox(strat, 9, STRATEGY_GRAPH, make_view(), random.Random(0))
         assert len(out) == 3
         assert {receiver for _s, receiver, _v in out} == {0, 1, 2}
 

@@ -211,7 +211,7 @@ class TestGroups:
         )
         trace = simulate(config)
         classification = classify_groups(trace, 0, 1, 0.25)
-        assert classification.collapsed
+        assert classification.bounds.collapsed
         assert all(g is Group.MIN for g in classification.tags.values())
 
     def test_partition_of_correct_nodes(self):

@@ -14,7 +14,6 @@ from agreesim.harness import (
     run_scenario,
     simulate,
     sweep,
-    trace_bytes,
     write_series_csv,
     write_sweep_csv,
 )
@@ -27,6 +26,7 @@ from agreesim.scenarios import (
 )
 from agreesim.trace import read_trace, trace_from_lines, trace_to_lines, write_trace
 from agreesim.vectors import read_vectors, replay_vectors, vectors_from_trace, write_vectors
+from reference import trace_bytes
 
 
 class TestRunScenario:
@@ -363,7 +363,11 @@ class TestCli:
         assert "VIOLATED" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "defect", ["truncated", "no_delivered", "no_final", "empty_values", "missing_file"]
+        "defect",
+        [
+            "truncated", "no_delivered", "no_final", "empty_values", "missing_file",
+            "string_value", "string_local_start", "string_delivered_value",
+        ],
     )
     def test_check_rejects_malformed_trace_with_usage_exit(self, tmp_path, capsys, defect):
         trace_path = tmp_path / "trace.jsonl"
@@ -380,10 +384,53 @@ class TestCli:
         elif defect == "empty_values":
             first_round["values_start"] = {}
             lines[1] = json.dumps(first_round)
+        elif defect == "string_value":
+            first_round["values_start"]["0"] = "x"
+            lines[1] = json.dumps(first_round)
+        elif defect == "string_local_start":
+            first_round["local_start"]["0"] = "z"
+            lines[1] = json.dumps(first_round)
+        elif defect == "string_delivered_value":
+            first_round["delivered"][0][2] = "y"
+            lines[1] = json.dumps(first_round)
         trace_path.write_text("\n".join(lines) + "\n")
         if defect == "missing_file":
             trace_path = tmp_path / "absent.jsonl"
         assert main(["check", "--trace", str(trace_path)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "defect",
+        ["no_value", "string_n", "short_speed", "string_value", "json_list", "all_faulty",
+         "sweep_range"],
+    )
+    def test_malformed_scenario_exits_two(self, tmp_path, capsys, defect):
+        doc = builtin_scenario("stale_log_overshoot").to_dict()
+        if defect == "no_value":
+            del doc["adversary"]["value"]
+        elif defect == "string_n":
+            doc["n"] = "4"
+        elif defect == "short_speed":
+            doc["mobility"] = {"model": "random-waypoint", "speed": [1.0]}
+        elif defect == "string_value":
+            doc["initial_values"]["values"][0] = "x"
+        elif defect == "json_list":
+            doc = [doc]
+        elif defect == "all_faulty":
+            doc.update(n=1, f=1, initial_values={"mode": "explicit", "values": []})
+            doc["adversary"]["byz_set"] = [0]
+            doc["initial_positions"] = {"mode": "uniform"}
+        elif defect == "sweep_range":
+            doc["adversary"] = {"strategy": "random-legal", "range": [0.0, 1.0], "byz_set": [4]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "out")]
+        if defect == "sweep_range":  # the template is fine; one grid cell reverses the range
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps({"adversary.range": [[1.0, 0.0]]}))
+            argv = ["sweep", "--scenario", str(path), "--grid", str(grid), "--seeds", "2",
+                    "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_scenarios_list_and_export(self, tmp_path, capsys):
