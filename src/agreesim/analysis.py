@@ -18,7 +18,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .dynamics import joint_neighbor_set, retained_values, window_deliveries
+from .dynamics import joint_neighbor_set, retained_values
 from .errors import AnalysisError
 from .protocol import NodeId, Value, is_common_new_start
 from .trace import Trace
@@ -31,17 +31,12 @@ def legal_reference_round(r: int, r_c: int) -> int:
     phase, so the binding envelope is the previous phase start: rounds
     inside a phase answer to their own phase start, while a phase-opening
     round (computed during the last round of the previous phase) answers
-    to the start of that previous phase.
+    to the start of that previous phase. Both cases are the phase start of
+    round r-1, the round during which round r's values were computed.
     """
     if r < 1:
         raise AnalysisError(f"round must be >= 1, got {r}")
-    k = (r - 1) // r_c
-    m = r - k * r_c
-    if k == 0 and m == 1:
-        return 1
-    if m != 1:
-        return k * r_c + 1
-    return (k - 1) * r_c + 1
+    return max(1, (r - 2) // r_c * r_c + 1)
 
 
 @dataclass(frozen=True)
@@ -245,19 +240,6 @@ def is_proper(value: Value, observer_group: Group, bounds: PhaseBounds) -> bool:
     raise AnalysisError(f"observer must hold an extreme value, got {observer_group}")
 
 
-def groups_converged(values: dict[NodeId, Value], delta: float) -> bool:
-    """Group-based agreement detector for one phase-start value vector.
-
-    Agreement has been reached exactly when the minimum and maximum
-    holders coincide (all values equal) or the near-min and near-max
-    intervals overlap, i.e. v_max - delta < v_min + delta. With
-    delta = epsilon/2 this matches the spread test spread < epsilon.
-    """
-    lo = min(values.values())
-    hi = max(values.values())
-    return lo == hi or hi - delta < lo + delta
-
-
 @dataclass
 class ConvergenceResult:
     reached: bool
@@ -269,20 +251,10 @@ def check_convergence(trace: Trace) -> ConvergenceResult:
 
     Mid-phase dips do not count: retained old values can push the spread
     back up before the next phase start, so only phase starts are tested.
-    Each spread test is cross-validated against the group-based detector
-    (evaluated at delta = epsilon/2, where the two are provably the same
-    test); any disagreement is an internal error.
     """
     eps = trace.params.epsilon
     for r in trace.common_starts():
-        by_spread = trace.spread(r) < eps
-        by_groups = groups_converged(trace.values_at(r), eps / 2.0)
-        if by_spread != by_groups:
-            raise AnalysisError(
-                f"convergence detectors disagree at round {r}: "
-                f"spread={trace.spread(r)}, eps={eps}"
-            )
-        if by_spread:
+        if trace.spread(r) < eps:
             return ConvergenceResult(reached=True, at_round=r)
     return ConvergenceResult(reached=False, at_round=None)
 
@@ -302,37 +274,13 @@ class ConditionVerdict:
     witness: ConditionWitness | None = None
 
 
-def _proper_senders(
-    trace: Trace, i: NodeId, r_prime: int, group: Group,
-    bounds: PhaseBounds, strict: bool,
-) -> list[NodeId]:
-    """Senders whose contribution to node i's log at r_prime is proper.
-
-    Default mode judges the value actually retained (the most recent one);
-    strict mode additionally requires every value the sender delivered in
-    the window to have been proper at its delivery round.
-    """
-    retained = retained_values(trace, i, r_prime)
-    improper = set()
-    if strict:
-        improper = {
-            j for j, value in window_deliveries(trace, i, r_prime)
-            if not is_proper(value, group, bounds)
-        }
-    return [
-        j for j in sorted(retained)
-        if is_proper(retained[j], group, bounds) and j not in improper
-    ]
-
-
-def check_condition(
-    trace: Trace, k: int, delta: float, strict: bool = False
-) -> ConditionVerdict:
+def check_condition(trace: Trace, k: int, delta: float) -> ConditionVerdict:
     """Quantity-and-quality test for one phase.
 
     Satisfied when some correct node holding an extreme value at the phase
     start gathers, at some round of the phase, proper values from at least
-    f+1 distinct senders of its joint neighbor set. Phases that begin
+    f+1 distinct senders of its joint neighbor set. A sender's value is the
+    one the holder retained (the most recent in its window). Phases that begin
     already inside the agreement band are vacuously satisfied.
     """
     bounds = phase_bounds(trace, k, delta)
@@ -350,42 +298,18 @@ def check_condition(
     for r_prime in range(start, last_phase_round + 1):
         for i, group in extremes:
             joint = joint_neighbor_set(trace, i, r_prime)
+            retained = retained_values(trace, i, r_prime)
             proper = [
-                j for j in _proper_senders(trace, i, r_prime, group, bounds, strict)
-                if j in joint
+                j for j in sorted(retained)
+                if is_proper(retained[j], group, bounds) and j in joint
             ]
             if len(proper) >= f + 1:
                 return ConditionVerdict(
                     phase=k,
                     satisfied=True,
-                    witness=ConditionWitness(i, r_prime, tuple(sorted(proper))),
+                    witness=ConditionWitness(i, r_prime, tuple(proper)),
                 )
     return ConditionVerdict(phase=k, satisfied=False)
-
-
-def validate_witness(trace: Trace, verdict: ConditionVerdict, delta: float) -> bool:
-    """Re-check a satisfied verdict's witness against raw deliveries."""
-    if not verdict.satisfied or verdict.vacuous:
-        return True
-    w = verdict.witness
-    if w is None or len(w.senders) < trace.params.f + 1:
-        return False
-    bounds = phase_bounds(trace, verdict.phase, delta)
-    values = trace.values_at(bounds.start_round)
-    if values[w.node] == bounds.v_min:
-        group = Group.MIN
-    elif values[w.node] == bounds.v_max:
-        group = Group.MAX
-    else:
-        return False
-    joint = joint_neighbor_set(trace, w.node, w.round)
-    retained = retained_values(trace, w.node, w.round)
-    for j in w.senders:
-        if j not in joint or j not in retained:
-            return False
-        if not is_proper(retained[j], group, bounds):
-            return False
-    return True
 
 
 def trace_phases(trace: Trace) -> list[int]:
@@ -410,8 +334,6 @@ def holds_infinitely_often(flags: list[bool], window: int) -> bool:
 @dataclass
 class ConditionReport:
     per_phase: list[ConditionVerdict]
-    mode: str
-    window: int | None
     ok: bool
 
 
@@ -420,14 +342,13 @@ def condition_report(
     delta: float,
     mode: str = "per-phase",
     window: int = 3,
-    strict: bool = False,
 ) -> ConditionReport:
     """Aggregate condition verdicts over every phase of a trace.
 
     In ``per-phase`` mode all phases must be satisfied; in
     ``infinitely-often`` mode ``holds_infinitely_often`` decides.
     """
-    verdicts = [check_condition(trace, k, delta, strict) for k in trace_phases(trace)]
+    verdicts = [check_condition(trace, k, delta) for k in trace_phases(trace)]
     flags = [v.satisfied for v in verdicts]
     if mode == "per-phase":
         ok = all(flags)
@@ -435,12 +356,7 @@ def condition_report(
         ok = holds_infinitely_often(flags, window)
     else:
         raise AnalysisError(f"unknown condition mode {mode!r}")
-    return ConditionReport(
-        per_phase=verdicts,
-        mode=mode,
-        window=window if mode == "infinitely-often" else None,
-        ok=ok,
-    )
+    return ConditionReport(per_phase=verdicts, ok=ok)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ class Arena:
     height: float
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ConfigError(f"arena sides must be positive, got {self}")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ConfigError(f"arena sides must be finite and positive, got {self}")
 
     def contains(self, pos: Position) -> bool:
         return 0.0 <= pos[0] <= self.width and 0.0 <= pos[1] <= self.height

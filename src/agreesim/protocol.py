@@ -42,8 +42,8 @@ class ProtocolParams:
             raise ProtocolError(f"f must be >= 0, got {self.f}")
         if self.r_c < 1:
             raise ProtocolError(f"r_c must be >= 1, got {self.r_c}")
-        if not self.epsilon > 0:
-            raise ProtocolError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ProtocolError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
     @property
     def meets_cardinality_bound(self) -> bool:

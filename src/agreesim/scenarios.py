@@ -11,6 +11,7 @@ partitioned setups that must provably stay stuck.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -91,11 +92,14 @@ class ScenarioConfig:
                     raise ConfigError(
                         f"explicit initial values: got {got}, need one per correct node ({want})"
                     )
-                _initial_values(self, None)
+                numbers = list(_initial_values(self, None).values())
             elif values.get("mode") == "uniform":
-                _lo, _hi = map(float, values.get("range", [0.0, 1.0]))
+                lo, hi = map(float, values.get("range", [0.0, 1.0]))
+                numbers = [lo, hi]
             else:
                 raise ConfigError(f"unknown initial_values mode {values.get('mode')!r}")
+            if not all(map(math.isfinite, numbers)):
+                raise ConfigError(f"initial values must be finite, got {numbers}")
             positions = self.initial_positions
             if positions.get("mode") == "explicit":
                 coords = positions.get("coords", {})
@@ -143,6 +147,9 @@ def build_mobility(config: ScenarioConfig, arena: Arena):
             int(i): [(float(x), float(y)) for x, y in path]
             for i, path in spec.get("waypoints", {}).items()
         }
+        unknown = sorted(set(waypoints) - set(range(config.n)))
+        if unknown:
+            raise ConfigError(f"scripted waypoints for unknown nodes {unknown}")
         return Scripted(arena, waypoints)
     if model == "teleport-random":
         return TeleportRandom(arena)

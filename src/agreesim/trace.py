@@ -111,7 +111,7 @@ def _require(types: set, field: str, values: Iterable) -> None:
         raise TypeError(f"{field} must hold {'numbers' if float in types else 'integers'}")
 
 
-def _round_from_json(obj: dict) -> RoundRecord:
+def _round_from_json(obj: dict, n: int) -> RoundRecord:
     rec = RoundRecord(
         round=obj["round"],
         positions={int(k): (v[0], v[1]) for k, v in obj["positions"].items()},
@@ -129,15 +129,25 @@ def _round_from_json(obj: dict) -> RoundRecord:
     chain = itertools.chain.from_iterable
     messages = rec.byz_sent + rec.delivered
     entries = [entry for log in rec.logs.values() for entry in log.values()]
+    message_ids = [m[0] for m in messages] + [m[1] for m in messages]
     _require({int}, "round", [rec.round])
     _require({int}, "edges", chain(rec.edges))
-    _require({int}, "message node ids", [m[0] for m in messages] + [m[1] for m in messages])
+    _require({int}, "message node ids", message_ids)
     _require({int}, "local_start", rec.local_start.values())
     _require({int}, "log rounds", [r for _v, r in entries])
     _require({int, float}, "values_start", rec.values_start.values())
     _require({int, float}, "message values", [m[2] for m in messages])
     _require({int, float}, "logs", [v for v, _r in entries])
     _require({int, float}, "positions", chain(rec.positions.values()))
+    if not all(type(c) is bool for c in rec.computed.values()):
+        raise TypeError("computed must hold booleans")
+    node_ids = set(rec.positions).union(chain(rec.edges), message_ids, chain(rec.logs.values()))
+    if not node_ids <= set(range(n)):
+        raise ValueError(f"node ids must lie in 0..{n - 1}")
+    if any(a == b for a, b in rec.edges) or any(m[0] == m[1] for m in messages):
+        raise ValueError("an edge or a message goes from a node to itself")
+    if not all(1 <= start <= rec.round for start in rec.local_start.values()):
+        raise ValueError(f"local_start must lie in 1..{rec.round}")
     return rec
 
 
@@ -199,10 +209,14 @@ def trace_from_lines(lines: list[str]) -> Trace:
     ids = set(trace.initial_values)
     if not ids:
         raise TraceError(f"line {lineno}: header lists no initial values")
+    if not ids | trace.byz_set <= set(range(trace.params.n)):
+        raise TraceError(f"line {lineno}: node ids must lie in 0..{trace.params.n - 1}")
+    if ids & trace.byz_set:
+        raise TraceError(f"line {lineno}: faulty nodes {sorted(ids & trace.byz_set)} are correct too")
     for lineno, obj, kind in records[1:]:
         with malformed(TraceError, f"line {lineno}: malformed record"):
             if kind == "round":
-                rec = _round_from_json(obj)
+                rec = _round_from_json(obj, trace.params.n)
                 trace.rounds.append(rec)
                 by_node = [rec.values_start, rec.local_start, rec.logs, rec.computed]
             elif kind == "final":
@@ -218,6 +232,8 @@ def trace_from_lines(lines: list[str]) -> Trace:
     expected = list(range(1, len(trace.rounds) + 1))
     if [rec.round for rec in trace.rounds] != expected:
         raise TraceError("trace rounds are not contiguous from 1")
+    if trace.rounds and trace.rounds[0].values_start != trace.initial_values:
+        raise TraceError("round 1 values_start differs from the header's initial values")
     return trace
 
 

@@ -3,11 +3,14 @@
 The trim-and-average reference works on plain sorted value lists with
 explicit index sets, recomputing the side counts itself, so it shares no
 code path with the package's log-based implementation. The safety
-reference rescans every later round once per phase start. ``trace_bytes``
+reference rescans every later round once per phase start. The group-based
+convergence detector and the witness re-check decide, by a second route,
+what ``check_convergence`` and ``check_condition`` decide. ``trace_bytes``
 gives the bytes ``write_trace`` would write, for tests that compare runs.
 """
 
-from agreesim.analysis import RangeCheck, Violation
+from agreesim.analysis import Group, RangeCheck, Violation, is_proper, phase_bounds
+from agreesim.dynamics import joint_neighbor_set, retained_values
 from agreesim.trace import trace_to_lines
 
 
@@ -58,3 +61,43 @@ def reference_check_safety(trace):
                 if not lo <= v <= hi:
                     violations.append(Violation(i, rr, v, lo, hi))
     return RangeCheck(ok=not violations, violations=violations)
+
+
+def groups_converged(values, delta):
+    """Group-based agreement detector for one phase-start value vector.
+
+    Agreement has been reached exactly when the minimum and maximum
+    holders coincide (all values equal) or the near-min and near-max
+    intervals overlap, i.e. v_max - delta < v_min + delta. With
+    delta = epsilon/2 this matches the spread test spread < epsilon in
+    exact arithmetic; once rounded, the two tests can differ when the
+    spread lies within one ulp of epsilon.
+    """
+    lo = min(values.values())
+    hi = max(values.values())
+    return lo == hi or hi - delta < lo + delta
+
+
+def validate_witness(trace, verdict, delta):
+    """Re-check a satisfied verdict's witness against raw deliveries."""
+    if not verdict.satisfied or verdict.vacuous:
+        return True
+    w = verdict.witness
+    if w is None or len(w.senders) < trace.params.f + 1:
+        return False
+    bounds = phase_bounds(trace, verdict.phase, delta)
+    values = trace.values_at(bounds.start_round)
+    if values[w.node] == bounds.v_min:
+        group = Group.MIN
+    elif values[w.node] == bounds.v_max:
+        group = Group.MAX
+    else:
+        return False
+    joint = joint_neighbor_set(trace, w.node, w.round)
+    retained = retained_values(trace, w.node, w.round)
+    for j in w.senders:
+        if j not in joint or j not in retained:
+            return False
+        if not is_proper(retained[j], group, bounds):
+            return False
+    return True

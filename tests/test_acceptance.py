@@ -18,14 +18,13 @@ from agreesim.analysis import (
     check_phase_progress,
     check_safety,
     check_validity,
-    groups_converged,
     trace_phases,
 )
 from agreesim.harness import report_to_json, run_scenario, simulate
 from agreesim.protocol import admission_test, average, count_relative, reduce_log
 from agreesim.scenarios import ScenarioConfig, builtin_scenario
 
-from reference import reference_average, reference_reduce, trace_bytes
+from reference import groups_converged, reference_average, reference_reduce, trace_bytes
 
 STRATEGIES = ["silent", "fixed-value", "extreme-split", "random-legal", "scripted"]
 MOBILITY = ["stationary", "random-waypoint", "teleport-random"]

@@ -367,6 +367,9 @@ class TestCli:
         [
             "truncated", "no_delivered", "no_final", "empty_values", "missing_file",
             "string_value", "string_local_start", "string_delivered_value",
+            "unknown_receiver", "unknown_sender", "self_delivery", "correct_node_faulty",
+            "header_n_short", "header_initial_value", "late_local_start", "zero_local_start",
+            "string_computed",
         ],
     )
     def test_check_rejects_malformed_trace_with_usage_exit(self, tmp_path, capsys, defect):
@@ -393,6 +396,26 @@ class TestCli:
         elif defect == "string_delivered_value":
             first_round["delivered"][0][2] = "y"
             lines[1] = json.dumps(first_round)
+        elif defect in ("unknown_receiver", "unknown_sender", "self_delivery"):
+            extra = {"unknown_receiver": [0, 9, 0.5], "unknown_sender": [77, 0, 0.5],
+                     "self_delivery": [0, 0, 0.5]}[defect]
+            first_round["delivered"].append(extra)
+            lines[1] = json.dumps(first_round)
+        elif defect in ("correct_node_faulty", "header_n_short", "header_initial_value"):
+            header = json.loads(lines[0])
+            if defect == "correct_node_faulty":
+                header["byz_set"] = [0]
+            elif defect == "header_n_short":
+                header["params"]["n"] = 2
+            else:  # widens validity's envelope beyond round 1's values
+                header["initial_values"]["0"] = -100.0
+            lines[0] = json.dumps(header)
+        elif defect in ("late_local_start", "zero_local_start"):
+            first_round["local_start"]["0"] = 5 if defect == "late_local_start" else 0
+            lines[1] = json.dumps(first_round)
+        elif defect == "string_computed":
+            first_round["computed"]["0"] = "yes"
+            lines[1] = json.dumps(first_round)
         trace_path.write_text("\n".join(lines) + "\n")
         if defect == "missing_file":
             trace_path = tmp_path / "absent.jsonl"
@@ -402,7 +425,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "defect",
         ["no_value", "string_n", "short_speed", "string_value", "json_list", "all_faulty",
-         "sweep_range"],
+         "sweep_range", "waypoint_9", "waypoint_-1", "nan_value",
+         "infinite_value", "nan_range", "nan_arena", "infinite_epsilon"],
     )
     def test_malformed_scenario_exits_two(self, tmp_path, capsys, defect):
         doc = builtin_scenario("stale_log_overshoot").to_dict()
@@ -422,6 +446,17 @@ class TestCli:
             doc["initial_positions"] = {"mode": "uniform"}
         elif defect == "sweep_range":
             doc["adversary"] = {"strategy": "random-legal", "range": [0.0, 1.0], "byz_set": [4]}
+        elif defect.startswith("waypoint_"):  # n is 5
+            doc["mobility"]["waypoints"][defect.split("_")[1]] = [[1.0, 1.0]]
+        elif defect in ("nan_value", "infinite_value"):
+            doc["initial_values"]["values"][0] = float("nan" if defect == "nan_value" else "inf")
+        elif defect == "nan_range":
+            doc["initial_values"] = {"mode": "uniform", "range": [0.0, float("nan")]}
+        elif defect == "nan_arena":
+            doc.update(arena=[float("nan"), 12.0], mobility={"model": "stationary"},
+                       initial_positions={"mode": "uniform"})
+        elif defect == "infinite_epsilon":
+            doc["epsilon"] = float("inf")
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "out")]
