@@ -11,10 +11,11 @@ through the same topology gate as everyone else's.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .dynamics import Position, RoundGraph
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .protocol import NodeId, Value
 from .trace import Message, Trace
 
@@ -33,7 +34,7 @@ class RoundView:
 class Silent:
     """Send nothing, ever."""
 
-    def messages(self, b: NodeId, receivers: list[NodeId], view: RoundView,
+    def messages(self, b: NodeId, receivers: Sequence[NodeId], view: RoundView,
                  rng: random.Random) -> list[tuple[NodeId, Value]]:
         return []
 
@@ -42,9 +43,10 @@ class FixedValue:
     """Send the same constant to every neighbor every round."""
 
     def __init__(self, value: Value):
+        require_finite("fixed-value value", value)
         self.value = value
 
-    def messages(self, b: NodeId, receivers: list[NodeId], view: RoundView,
+    def messages(self, b: NodeId, receivers: Sequence[NodeId], view: RoundView,
                  rng: random.Random) -> list[tuple[NodeId, Value]]:
         return [(r, self.value) for r in receivers]
 
@@ -59,10 +61,11 @@ class ExtremeSplit:
     """
 
     def __init__(self, v_hi: Value, v_lo: Value):
+        require_finite("extreme-split values", v_hi, v_lo)
         self.v_hi = v_hi
         self.v_lo = v_lo
 
-    def messages(self, b: NodeId, receivers: list[NodeId], view: RoundView,
+    def messages(self, b: NodeId, receivers: Sequence[NodeId], view: RoundView,
                  rng: random.Random) -> list[tuple[NodeId, Value]]:
         base = view.phase_start_values
         if not base:
@@ -80,12 +83,13 @@ class RandomLegal:
     """Independent uniform draws from a range, one per receiver per round."""
 
     def __init__(self, lo: Value, hi: Value):
+        require_finite("random-legal range", lo, hi)
         if lo > hi:
             raise ConfigError(f"random range reversed: [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
 
-    def messages(self, b: NodeId, receivers: list[NodeId], view: RoundView,
+    def messages(self, b: NodeId, receivers: Sequence[NodeId], view: RoundView,
                  rng: random.Random) -> list[tuple[NodeId, Value]]:
         return [(r, rng.uniform(self.lo, self.hi)) for r in receivers]
 
@@ -98,9 +102,11 @@ class ScriptedTable:
     """
 
     def __init__(self, table: dict[int | str, dict[NodeId, Value]]):
+        for key, row in table.items():
+            require_finite(f"scripted table row {key!r} values", *row.values())
         self.table = {k: dict(v) for k, v in table.items()}
 
-    def messages(self, b: NodeId, receivers: list[NodeId], view: RoundView,
+    def messages(self, b: NodeId, receivers: Sequence[NodeId], view: RoundView,
                  rng: random.Random) -> list[tuple[NodeId, Value]]:
         row = self.table.get(view.round, self.table.get("*"))
         if row is None:
@@ -138,7 +144,7 @@ def byzantine_outbox(
     """Messages node b emits this round: at most one per reachable receiver."""
     if b not in strategy.byz_set:
         raise ConfigError(f"node {b} is not controlled by the adversary")
-    receivers = sorted(graph.out_neighbors(b))
+    receivers = graph.out_neighbors(b)
     picked = strategy.behavior.messages(b, receivers, view, rng)
     out: list[Message] = []
     seen: set[NodeId] = set()

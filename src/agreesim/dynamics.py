@@ -47,8 +47,16 @@ class RoundGraph:
     round: int
     edges: frozenset[tuple[NodeId, NodeId]]
 
-    def out_neighbors(self, j: NodeId) -> set[NodeId]:
-        return {k for s, k in self.edges if s == j}
+    def __post_init__(self) -> None:
+        receivers: dict[NodeId, list[NodeId]] = {}
+        for s, k in self.edges:
+            receivers.setdefault(s, []).append(k)
+        index = {s: tuple(sorted(ks)) for s, ks in receivers.items()}
+        object.__setattr__(self, "_receivers", index)
+
+    def out_neighbors(self, j: NodeId) -> tuple[NodeId, ...]:
+        """Nodes that hear j this round, in id order."""
+        return self._receivers.get(j, ())
 
     def has_edge(self, sender: NodeId, receiver: NodeId) -> bool:
         return (sender, receiver) in self.edges

@@ -1,5 +1,6 @@
 """Exception types shared across the simulator."""
 
+import math
 from contextlib import contextmanager
 
 
@@ -34,3 +35,9 @@ def malformed(error: type[AgreesimError], what: str):
         yield
     except (KeyError, TypeError, ValueError, IndexError, AttributeError, ProtocolError) as exc:
         raise error(f"{what} ({type(exc).__name__}: {exc})") from None
+
+
+def require_finite(what: str, *values: float) -> None:
+    """Reject a scenario number that is NaN or infinite."""
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{what} must be finite, got {list(values)}")

@@ -77,7 +77,7 @@ def simulate(config: ScenarioConfig, seed: int | None = None) -> Trace:
 
         outbox = []
         for i in sorted(states):
-            for j in sorted(graph.out_neighbors(i)):
+            for j in graph.out_neighbors(i):
                 outbox.append((i, j, states[i].value))
         view = RoundView(
             round=r,

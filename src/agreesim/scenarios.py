@@ -11,7 +11,6 @@ partitioned setups that must provably stay stuck.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -25,7 +24,7 @@ from .adversary import (
     Silent,
 )
 from .dynamics import Arena, MobilityModel, RandomWaypoint, Scripted, Stationary, TeleportRandom
-from .errors import ConfigError, malformed
+from .errors import ConfigError, malformed, require_finite
 from .protocol import ProtocolParams
 
 SCENARIO_SCHEMA = 1
@@ -98,8 +97,7 @@ class ScenarioConfig:
                 numbers = [lo, hi]
             else:
                 raise ConfigError(f"unknown initial_values mode {values.get('mode')!r}")
-            if not all(map(math.isfinite, numbers)):
-                raise ConfigError(f"initial values must be finite, got {numbers}")
+            require_finite("initial values", *numbers)
             positions = self.initial_positions
             if positions.get("mode") == "explicit":
                 coords = positions.get("coords", {})

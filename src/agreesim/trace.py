@@ -183,12 +183,16 @@ def trace_to_lines(trace: Trace) -> list[str]:
     return lines
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a finite number")
+
+
 def trace_from_lines(lines: list[str]) -> Trace:
     records = []
     for lineno, line in enumerate(lines, 1):
         if line.strip():
             with malformed(TraceError, f"line {lineno}: malformed record"):
-                obj = json.loads(line)
+                obj = json.loads(line, parse_constant=_reject_constant)
                 records.append((lineno, obj, obj.get("type")))
     if not records or records[0][2] != "header":
         raise TraceError("trace does not start with a header record")

@@ -96,6 +96,18 @@ class TestRoundGraph:
         with pytest.raises(ConfigError):
             build_round_graph({0: (0.0, 0.0)}, 0.0, 1)
 
+    @given(edges=st.frozensets(st.tuples(st.integers(0, 7), st.integers(0, 7))))
+    def test_out_neighbors_lists_each_senders_receivers_in_id_order(self, edges):
+        graph = RoundGraph(round=1, edges=edges)
+        for j in range(9):  # node 8 never sends
+            assert list(graph.out_neighbors(j)) == sorted(k for s, k in edges if s == j)
+
+    def test_out_neighbors_of_a_hand_built_asymmetric_graph(self):
+        graph = RoundGraph(round=1, edges=frozenset({(0, 1)}))
+        assert graph.out_neighbors(0) == (1,)
+        assert graph.out_neighbors(1) == ()
+        assert graph.out_neighbors(2) == ()
+
 
 def full_graph(ids, r=1):
     return RoundGraph(

@@ -369,7 +369,7 @@ class TestCli:
             "string_value", "string_local_start", "string_delivered_value",
             "unknown_receiver", "unknown_sender", "self_delivery", "correct_node_faulty",
             "header_n_short", "header_initial_value", "late_local_start", "zero_local_start",
-            "string_computed",
+            "string_computed", "nan_final", "infinity_values_start",
         ],
     )
     def test_check_rejects_malformed_trace_with_usage_exit(self, tmp_path, capsys, defect):
@@ -416,6 +416,14 @@ class TestCli:
         elif defect == "string_computed":
             first_round["computed"]["0"] = "yes"
             lines[1] = json.dumps(first_round)
+        elif defect == "nan_final":  # json.dumps writes the NaN token
+            final = json.loads(lines[-1])
+            final["values"]["0"] = float("nan")
+            lines[-1] = json.dumps(final)
+        elif defect == "infinity_values_start":
+            second_round = json.loads(lines[2])
+            second_round["values_start"]["0"] = float("inf")
+            lines[2] = json.dumps(second_round)
         trace_path.write_text("\n".join(lines) + "\n")
         if defect == "missing_file":
             trace_path = tmp_path / "absent.jsonl"
@@ -426,7 +434,9 @@ class TestCli:
         "defect",
         ["no_value", "string_n", "short_speed", "string_value", "json_list", "all_faulty",
          "sweep_range", "waypoint_9", "waypoint_-1", "nan_value",
-         "infinite_value", "nan_range", "nan_arena", "infinite_epsilon"],
+         "infinite_value", "nan_range", "nan_arena", "infinite_epsilon",
+         "nan_fixed_value", "infinite_extreme_split", "nan_random_low", "infinite_random_high",
+         "nan_scripted_table"],
     )
     def test_malformed_scenario_exits_two(self, tmp_path, capsys, defect):
         doc = builtin_scenario("stale_log_overshoot").to_dict()
@@ -457,6 +467,17 @@ class TestCli:
                        initial_positions={"mode": "uniform"})
         elif defect == "infinite_epsilon":
             doc["epsilon"] = float("inf")
+        elif defect == "nan_fixed_value":
+            doc["adversary"]["value"] = float("nan")
+        elif defect == "infinite_extreme_split":
+            doc["adversary"] = {"strategy": "extreme-split", "v_hi": float("inf"), "v_lo": 0.0,
+                                "byz_set": [4]}
+        elif defect in ("nan_random_low", "infinite_random_high"):
+            bounds = [float("nan"), 1.0] if defect == "nan_random_low" else [0.0, float("inf")]
+            doc["adversary"] = {"strategy": "random-legal", "range": bounds, "byz_set": [4]}
+        elif defect == "nan_scripted_table":
+            doc["adversary"] = {"strategy": "scripted", "byz_set": [4],
+                                "table": {"*": {"0": 1.0}, "2": {"1": float("nan")}}}
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "out")]
