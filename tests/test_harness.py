@@ -147,7 +147,43 @@ def run_digest(config: ScenarioConfig) -> str:
     return h.hexdigest()
 
 
+# sha256 over `agreesim check`'s exit code, stdout and `--out` report bytes
+# in each of CHECK_MODES, run on the trace of one builtin scenario.
+CHECK_MODES = ("per-phase", "io:1", "io:3", "io:5")
+CHECK_DIGESTS = {
+    "fig1_scripted_path": "f3aed397d67b6bd979a19042fae1f0e0158975f4499a95c4cb790baba60cbd9c",
+    "fully_connected_baseline": "94b88cc5e7ba208df113f56a0160eb5133e08df12f115905e1743919abbb1deb",
+    "lemma2_3f_impossible": "0d4b0c31b3e611ff8008d14f2cae387830485e617a728b60e974a556a66ee440",
+    "necessity_f_proper": "ab240e99ac179310cf9f0e2a0220dcd47926bd8b0736cab3aa95ac242b177795",
+    "necessity_improper_mix": "3fa4a9ad9a91b056147cce73acad12e39853e0b281702db3d877a84e24da8fb0",
+    "partition_never": "2d8bcca69cd9c2d47a124c9eaf70f0adee82beedc1448b50995d6011844952d3",
+    "stale_log_overshoot": "c385876b82df7cdc84cf0bf1d8a2505df8ff7152b4e36997c3ae8a1e94c626b9",
+}
+
+
+def check_digest(name: str, tmp_path, capsys) -> str:
+    trace_path = tmp_path / "trace.jsonl"
+    write_trace(simulate(builtin_scenario(name)), trace_path)
+    capsys.readouterr()
+    h = hashlib.sha256()
+    for mode in CHECK_MODES:
+        report_path = tmp_path / f"report-{mode.replace(':', '-')}.json"
+        code = main(["check", "--trace", str(trace_path), "--mode", mode,
+                     "--out", str(report_path)])
+        h.update(f"{mode} exit {code}\n".encode())
+        h.update(capsys.readouterr().out.encode())
+        h.update(report_path.read_bytes())
+    return h.hexdigest()
+
+
 class TestReplay:
+    @pytest.mark.parametrize("name", sorted(CHECK_DIGESTS))
+    def test_check_output_matches_golden_digest(self, name, tmp_path, capsys):
+        assert check_digest(name, tmp_path, capsys) == CHECK_DIGESTS[name]
+
+    def test_check_digests_cover_the_library(self):
+        assert set(CHECK_DIGESTS) == set(LIBRARY)
+
     @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
     def test_outputs_match_golden_digest(self, name):
         config = golden_waypoint_n40() if name == "golden_waypoint_n40" else builtin_scenario(name)
