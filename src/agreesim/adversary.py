@@ -3,8 +3,8 @@
 A strategy decides, per round and per faulty node, what value (if any) to
 send to each reachable neighbor. Different receivers may get different
 values in the same round; the delivery layer never deduplicates across
-receivers. Strategies see the whole history of the run so far (an
-omniscient adversary) but not future random draws, and their messages pass
+receivers. Strategies see the round number and every correct value at the
+current phase start, but not future random draws, and their messages pass
 through the same topology gate as everyone else's.
 """
 
@@ -14,10 +14,10 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .dynamics import Position, RoundGraph
+from .dynamics import RoundGraph
 from .errors import ConfigError, require_finite
 from .protocol import NodeId, Value
-from .trace import Message, Trace
+from .trace import Message
 
 
 @dataclass
@@ -25,10 +25,7 @@ class RoundView:
     """Read-only snapshot a strategy may consult when choosing values."""
 
     round: int
-    values_now: dict[NodeId, Value]
     phase_start_values: dict[NodeId, Value]
-    positions: dict[NodeId, Position]
-    trace_so_far: Trace
 
 
 class Silent:

@@ -115,8 +115,7 @@ class PhaseBounds:
     """Value intervals frozen at a phase start.
 
     Correct nodes fall into: {v_min}, (v_min, v_min+delta),
-    [v_min+delta, v_max-delta], (v_max-delta, v_max), {v_max}. For values
-    sent by faulty nodes the two extreme intervals extend to infinity.
+    [v_min+delta, v_max-delta], (v_max-delta, v_max), {v_max}.
     """
 
     phase: int
@@ -151,26 +150,17 @@ def phase_bounds(trace: Trace, k: int, delta: float) -> PhaseBounds:
     )
 
 
-def classify_value(v: Value, bounds: PhaseBounds, byzantine: bool = False) -> Group:
-    """Single group tag for one value.
+def classify_value(v: Value, bounds: PhaseBounds) -> Group:
+    """Single group tag for one correct value.
 
-    Correct values equal to an extremum take the extremum tag; faulty
-    values beyond the range fold into the enlarged extreme intervals. If
-    the near-min and near-max intervals overlap (only possible once the
-    spread has dropped below 2*delta) the near-min tag wins.
+    Values equal to an extremum take the extremum tag. If the near-min and
+    near-max intervals overlap (only possible once the spread has dropped
+    below 2*delta) the near-min tag wins.
     """
-    if bounds.collapsed and not byzantine:
+    if bounds.collapsed or v == bounds.v_min:
         return Group.MIN
-    if byzantine:
-        if v <= bounds.v_min:
-            return Group.MIN
-        if v >= bounds.v_max:
-            return Group.MAX
-    else:
-        if v == bounds.v_min:
-            return Group.MIN
-        if v == bounds.v_max:
-            return Group.MAX
+    if v == bounds.v_max:
+        return Group.MAX
     if bounds.v_min + bounds.delta <= v <= bounds.v_max - bounds.delta:
         return Group.MID
     if v < bounds.v_min + bounds.delta:
@@ -183,7 +173,6 @@ class GroupClassification:
     round: int
     bounds: PhaseBounds
     tags: dict[NodeId, Group]
-    byz_tags: dict[NodeId, frozenset[Group]]
 
     def counts(self) -> dict[Group, int]:
         out = {g: 0 for g in Group}
@@ -195,12 +184,7 @@ class GroupClassification:
 def classify_groups(
     trace: Trace, k: int, r_prime: int, delta: float
 ) -> GroupClassification:
-    """Tag every correct node (and every faulty sender) for one round.
-
-    Correct nodes are tagged by their round-start value against the phase
-    intervals; a faulty node gets one tag per distinct value it sent that
-    round and so may carry several.
-    """
+    """Tag every correct node by its round-start value against the phase intervals."""
     bounds = phase_bounds(trace, k, delta)
     start = bounds.start_round
     if not start <= r_prime < start + trace.params.r_c:
@@ -212,18 +196,7 @@ def classify_groups(
         i: classify_value(v, bounds)
         for i, v in trace.values_at(r_prime).items()
     }
-    byz_tags: dict[NodeId, set[Group]] = {}
-    if r_prime <= trace.last_round:
-        for sender, _receiver, value in trace.record(r_prime).byz_sent:
-            byz_tags.setdefault(sender, set()).add(
-                classify_value(value, bounds, byzantine=True)
-            )
-    return GroupClassification(
-        round=r_prime,
-        bounds=bounds,
-        tags=tags,
-        byz_tags={i: frozenset(gs) for i, gs in byz_tags.items()},
-    )
+    return GroupClassification(round=r_prime, bounds=bounds, tags=tags)
 
 
 def is_proper(value: Value, observer_group: Group, bounds: PhaseBounds) -> bool:
@@ -317,46 +290,21 @@ def trace_phases(trace: Trace) -> list[int]:
     return [trace.phase_of(r) for r in trace.common_starts() if r <= trace.last_round]
 
 
-def holds_infinitely_often(flags: list[bool], window: int) -> bool:
-    """Whether every ``window`` consecutive phases contain a satisfied one.
+def condition_report(flags: list[bool], window: int | None) -> bool:
+    """Whether a run's per-phase condition verdicts ``flags`` hold overall.
 
-    A finite-horizon proxy for "satisfied infinitely often": up to
-    ``window`` phases need one satisfied phase, and no phases at all hold
-    vacuously.
+    With ``window=None`` every phase must be satisfied. Otherwise this is a
+    finite-horizon proxy for "satisfied infinitely often": every ``window``
+    consecutive phases contain a satisfied one, up to ``window`` phases
+    need one satisfied phase, and no phases at all hold vacuously.
     """
+    if window is None:
+        return all(flags)
     if window < 1:
         raise AnalysisError(f"window must be >= 1, got {window}")
     if len(flags) <= window:
         return any(flags) if flags else True
     return all(any(flags[i:i + window]) for i in range(len(flags) - window + 1))
-
-
-@dataclass
-class ConditionReport:
-    per_phase: list[ConditionVerdict]
-    ok: bool
-
-
-def condition_report(
-    trace: Trace,
-    delta: float,
-    mode: str = "per-phase",
-    window: int = 3,
-) -> ConditionReport:
-    """Aggregate condition verdicts over every phase of a trace.
-
-    In ``per-phase`` mode all phases must be satisfied; in
-    ``infinitely-often`` mode ``holds_infinitely_often`` decides.
-    """
-    verdicts = [check_condition(trace, k, delta) for k in trace_phases(trace)]
-    flags = [v.satisfied for v in verdicts]
-    if mode == "per-phase":
-        ok = all(flags)
-    elif mode == "infinitely-often":
-        ok = holds_infinitely_often(flags, window)
-    else:
-        raise AnalysisError(f"unknown condition mode {mode!r}")
-    return ConditionReport(per_phase=verdicts, ok=ok)
 
 
 @dataclass(frozen=True)
@@ -371,7 +319,6 @@ class ProgressReport:
     ok: bool
     violations: list[ProgressViolation]
     max_stagnant_streak: int
-    examined_phases: int
 
 
 def check_phase_progress(trace: Trace, verdicts: list[ConditionVerdict]) -> ProgressReport:
@@ -389,7 +336,6 @@ def check_phase_progress(trace: Trace, verdicts: list[ConditionVerdict]) -> Prog
     violations: list[ProgressViolation] = []
     streak = 0
     max_streak = 0
-    examined = 0
     for idx in range(len(starts) - 1):
         r, r_next = starts[idx], starts[idx + 1]
         k = trace.phase_of(r)
@@ -399,7 +345,6 @@ def check_phase_progress(trace: Trace, verdicts: list[ConditionVerdict]) -> Prog
         if not by_phase[k].satisfied:
             streak = 0
             continue
-        examined += 1
         lo, hi = trace.v_min(r), trace.v_max(r)
         lo2, hi2 = trace.v_min(r_next), trace.v_max(r_next)
         if lo2 != lo or hi2 != hi:
@@ -432,7 +377,6 @@ def check_phase_progress(trace: Trace, verdicts: list[ConditionVerdict]) -> Prog
         ok=not violations,
         violations=violations,
         max_stagnant_streak=max_streak,
-        examined_phases=examined,
     )
 
 

@@ -15,7 +15,6 @@ from pathlib import Path
 from .analysis import condition_report, check_convergence
 from .errors import AgreesimError, ConfigError, TraceError
 from .harness import (
-    IO_WINDOW_DEFAULT,
     build_report,
     run_scenario,
     sweep,
@@ -65,9 +64,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK if report.invariants_ok else EXIT_CHECK_FAILED
 
 
-def _parse_mode(raw: str) -> tuple[str, int]:
+def _parse_mode(raw: str) -> int | None:
+    """The infinitely-often window a ``--mode`` names, or None for per-phase."""
     if raw == "per-phase":
-        return "per-phase", IO_WINDOW_DEFAULT
+        return None
     if raw.startswith("io:"):
         try:
             window = int(raw.split(":", 1)[1])
@@ -75,7 +75,7 @@ def _parse_mode(raw: str) -> tuple[str, int]:
             raise ConfigError(f"bad io window in mode {raw!r}") from None
         if window < 1:
             raise ConfigError("io window must be >= 1")
-        return "infinitely-often", window
+        return window
     raise ConfigError(f"mode must be 'per-phase' or 'io:<W>', got {raw!r}")
 
 
@@ -88,18 +88,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
     delta = args.delta if args.delta is not None else eps / 2.0
     if not 0.0 < delta <= eps / 2.0:
         raise ConfigError(f"delta must lie in (0, epsilon/2] = (0, {eps / 2.0}], got {delta}")
-    mode, window = _parse_mode(args.mode)
+    window = _parse_mode(args.mode)
     report = build_report(trace, delta)
-    cond = condition_report(trace, delta, mode=mode, window=window)
+    flags = [p["satisfied"] for p in report.condition_per_phase]
     convergence = check_convergence(trace)
     print(f"validity:  {'ok' if report.validity_ok else 'VIOLATED'}")
     print(f"legality:  {'ok' if report.legality_ok else 'VIOLATED'}")
     print(f"safety:    {'ok' if report.safety_ok else 'VIOLATED'}")
     print(f"converged: {convergence.reached}"
           + (f" (round {convergence.at_round})" if convergence.reached else ""))
-    satisfied = sum(1 for v in cond.per_phase if v.satisfied)
-    print(f"condition ({args.mode}): {'holds' if cond.ok else 'does not hold'} "
-          f"[{satisfied}/{len(cond.per_phase)} phases satisfied]")
+    holds = condition_report(flags, window)
+    print(f"condition ({args.mode}): {'holds' if holds else 'does not hold'} "
+          f"[{sum(flags)}/{len(flags)} phases satisfied]")
     if args.out:
         write_report(report, args.out)
     return EXIT_OK if report.invariants_ok else EXIT_CHECK_FAILED

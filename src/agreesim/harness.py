@@ -25,7 +25,7 @@ from .analysis import (
     check_phase_progress,
     check_safety,
     check_validity,
-    holds_infinitely_often,
+    condition_report,
     spread_series,
     trace_phases,
 )
@@ -79,13 +79,7 @@ def simulate(config: ScenarioConfig, seed: int | None = None) -> Trace:
         for i in sorted(states):
             for j in graph.out_neighbors(i):
                 outbox.append((i, j, states[i].value))
-        view = RoundView(
-            round=r,
-            values_now=values_start,
-            phase_start_values=phase_start_values,
-            positions=positions,
-            trace_so_far=trace,
-        )
+        view = RoundView(round=r, phase_start_values=phase_start_values)
         byz_sent = []
         for b in sorted(byz):
             byz_sent.extend(
@@ -186,8 +180,8 @@ def build_report(trace: Trace, delta: float) -> RunReport:
         safety_ok=safety.ok,
         cardinality_ok=trace.params.meets_cardinality_bound,
         condition_per_phase=per_phase,
-        condition_ok_all_phases=all(flags),
-        condition_ok_io=holds_infinitely_often(flags, IO_WINDOW_DEFAULT),
+        condition_ok_all_phases=condition_report(flags, None),
+        condition_ok_io=condition_report(flags, IO_WINDOW_DEFAULT),
         io_window=IO_WINDOW_DEFAULT,
         progress_ok=progress.ok,
         progress_violations=[f"{v.kind}@phase{v.phase}: {v.detail}" for v in progress.violations],
@@ -244,8 +238,9 @@ def sweep(
 
     Produces, per cell: the fraction of runs that converged, the mean
     round of convergence among those, and the fraction of evaluated
-    (spread still open) phases in which the progress condition held.
-    Individual run failures are counted per cell, not fatal.
+    (spread still open) phases in which the progress condition held. A run
+    that raises an error or breaks validity, legality or safety is counted
+    as a failure of its cell and left out of the rates.
     """
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
@@ -266,7 +261,10 @@ def sweep(
         for seed in seeds:
             try:
                 _trace, report = run_scenario(config, seed=seed)
+                ok = report.invariants_ok
             except AgreesimError:
+                ok = False
+            if not ok:
                 failures += 1
                 continue
             if report.converged:

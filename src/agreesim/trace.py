@@ -5,8 +5,9 @@ and one trailing record with the final values. Round records capture the
 state *at the beginning* of the round (values, retention-window starts)
 plus everything that happened during it (positions after the move part,
 edges, messages sent by faulty nodes, deliveries, post-merge logs, and
-whether each node computed a new value). Serialization is canonical so
-that identical runs produce byte-identical files.
+whether each node computed a new value). Records are written in the order
+they hold, and the simulator stores edges and messages sorted, so identical
+runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -92,9 +93,9 @@ def _round_to_json(rec: RoundRecord) -> dict:
         "type": "round",
         "round": rec.round,
         "positions": {str(k): list(v) for k, v in rec.positions.items()},
-        "edges": [list(e) for e in sorted(rec.edges)],
-        "byz_sent": [list(m) for m in sorted(rec.byz_sent)],
-        "delivered": [list(m) for m in sorted(rec.delivered)],
+        "edges": [list(e) for e in rec.edges],
+        "byz_sent": [list(m) for m in rec.byz_sent],
+        "delivered": [list(m) for m in rec.delivered],
         "values_start": {str(k): v for k, v in rec.values_start.items()},
         "local_start": {str(k): v for k, v in rec.local_start.items()},
         "logs": {
@@ -142,7 +143,7 @@ def _round_from_json(obj: dict, n: int) -> RoundRecord:
     if not all(type(c) is bool for c in rec.computed.values()):
         raise TypeError("computed must hold booleans")
     node_ids = set(rec.positions).union(chain(rec.edges), message_ids, chain(rec.logs.values()))
-    if not node_ids <= set(range(n)):
+    if not all(0 <= i < n for i in node_ids):
         raise ValueError(f"node ids must lie in 0..{n - 1}")
     if any(a == b for a, b in rec.edges) or any(m[0] == m[1] for m in messages):
         raise ValueError("an edge or a message goes from a node to itself")
@@ -213,7 +214,7 @@ def trace_from_lines(lines: list[str]) -> Trace:
     ids = set(trace.initial_values)
     if not ids:
         raise TraceError(f"line {lineno}: header lists no initial values")
-    if not ids | trace.byz_set <= set(range(trace.params.n)):
+    if not all(0 <= i < trace.params.n for i in ids | trace.byz_set):
         raise TraceError(f"line {lineno}: node ids must lie in 0..{trace.params.n - 1}")
     if ids & trace.byz_set:
         raise TraceError(f"line {lineno}: faulty nodes {sorted(ids & trace.byz_set)} are correct too")

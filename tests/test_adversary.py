@@ -17,25 +17,11 @@ from agreesim.adversary import (
 from agreesim.dynamics import RoundGraph, deliver
 from agreesim.errors import ConfigError, TopologyError
 from agreesim.harness import simulate
-from agreesim.protocol import ProtocolParams
 from agreesim.scenarios import ScenarioConfig, builtin_scenario
-from agreesim.trace import Trace
 
 
-def make_view(r=1, values=None, phase_values=None):
-    values = values or {}
-    trace = Trace(
-        params=ProtocolParams(n=4, f=1, r_c=1, epsilon=1.0),
-        byz_set={9},
-        initial_values=dict(values),
-    )
-    return RoundView(
-        round=r,
-        values_now=dict(values),
-        phase_start_values=dict(phase_values if phase_values is not None else values),
-        positions={},
-        trace_so_far=trace,
-    )
+def make_view(r=1, values=None):
+    return RoundView(round=r, phase_start_values=dict(values or {}))
 
 
 def star_graph(center, leaves, r=1):

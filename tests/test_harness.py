@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from agreesim import harness
 from agreesim.cli import main
 from agreesim.errors import ConfigError
 from agreesim.harness import (
@@ -324,6 +325,20 @@ class TestSweep:
         second = sweep(template, {"r_c": [1]}, seeds=list(range(100, 150)))[0]
         assert abs(first.converged_rate - second.converged_rate) <= 0.2
 
+    def test_run_breaking_a_guarantee_counts_as_failure(self, monkeypatch):
+        real = harness.run_scenario
+
+        def unsafe(config, seed=None):
+            trace, report = real(config, seed=seed)
+            return trace, dataclasses.replace(report, safety_ok=False)
+
+        monkeypatch.setattr(harness, "run_scenario", unsafe)
+        seeds = [1, 2, 3]
+        cell = sweep(builtin_scenario("fully_connected_baseline"), {"r_c": [1]}, seeds)[0]
+        assert cell.failures == len(seeds)
+        assert cell.converged_rate == 0.0
+        assert cell.mean_converged_round is None
+
     def test_bad_grid_path_rejected(self):
         with pytest.raises(ConfigError):
             sweep(builtin_scenario("partition_never"), {"nonsense": [1]}, seeds=[1])
@@ -465,6 +480,19 @@ class TestCli:
             trace_path = tmp_path / "absent.jsonl"
         assert main(["check", "--trace", str(trace_path)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_check_cost_does_not_grow_with_header_n(self, tmp_path, capsys):
+        # Ids are range-tested, not looked up in a set of every id below n,
+        # so a huge n in the header costs nothing.
+        trace_path = tmp_path / "trace.jsonl"
+        write_trace(simulate(builtin_scenario("fully_connected_baseline")), trace_path)
+        lines = trace_path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["params"]["n"] = 2**62
+        lines[0] = json.dumps(header)
+        trace_path.write_text("\n".join(lines) + "\n")
+        assert main(["check", "--trace", str(trace_path)]) == 0
+        assert "validity:  ok" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "defect",
