@@ -109,18 +109,51 @@ class TestScenarioLibrary:
             builtin_scenario(name).validate()
 
 
-# sha256 over a run's trace bytes, report JSON and step vectors (one
-# canonical JSON line each). Any change to what a run emits moves these,
-# so a refactor of the simulator or the checkers must leave them alone.
+# sha256 of a run's trace bytes, of its report JSON and of its step vectors
+# (one canonical JSON line each), kept apart so that a change meant to move
+# one output shows the other two did not move. A refactor of the simulator
+# or the checkers must leave all three alone.
 GOLDEN_DIGESTS = {
-    "fig1_scripted_path": "9655431ef9cc916d72f41ef66e68e19c8498d23c9499b00896f0518ea9a0d558",
-    "fully_connected_baseline": "97a38a19f389666ee3d1645e122198f32af2cb9f995a544476cbe39981b5583a",
-    "lemma2_3f_impossible": "fe8d9260a80bfca1c474274279230794da28bc89fef0817841b3e683b5a44348",
-    "necessity_f_proper": "cbb704053d5259242cf71fc9312dd731bc3acaa90e7fdbe15c0d51f4a6553f4a",
-    "necessity_improper_mix": "299edda2f1ddf80240307206da30640d83cd90ba209884b555f752993e894214",
-    "partition_never": "1aafb4fa5de150da644cddf1ac6905aae76cf595c0e2601c8ec5593f4521ce57",
-    "stale_log_overshoot": "86fb135a097fe7ce1ca6b8422816d3c0aa803090d6bbbabef9e6bd96d6e430a0",
-    "golden_waypoint_n40": "a36760652958abf6ea80cd7e773e06126869fb82845f53455a47653d8e6e4973",
+    "fig1_scripted_path": {
+        "trace": "dae7acc294f58771fbcbeff17d0572ff53cd0cc94150b052e7c8d5dba7c116c6",
+        "report": "01d71b61f2131f7e441c753fb8f1fc5d9078506363e5c94ab42e30a2e88a6725",
+        "vectors": "365b9c16d9f5643fe503199a2fd75525829621a4f72e055f2dc6f556f7dac49f",
+    },
+    "fully_connected_baseline": {
+        "trace": "215f80e4a69062f922d7ddafa09eb1c04e94992008b4ffb3927cbe1edfeaa500",
+        "report": "2b6f678db44274caef12bd7d3ed5358e2681c044f7abc9f860a1775ae54c3687",
+        "vectors": "836eae1ffa6a1ac8b1d84937d4166e7750b1fd6faf0547e19887fd44d0e9ae21",
+    },
+    "golden_waypoint_n40": {
+        "trace": "beae259641853bc84fe7cd1f79c9534f54d921ce1e29b4c67a9b8688a862d547",
+        "report": "6cf37bcc8ef269d9bf3b97624b152708727e2cfe5b63e9608a792b879fdd4530",
+        "vectors": "3a37fc6f6f8a21591b86d4e915cc2810e65f5d9ef1b5457406b397b83d81b6ae",
+    },
+    "lemma2_3f_impossible": {
+        "trace": "fc92fe57b578f37336518ce6310948c9b1cbf7efb4df70418aa49be0aee72b63",
+        "report": "9ff25644e540b8ea43a4dfc31e11735335f9fd09d11e130eecfb6cfad9d395c3",
+        "vectors": "699b31df785558389c8468c4b45253b57070d275f2fbb564a523c55e189278c8",
+    },
+    "necessity_f_proper": {
+        "trace": "9d151ce55f5f1da8f50f13ae3d46950d1c57f1bcdb5635908006a3c8840dc06b",
+        "report": "2d39a37421ff1410b1a721d1024ac25fd12b55f9bcbd0d2d7c0bf0d927348ada",
+        "vectors": "432b07a29a791209040e2e4fb539f1a48dcf59f6f4e5f36a04973194ca2575a8",
+    },
+    "necessity_improper_mix": {
+        "trace": "d485d92dbc72f3df95077b41707dedb64808c15296405027882fd18c7faef8f7",
+        "report": "35f2233972db54c14e80e1e4d596ccc8dfee07c22fc0dd66a32489d5f6d2ca56",
+        "vectors": "a31d66378194cc8f8faebf97adf5ef8e05851a3d03b2954605cc955102644436",
+    },
+    "partition_never": {
+        "trace": "9e63f35fb6acccd96c9ab920ce477ef078b490dc375a2727f8aca3dc9f2c1c9e",
+        "report": "24ccdf6b68a0502fc75b561807708180092fc84568a6470771b5e0ea621786e8",
+        "vectors": "51caa92c5f2e768855665190fd7374c9ab2064fead7ac21aa331df2b5bdc4e2c",
+    },
+    "stale_log_overshoot": {
+        "trace": "0f3fdef8516af1d02fd1a00448b518b6544ef7faf1c18d1413521c628a773c22",
+        "report": "631bc2f26e76751890797db4f85c7656c836be8ef6c18e81b0b018a9dbda416d",
+        "vectors": "fbd91e5145998538b00bb9f8587850d709b91232f6a4b908d8349404ffa97ef9",
+    },
 }
 
 
@@ -139,13 +172,16 @@ def golden_waypoint_n40() -> ScenarioConfig:
     )
 
 
-def run_digest(config: ScenarioConfig) -> str:
+def run_digests(config: ScenarioConfig) -> dict[str, str]:
     trace, report = run_scenario(config)
-    h = hashlib.sha256(trace_bytes(trace))
-    h.update(report_to_json(report).encode())
+    vectors = hashlib.sha256()
     for rec in vectors_from_trace(trace):
-        h.update(json.dumps(rec, sort_keys=True, separators=(",", ":")).encode() + b"\n")
-    return h.hexdigest()
+        vectors.update(json.dumps(rec, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+    return {
+        "trace": hashlib.sha256(trace_bytes(trace)).hexdigest(),
+        "report": hashlib.sha256(report_to_json(report).encode()).hexdigest(),
+        "vectors": vectors.hexdigest(),
+    }
 
 
 # sha256 over `agreesim check`'s exit code, stdout and `--out` report bytes
@@ -188,7 +224,7 @@ class TestReplay:
     @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
     def test_outputs_match_golden_digest(self, name):
         config = golden_waypoint_n40() if name == "golden_waypoint_n40" else builtin_scenario(name)
-        assert run_digest(config) == GOLDEN_DIGESTS[name]
+        assert run_digests(config) == GOLDEN_DIGESTS[name]
 
     def test_golden_digests_cover_the_library(self):
         assert set(LIBRARY) <= set(GOLDEN_DIGESTS)
