@@ -53,10 +53,6 @@ class RangeCheck:
     ok: bool
     violations: list[Violation] = field(default_factory=list)
 
-    @property
-    def first(self) -> Violation | None:
-        return self.violations[0] if self.violations else None
-
 
 def _range_check(trace: Trace, envelopes: Iterable[tuple[Value, Value]]) -> RangeCheck:
     """Test every correct value against its round's ``(lo, hi)``.
@@ -236,7 +232,7 @@ def check_convergence(trace: Trace) -> ConvergenceResult:
 class ConditionWitness:
     node: NodeId
     round: int
-    senders: tuple[NodeId, ...]
+    senders: list[NodeId]
 
 
 @dataclass
@@ -280,7 +276,7 @@ def check_condition(trace: Trace, k: int, delta: float) -> ConditionVerdict:
                 return ConditionVerdict(
                     phase=k,
                     satisfied=True,
-                    witness=ConditionWitness(i, r_prime, tuple(proper)),
+                    witness=ConditionWitness(i, r_prime, proper),
                 )
     return ConditionVerdict(phase=k, satisfied=False)
 

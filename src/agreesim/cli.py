@@ -90,7 +90,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         raise ConfigError(f"delta must lie in (0, epsilon/2] = (0, {eps / 2.0}], got {delta}")
     window = _parse_mode(args.mode)
     report = build_report(trace, delta)
-    flags = [p["satisfied"] for p in report.condition_per_phase]
+    flags = [v.satisfied for v in report.condition_per_phase]
     convergence = check_convergence(trace)
     print(f"validity:  {'ok' if report.validity_ok else 'VIOLATED'}")
     print(f"legality:  {'ok' if report.legality_ok else 'VIOLATED'}")

@@ -58,9 +58,6 @@ class RoundGraph:
         """Nodes that hear j this round, in id order."""
         return self._receivers.get(j, ())
 
-    def has_edge(self, sender: NodeId, receiver: NodeId) -> bool:
-        return (sender, receiver) in self.edges
-
 
 class Stationary:
     """Nodes never move."""
@@ -153,7 +150,7 @@ def move_step(
     positions: dict[NodeId, Position],
     model: MobilityModel,
     rng: random.Random,
-    r: int = 1,
+    r: int,
 ) -> dict[NodeId, Position]:
     """Advance every node through the move part of round r."""
     return model.step(r, positions, rng)
@@ -195,7 +192,7 @@ def deliver(
     inboxes: dict[NodeId, list[Message]] = {}
     for msg in sorted(outbox):
         sender, receiver, _value = msg
-        if not graph.has_edge(sender, receiver):
+        if (sender, receiver) not in graph.edges:
             raise TopologyError(
                 f"message {sender}->{receiver} has no edge in round {graph.round}"
             )

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .adversary import RoundView, byzantine_outbox
 from .analysis import (
+    ConditionVerdict,
     check_condition,
     check_convergence,
     check_legality,
@@ -123,7 +124,7 @@ class RunReport:
     legality_ok: bool
     safety_ok: bool
     cardinality_ok: bool
-    condition_per_phase: list[dict]
+    condition_per_phase: list[ConditionVerdict]
     condition_ok_all_phases: bool
     condition_ok_io: bool
     io_window: int
@@ -144,21 +145,6 @@ def build_report(trace: Trace, delta: float) -> RunReport:
     safety = check_safety(trace)
     convergence = check_convergence(trace)
     verdicts = [check_condition(trace, k, delta) for k in trace_phases(trace)]
-    per_phase = [
-        {
-            "phase": v.phase,
-            "satisfied": v.satisfied,
-            "vacuous": v.vacuous,
-            "witness": None
-            if v.witness is None
-            else {
-                "node": v.witness.node,
-                "round": v.witness.round,
-                "senders": list(v.witness.senders),
-            },
-        }
-        for v in verdicts
-    ]
     flags = [v.satisfied for v in verdicts]
     progress = check_phase_progress(trace, verdicts)
     phase_starts = [
@@ -179,7 +165,7 @@ def build_report(trace: Trace, delta: float) -> RunReport:
         legality_ok=legality.ok,
         safety_ok=safety.ok,
         cardinality_ok=trace.params.meets_cardinality_bound,
-        condition_per_phase=per_phase,
+        condition_per_phase=verdicts,
         condition_ok_all_phases=condition_report(flags, None),
         condition_ok_io=condition_report(flags, IO_WINDOW_DEFAULT),
         io_window=IO_WINDOW_DEFAULT,
@@ -270,10 +256,10 @@ def sweep(
             if report.converged:
                 converged += 1
                 rounds.append(report.converged_at)
-            for entry in report.condition_per_phase:
-                if not entry["vacuous"]:
+            for verdict in report.condition_per_phase:
+                if not verdict.vacuous:
                     phases_total += 1
-                    if entry["satisfied"]:
+                    if verdict.satisfied:
                         phases_ok += 1
         completed = len(seeds) - failures
         cells.append(

@@ -51,10 +51,6 @@ class Trace:
     seed: int = 0
 
     @property
-    def correct_ids(self) -> list[NodeId]:
-        return sorted(self.initial_values)
-
-    @property
     def last_round(self) -> int:
         return len(self.rounds)
 
@@ -92,14 +88,17 @@ def _round_to_json(rec: RoundRecord) -> dict:
     return {
         "type": "round",
         "round": rec.round,
-        "positions": {str(k): list(v) for k, v in rec.positions.items()},
-        "edges": [list(e) for e in rec.edges],
-        "byz_sent": [list(m) for m in rec.byz_sent],
-        "delivered": [list(m) for m in rec.delivered],
+        # json writes a tuple as the array a list would give, so tuples pass
+        # through uncopied. Keys become strings first: sort_keys would sort
+        # int keys by number, not in the string order the trace holds.
+        "positions": {str(k): v for k, v in rec.positions.items()},
+        "edges": rec.edges,
+        "byz_sent": rec.byz_sent,
+        "delivered": rec.delivered,
         "values_start": {str(k): v for k, v in rec.values_start.items()},
         "local_start": {str(k): v for k, v in rec.local_start.items()},
         "logs": {
-            str(i): {str(j): list(entry) for j, entry in log.items()}
+            str(i): {str(j): entry for j, entry in log.items()}
             for i, log in rec.logs.items()
         },
         "computed": {str(k): v for k, v in rec.computed.items()},
@@ -112,17 +111,18 @@ def _require(types: set, field: str, values: Iterable) -> None:
         raise TypeError(f"{field} must hold {'numbers' if float in types else 'integers'}")
 
 
-def _round_from_json(obj: dict, n: int) -> RoundRecord:
+def _round_from_json(obj: dict, n: int, byz_set: set[NodeId]) -> RoundRecord:
+    # Unpacking, not indexing, so a tuple of the wrong length is rejected.
     rec = RoundRecord(
         round=obj["round"],
-        positions={int(k): (v[0], v[1]) for k, v in obj["positions"].items()},
-        edges=[(e[0], e[1]) for e in obj["edges"]],
-        byz_sent=[(m[0], m[1], m[2]) for m in obj["byz_sent"]],
-        delivered=[(m[0], m[1], m[2]) for m in obj["delivered"]],
+        positions={int(k): (x, y) for k, (x, y) in obj["positions"].items()},
+        edges=[(s, k) for s, k in obj["edges"]],
+        byz_sent=[(s, k, v) for s, k, v in obj["byz_sent"]],
+        delivered=[(s, k, v) for s, k, v in obj["delivered"]],
         values_start={int(k): v for k, v in obj["values_start"].items()},
         local_start={int(k): v for k, v in obj["local_start"].items()},
         logs={
-            int(i): {int(j): (entry[0], entry[1]) for j, entry in log.items()}
+            int(i): {int(j): (v, r) for j, (v, r) in log.items()}
             for i, log in obj["logs"].items()
         },
         computed={int(k): v for k, v in obj["computed"].items()},
@@ -147,6 +147,8 @@ def _round_from_json(obj: dict, n: int) -> RoundRecord:
         raise ValueError(f"node ids must lie in 0..{n - 1}")
     if any(a == b for a, b in rec.edges) or any(m[0] == m[1] for m in messages):
         raise ValueError("an edge or a message goes from a node to itself")
+    if not {m[0] for m in rec.byz_sent} <= byz_set:
+        raise ValueError("byz_sent holds a message from a node outside byz_set")
     if not all(1 <= start <= rec.round for start in rec.local_start.values()):
         raise ValueError(f"local_start must lie in 1..{rec.round}")
     return rec
@@ -221,7 +223,7 @@ def trace_from_lines(lines: list[str]) -> Trace:
     for lineno, obj, kind in records[1:]:
         with malformed(TraceError, f"line {lineno}: malformed record"):
             if kind == "round":
-                rec = _round_from_json(obj, trace.params.n)
+                rec = _round_from_json(obj, trace.params.n, trace.byz_set)
                 trace.rounds.append(rec)
                 by_node = [rec.values_start, rec.local_start, rec.logs, rec.computed]
             elif kind == "final":

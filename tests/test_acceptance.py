@@ -117,8 +117,8 @@ def test_criterion_1_validity_suite(randomized_pool):
     for trace in traces:
         validity = check_validity(trace)
         legality = check_legality(trace)
-        assert validity.ok, f"{trace.scenario_name}: {validity.first}"
-        assert legality.ok, f"{trace.scenario_name}: {legality.first}"
+        assert validity.ok, f"{trace.scenario_name}: {validity.violations[0]}"
+        assert legality.ok, f"{trace.scenario_name}: {legality.violations[0]}"
     assert elapsed < 60.0, f"suite took {elapsed:.1f}s, target is under a minute"
     print(f"\nACCEPTANCE 1 validity suite (200 scenarios, {elapsed:.1f}s): PASS")
 
@@ -128,7 +128,7 @@ def test_criterion_2_safety_suite(randomized_pool):
     monotone_checked = 0
     for trace in traces:
         safety = check_safety(trace)
-        assert safety.ok, f"{trace.scenario_name}: {safety.first}"
+        assert safety.ok, f"{trace.scenario_name}: {safety.violations[0]}"
         if trace.params.r_c == 1:
             monotone_checked += 1
             for r in range(1, trace.last_round + 1):
@@ -183,8 +183,8 @@ def test_criterion_5_impossibility_negative():
     assert trace.params.n == 3 * trace.params.f
     phases = report.condition_per_phase
     assert len(phases) == 50
-    assert all(not p["satisfied"] for p in phases)
-    assert not any(p["vacuous"] for p in phases)
+    assert all(not p.satisfied for p in phases)
+    assert not any(p.vacuous for p in phases)
     assert not report.converged
     print("\nACCEPTANCE 5 impossibility negative (50 stuck phases): PASS")
 
@@ -194,7 +194,7 @@ def test_criterion_6_necessity_negatives(name):
     trace, report = run_scenario(builtin_scenario(name))
     for r in range(1, trace.last_round + 2):
         assert trace.values_at(r) == trace.initial_values, (name, r)
-    assert all(not p["satisfied"] for p in report.condition_per_phase)
+    assert all(not p.satisfied for p in report.condition_per_phase)
     assert not report.converged
     print(f"\nACCEPTANCE 6 necessity negative ({name}): PASS")
 
@@ -203,13 +203,13 @@ def test_criterion_7_partition_negative():
     trace, report = run_scenario(builtin_scenario("partition_never"))
     eps = trace.params.epsilon
     final = trace.values_at(trace.last_round + 1)
-    low = [final[i] for i in trace.correct_ids[:4]]
-    high = [final[i] for i in trace.correct_ids[4:]]
+    low = [final[i] for i in sorted(trace.initial_values)[:4]]
+    high = [final[i] for i in sorted(trace.initial_values)[4:]]
     assert max(low) - min(low) < eps
     assert max(high) - min(high) < eps
     assert min(high) - max(low) >= eps
     assert not report.converged
-    assert all(not p["satisfied"] for p in report.condition_per_phase)
+    assert all(not p.satisfied for p in report.condition_per_phase)
     print("\nACCEPTANCE 7 partition negative: PASS")
 
 

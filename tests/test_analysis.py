@@ -112,7 +112,7 @@ class TestRangeChecks:
         validity = check_validity(trace)
         legality = check_legality(trace)
         assert not validity.ok and not legality.ok
-        assert validity.first.node == 0 and validity.first.round == 2
+        assert validity.violations[0].node == 0 and validity.violations[0].round == 2
         assert not check_safety(trace).ok
 
     def test_mid_phase_overshoot_keeps_safety(self):
@@ -207,9 +207,9 @@ class TestGroups:
     def test_partition_of_correct_nodes(self):
         trace = simulate(builtin_scenario("fully_connected_baseline"))
         classification = classify_groups(trace, 0, 1, 0.05)
-        assert set(classification.tags) == set(trace.correct_ids)
+        assert set(classification.tags) == set(trace.initial_values)
         counts = classification.counts()
-        assert sum(counts.values()) == len(trace.correct_ids)
+        assert sum(counts.values()) == len(trace.initial_values)
 
     def test_delta_out_of_range_rejected(self):
         trace = simulate(builtin_scenario("fully_connected_baseline"))
@@ -487,6 +487,6 @@ def test_spread_series_covers_every_round():
     assert rows[0]["spread"] == 3.0
     assert all(
         row["c_min"] + row["c_nin"] + row["c_mid"] + row["c_nax"] + row["c_max"]
-        == len(trace.correct_ids)
+        == len(trace.initial_values)
         for row in rows
     )

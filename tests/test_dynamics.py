@@ -27,7 +27,7 @@ ARENA = Arena(10.0, 10.0)
 class TestMobility:
     def test_stationary_is_identity(self):
         positions = {0: (1.0, 2.0), 1: (3.0, 4.0)}
-        assert move_step(positions, Stationary(), random.Random(0)) == positions
+        assert move_step(positions, Stationary(), random.Random(0), 1) == positions
 
     def test_scripted_path_replays_in_order(self):
         stops = [(3.0, 5.0), (3.0, 5.0), (5.0, 5.0), (7.0, 5.0)]

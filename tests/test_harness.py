@@ -67,7 +67,7 @@ class TestScenarioLibrary:
         trace, report = run_scenario(builtin_scenario("lemma2_3f_impossible"))
         assert not report.converged
         assert len(report.condition_per_phase) == 50
-        assert all(not p["satisfied"] for p in report.condition_per_phase)
+        assert all(not p.satisfied for p in report.condition_per_phase)
         assert not report.cardinality_ok
 
     @pytest.mark.parametrize("name", ["necessity_f_proper", "necessity_improper_mix"])
@@ -75,13 +75,13 @@ class TestScenarioLibrary:
         trace, report = run_scenario(builtin_scenario(name))
         for r in range(1, trace.last_round + 2):
             assert trace.values_at(r) == trace.initial_values
-        assert all(not p["satisfied"] for p in report.condition_per_phase)
+        assert all(not p.satisfied for p in report.condition_per_phase)
         assert not report.converged
 
     def test_partition_converges_per_clique_only(self):
         trace, report = run_scenario(builtin_scenario("partition_never"))
         eps = trace.params.epsilon
-        low, high = trace.correct_ids[:4], trace.correct_ids[4:]
+        low, high = sorted(trace.initial_values)[:4], sorted(trace.initial_values)[4:]
         final = trace.values_at(trace.last_round + 1)
         for clique in (low, high):
             vals = [final[i] for i in clique]
@@ -89,7 +89,7 @@ class TestScenarioLibrary:
         gap = min(final[i] for i in high) - max(final[i] for i in low)
         assert gap >= eps
         assert not report.converged
-        assert all(not p["satisfied"] for p in report.condition_per_phase)
+        assert all(not p.satisfied for p in report.condition_per_phase)
 
     def test_scripted_walk_composes_log_across_neighborhoods(self):
         trace, _report = run_scenario(builtin_scenario("fig1_scripted_path"))
@@ -400,7 +400,7 @@ class TestVectors:
     def test_vectors_cover_every_step(self):
         trace = simulate(builtin_scenario("fully_connected_baseline"))
         records = vectors_from_trace(trace)
-        assert len(records) == trace.last_round * len(trace.correct_ids)
+        assert len(records) == trace.last_round * len(trace.initial_values)
 
 
 class TestCli:
@@ -456,7 +456,8 @@ class TestCli:
             "string_value", "string_local_start", "string_delivered_value",
             "unknown_receiver", "unknown_sender", "self_delivery", "correct_node_faulty",
             "header_n_short", "header_initial_value", "late_local_start", "zero_local_start",
-            "string_computed", "nan_final", "infinity_values_start",
+            "string_computed", "nan_final", "infinity_values_start", "long_delivered",
+            "long_edge", "long_log_entry", "long_position", "correct_byz_sender",
         ],
     )
     def test_check_rejects_malformed_trace_with_usage_exit(self, tmp_path, capsys, defect):
@@ -511,6 +512,17 @@ class TestCli:
             second_round = json.loads(lines[2])
             second_round["values_start"]["0"] = float("inf")
             lines[2] = json.dumps(second_round)
+        elif defect in ("long_delivered", "long_edge", "long_log_entry", "long_position"):
+            # One element too many, which a reader that truncates would drop.
+            too_long = {"long_delivered": first_round["delivered"][0],
+                        "long_edge": first_round["edges"][0],
+                        "long_log_entry": first_round["logs"]["0"]["1"],
+                        "long_position": first_round["positions"]["0"]}[defect]
+            too_long.append(7)
+            lines[1] = json.dumps(first_round)
+        elif defect == "correct_byz_sender":  # the baseline has no faulty nodes
+            first_round["byz_sent"].append([3, 0, 1.0])
+            lines[1] = json.dumps(first_round)
         trace_path.write_text("\n".join(lines) + "\n")
         if defect == "missing_file":
             trace_path = tmp_path / "absent.jsonl"
@@ -636,6 +648,30 @@ def test_scripted_table_loadable_from_separate_file(tmp_path):
     trace = simulate(loaded)
     sent = {(r.round, m[1], m[2]) for r in trace.rounds for m in r.byz_sent}
     assert sent == {(1, 0, -5.0), (2, 0, 5.0)}
+
+
+def lemma2_scripted(adversary: dict) -> dict:
+    """lemma2_3f_impossible's scenario with a scripted adversary on node 2."""
+    doc = builtin_scenario("lemma2_3f_impossible").to_dict()
+    doc["adversary"] = {"strategy": "scripted", "byz_set": [2], **adversary}
+    return doc
+
+
+def test_scripted_table_file_gives_the_inline_tables_trace(tmp_path):
+    table = {"*": {"0": 11.0, "1": -1.0}}
+    (tmp_path / "table.json").write_text(json.dumps(table))
+    path = tmp_path / "scenario.json"  # table_file resolves beside it, not in the cwd
+    path.write_text(json.dumps(lemma2_scripted({"table_file": "table.json"})))
+    inline = ScenarioConfig.from_dict(lemma2_scripted({"table": table}))
+    assert trace_bytes(simulate(load_scenario(path))) == trace_bytes(simulate(inline))
+
+
+def test_missing_scripted_table_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(lemma2_scripted({"table_file": "absent.json"})))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "cannot read scripted table" in err
 
 
 def baseline_reference_replay(rounds):
