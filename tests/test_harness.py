@@ -548,7 +548,8 @@ class TestCli:
          "sweep_range", "waypoint_9", "waypoint_-1", "nan_value",
          "infinite_value", "nan_range", "nan_arena", "infinite_epsilon",
          "nan_fixed_value", "infinite_extreme_split", "nan_random_low", "infinite_random_high",
-         "nan_scripted_table"],
+         "nan_scripted_table", "zero_radius", "big_loss_rate", "big_delta", "short_values",
+         "missing_position", "unknown_values_mode", "unknown_positions_mode"],
     )
     def test_malformed_scenario_exits_two(self, tmp_path, capsys, defect):
         doc = builtin_scenario("stale_log_overshoot").to_dict()
@@ -590,6 +591,20 @@ class TestCli:
         elif defect == "nan_scripted_table":
             doc["adversary"] = {"strategy": "scripted", "byz_set": [4],
                                 "table": {"*": {"0": 1.0}, "2": {"1": float("nan")}}}
+        elif defect == "zero_radius":
+            doc["radius"] = 0.0
+        elif defect == "big_loss_rate":
+            doc["loss_rate"] = 1.5
+        elif defect == "big_delta":  # epsilon is 5.5
+            doc["delta"] = 3.0
+        elif defect == "short_values":
+            doc["initial_values"]["values"].pop()
+        elif defect == "missing_position":
+            del doc["initial_positions"]["coords"]["3"]
+        elif defect == "unknown_values_mode":
+            doc["initial_values"]["mode"] = "gaussian"
+        elif defect == "unknown_positions_mode":
+            doc["initial_positions"]["mode"] = "grid"
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "out")]
@@ -600,6 +615,25 @@ class TestCli:
                     "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("delta,code", [("0", 2), ("-0.01", 2), ("0.06", 2),
+                                            ("0.05", 0), ("0.01", 0)])
+    def test_check_delta_must_lie_in_the_group_margin(self, tmp_path, capsys, delta, code):
+        trace_path = tmp_path / "trace.jsonl"
+        write_trace(simulate(builtin_scenario("fully_connected_baseline")), trace_path)
+        capsys.readouterr()
+        assert main(["check", "--trace", str(trace_path), "--delta", delta]) == code
+        assert len(capsys.readouterr().err.splitlines()) == (1 if code else 0)
+
+    @pytest.mark.parametrize("delta,code", [("0.06", 2), ("0.05", 0)])
+    def test_check_delta_on_a_trace_without_rounds(self, tmp_path, capsys, delta, code):
+        # No phase reaches check_condition, so the delta is tested on entry.
+        trace_path = tmp_path / "trace.jsonl"
+        write_trace(simulate(builtin_scenario("fully_connected_baseline")), trace_path)
+        lines = trace_path.read_text().splitlines()
+        trace_path.write_text(lines[0] + "\n" + lines[-1] + "\n")
+        assert main(["check", "--trace", str(trace_path), "--delta", delta]) == code
+        assert len(capsys.readouterr().err.splitlines()) == (1 if code else 0)
 
     def test_scenarios_list_and_export(self, tmp_path, capsys):
         assert main(["scenarios", "list"]) == 0
