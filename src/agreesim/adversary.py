@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 from .dynamics import RoundGraph
 from .errors import ConfigError, require_finite
-from .protocol import NodeId, Value
-from .trace import Message
+from .protocol import Message, NodeId, Value
 
 
 @dataclass

@@ -15,11 +15,11 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .dynamics import joint_neighbor_set, retained_values
-from .errors import AnalysisError
+from .errors import AnalysisError, ConfigError, TraceError
 from .protocol import NodeId, Value, is_common_new_start
 from .trace import Trace
 
@@ -125,15 +125,21 @@ class PhaseBounds:
         return self.v_min == self.v_max
 
 
-def _check_delta(delta: float, epsilon: float) -> None:
-    if not 0.0 < delta <= epsilon / 2.0:
-        raise AnalysisError(
-            f"delta must lie in (0, epsilon/2] = (0, {epsilon / 2.0}], got {delta}"
-        )
+def check_delta(delta: float | None, epsilon: float) -> float:
+    """The group margin: ``delta``, or epsilon/2 when it is None.
+
+    The paper's groups need 0 < delta <= epsilon/2; anything else is a
+    configuration error.
+    """
+    half = epsilon / 2.0
+    if delta is None:
+        return half
+    if not 0.0 < delta <= half:
+        raise ConfigError(f"delta must lie in (0, epsilon/2] = (0, {half}], got {delta}")
+    return delta
 
 
 def phase_bounds(trace: Trace, k: int, delta: float) -> PhaseBounds:
-    _check_delta(delta, trace.params.epsilon)
     start = k * trace.params.r_c + 1
     if not 1 <= start <= trace.last_round + 1:
         raise AnalysisError(f"phase {k} starts beyond the trace")
@@ -162,37 +168,6 @@ def classify_value(v: Value, bounds: PhaseBounds) -> Group:
     if v < bounds.v_min + bounds.delta:
         return Group.NIN
     return Group.NAX
-
-
-@dataclass
-class GroupClassification:
-    round: int
-    bounds: PhaseBounds
-    tags: dict[NodeId, Group]
-
-    def counts(self) -> dict[Group, int]:
-        out = {g: 0 for g in Group}
-        for g in self.tags.values():
-            out[g] += 1
-        return out
-
-
-def classify_groups(
-    trace: Trace, k: int, r_prime: int, delta: float
-) -> GroupClassification:
-    """Tag every correct node by its round-start value against the phase intervals."""
-    bounds = phase_bounds(trace, k, delta)
-    start = bounds.start_round
-    if not start <= r_prime < start + trace.params.r_c:
-        raise AnalysisError(
-            f"round {r_prime} is not inside phase {k} "
-            f"(rounds {start}..{start + trace.params.r_c - 1})"
-        )
-    tags = {
-        i: classify_value(v, bounds)
-        for i, v in trace.values_at(r_prime).items()
-    }
-    return GroupClassification(round=r_prime, bounds=bounds, tags=tags)
 
 
 def is_proper(value: Value, observer_group: Group, bounds: PhaseBounds) -> bool:
@@ -243,6 +218,45 @@ class ConditionVerdict:
     witness: ConditionWitness | None = None
 
 
+def window_deliveries(trace: Trace, i: NodeId, r: int) -> list[tuple[NodeId, Value]]:
+    """(sender, value) of every message delivered to node i in its window.
+
+    The window runs from i's local new starting round in effect at round r
+    through round r itself; deliveries come oldest first.
+    """
+    record = trace.record(r)
+    if i not in record.local_start:
+        raise TraceError(f"node {i} is not a correct node of this trace")
+    return [
+        (sender, value)
+        for rr in range(record.local_start[i], r + 1)
+        for sender, receiver, value in trace.record(rr).delivered
+        if receiver == i
+    ]
+
+
+def joint_neighbor_set(trace: Trace, i: NodeId, r: int) -> set[NodeId]:
+    """Senders node i actually heard since its latest retention-window start.
+
+    Only delivered messages count: an edge over which every message was
+    lost communicates nothing.
+    """
+    return {sender for sender, _value in window_deliveries(trace, i, r)} - {i}
+
+
+def retained_values(trace: Trace, i: NodeId, r: int) -> dict[NodeId, Value]:
+    """Live log content of node i at round r, rebuilt from raw deliveries.
+
+    Most recent value per sender, delivered in i's current retention
+    window. Equals the post-merge log the node itself acted on.
+    """
+    return {
+        sender: value
+        for sender, value in window_deliveries(trace, i, r)
+        if math.isfinite(value)
+    }
+
+
 def check_condition(trace: Trace, k: int, delta: float) -> ConditionVerdict:
     """Quantity-and-quality test for one phase.
 
@@ -286,16 +300,14 @@ def trace_phases(trace: Trace) -> list[int]:
     return [trace.phase_of(r) for r in trace.common_starts() if r <= trace.last_round]
 
 
-def condition_report(flags: list[bool], window: int | None) -> bool:
+def condition_report(flags: list[bool], window: int) -> bool:
     """Whether a run's per-phase condition verdicts ``flags`` hold overall.
 
-    With ``window=None`` every phase must be satisfied. Otherwise this is a
-    finite-horizon proxy for "satisfied infinitely often": every ``window``
-    consecutive phases contain a satisfied one, up to ``window`` phases
-    need one satisfied phase, and no phases at all hold vacuously.
+    A finite-horizon proxy for "satisfied infinitely often": every
+    ``window`` consecutive phases contain a satisfied one, up to ``window``
+    phases need one satisfied phase, and no phases at all hold vacuously.
+    With ``window=1`` every phase must be satisfied.
     """
-    if window is None:
-        return all(flags)
     if window < 1:
         raise AnalysisError(f"window must be >= 1, got {window}")
     if len(flags) <= window:
@@ -325,7 +337,6 @@ def check_phase_progress(trace: Trace, verdicts: list[ConditionVerdict]) -> Prog
     minimum and maximum holders must shrink; and no stagnant stretch may
     last n phases. ``verdicts`` holds the condition verdict of every phase.
     """
-    eps = trace.params.epsilon
     n = trace.params.n
     starts = trace.common_starts()
     by_phase = {v.phase: v for v in verdicts}
@@ -335,10 +346,7 @@ def check_phase_progress(trace: Trace, verdicts: list[ConditionVerdict]) -> Prog
     for idx in range(len(starts) - 1):
         r, r_next = starts[idx], starts[idx + 1]
         k = trace.phase_of(r)
-        if trace.spread(r) < eps:
-            streak = 0
-            continue
-        if not by_phase[k].satisfied:
+        if by_phase[k].vacuous or not by_phase[k].satisfied:
             streak = 0
             continue
         lo, hi = trace.v_min(r), trace.v_max(r)
@@ -387,12 +395,13 @@ def _extreme_holder_count(trace: Trace, r: int) -> int:
 
 def spread_series(trace: Trace, delta: float) -> list[dict]:
     """Per-round extrema, spread, and group cardinalities for plotting."""
+    delta = check_delta(delta, trace.params.epsilon)
     rows = []
     r_c = trace.params.r_c
     for r in range(1, trace.last_round + 2):
         k = trace.phase_of(r)
-        classification = classify_groups(trace, k, r, delta)
-        counts = classification.counts()
+        bounds = phase_bounds(trace, k, delta)
+        counts = Counter(classify_value(v, bounds) for v in trace.values_at(r).values())
         rows.append(
             {
                 "round": r,

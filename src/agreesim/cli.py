@@ -64,10 +64,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK if report.invariants_ok else EXIT_CHECK_FAILED
 
 
-def _parse_mode(raw: str) -> int | None:
-    """The infinitely-often window a ``--mode`` names, or None for per-phase."""
+def _parse_mode(raw: str) -> int:
+    """The infinitely-often window a ``--mode`` names; per-phase is window 1."""
     if raw == "per-phase":
-        return None
+        return 1
     if raw.startswith("io:"):
         try:
             window = int(raw.split(":", 1)[1])
@@ -84,12 +84,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         trace = read_trace(args.trace)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read trace {args.trace}: {exc}") from None
-    eps = trace.params.epsilon
-    delta = args.delta if args.delta is not None else eps / 2.0
-    if not 0.0 < delta <= eps / 2.0:
-        raise ConfigError(f"delta must lie in (0, epsilon/2] = (0, {eps / 2.0}], got {delta}")
     window = _parse_mode(args.mode)
-    report = build_report(trace, delta)
+    report = build_report(trace, args.delta)
     flags = [v.satisfied for v in report.condition_per_phase]
     convergence = check_convergence(trace)
     print(f"validity:  {'ok' if report.validity_ok else 'VIOLATED'}")

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import ConfigError, TopologyError, TraceError
-from .protocol import NodeId, Value
-from .trace import Message, Trace
+from .errors import ConfigError, TopologyError
+from .protocol import Message, NodeId
 
 Position = tuple[float, float]
 
@@ -44,19 +44,19 @@ class Arena:
 
 @dataclass(frozen=True)
 class RoundGraph:
+    """Who hears whom in one round: ``receivers[j]`` lists j's hearers in id order."""
+
     round: int
-    edges: frozenset[tuple[NodeId, NodeId]]
+    receivers: dict[NodeId, list[NodeId]]
 
-    def __post_init__(self) -> None:
-        receivers: dict[NodeId, list[NodeId]] = {}
-        for s, k in self.edges:
-            receivers.setdefault(s, []).append(k)
-        index = {s: tuple(sorted(ks)) for s, ks in receivers.items()}
-        object.__setattr__(self, "_receivers", index)
+    @property
+    def edges(self) -> list[tuple[NodeId, NodeId]]:
+        """Every (sender, receiver) pair, sorted."""
+        return [(j, k) for j in sorted(self.receivers) for k in self.receivers[j]]
 
-    def out_neighbors(self, j: NodeId) -> tuple[NodeId, ...]:
+    def out_neighbors(self, j: NodeId) -> Sequence[NodeId]:
         """Nodes that hear j this round, in id order."""
-        return self._receivers.get(j, ())
+        return self.receivers.get(j, ())
 
 
 class Stationary:
@@ -159,18 +159,19 @@ def move_step(
 def build_round_graph(
     positions: dict[NodeId, Position], radius: float, r: int
 ) -> RoundGraph:
-    """Disk connectivity: mutual edges between nodes within radio range."""
-    if radius <= 0:
-        raise ConfigError(f"radius must be > 0, got {radius}")
-    edges = set()
+    """Disk connectivity: mutual edges between nodes within radio range.
+
+    Row ``a`` appends to both ends of each in-range pair, so every
+    receiver list comes out in id order without a sort.
+    """
     ids = sorted(positions)
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            i, j = ids[a], ids[b]
+    receivers: dict[NodeId, list[NodeId]] = {i: [] for i in ids}
+    for a, i in enumerate(ids):
+        for j in ids[a + 1:]:
             if _distance(positions[i], positions[j]) <= radius:
-                edges.add((i, j))
-                edges.add((j, i))
-    return RoundGraph(round=r, edges=frozenset(edges))
+                receivers[i].append(j)
+                receivers[j].append(i)
+    return RoundGraph(round=r, receivers=receivers)
 
 
 def deliver(
@@ -186,13 +187,11 @@ def deliver(
     most one message per round. Draws happen in sorted message order so the
     loss pattern replays exactly.
     """
-    if not 0.0 <= loss_rate <= 1.0:
-        raise ConfigError(f"loss_rate must be in [0,1], got {loss_rate}")
     seen: set[tuple[NodeId, NodeId]] = set()
     inboxes: dict[NodeId, list[Message]] = {}
     for msg in sorted(outbox):
         sender, receiver, _value = msg
-        if (sender, receiver) not in graph.edges:
+        if receiver not in graph.receivers.get(sender, ()):
             raise TopologyError(
                 f"message {sender}->{receiver} has no edge in round {graph.round}"
             )
@@ -205,42 +204,3 @@ def deliver(
             continue
         inboxes.setdefault(receiver, []).append(msg)
     return inboxes
-
-
-def window_deliveries(trace: Trace, i: NodeId, r: int) -> list[tuple[NodeId, Value]]:
-    """(sender, value) of every message delivered to node i in its window.
-
-    The window runs from i's local new starting round in effect at round r
-    through round r itself; deliveries come oldest first.
-    """
-    record = trace.record(r)
-    if i not in record.local_start:
-        raise TraceError(f"node {i} is not a correct node of this trace")
-    return [
-        (sender, value)
-        for rr in range(record.local_start[i], r + 1)
-        for sender, receiver, value in trace.record(rr).delivered
-        if receiver == i
-    ]
-
-
-def joint_neighbor_set(trace: Trace, i: NodeId, r: int) -> set[NodeId]:
-    """Senders node i actually heard since its latest retention-window start.
-
-    Only delivered messages count: an edge over which every message was
-    lost communicates nothing.
-    """
-    return {sender for sender, _value in window_deliveries(trace, i, r)} - {i}
-
-
-def retained_values(trace: Trace, i: NodeId, r: int) -> dict[NodeId, Value]:
-    """Live log content of node i at round r, rebuilt from raw deliveries.
-
-    Most recent value per sender, delivered in i's current retention
-    window. Equals the post-merge log the node itself acted on.
-    """
-    return {
-        sender: value
-        for sender, value in window_deliveries(trace, i, r)
-        if math.isfinite(value)
-    }

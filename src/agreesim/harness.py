@@ -22,6 +22,7 @@ from .analysis import (
     ConditionVerdict,
     check_condition,
     check_convergence,
+    check_delta,
     check_legality,
     check_phase_progress,
     check_safety,
@@ -97,7 +98,7 @@ def simulate(config: ScenarioConfig, seed: int | None = None) -> Trace:
             RoundRecord(
                 round=r,
                 positions=dict(positions),
-                edges=sorted(graph.edges),
+                edges=graph.edges,
                 byz_sent=sorted(byz_sent),
                 delivered=sorted(m for msgs in inboxes.values() for m in msgs),
                 values_start=values_start,
@@ -139,7 +140,9 @@ class RunReport:
         return self.validity_ok and self.legality_ok and self.safety_ok
 
 
-def build_report(trace: Trace, delta: float) -> RunReport:
+def build_report(trace: Trace, delta: float | None) -> RunReport:
+    """Run every checker over ``trace``; a None ``delta`` means epsilon/2."""
+    delta = check_delta(delta, trace.params.epsilon)
     validity = check_validity(trace)
     legality = check_legality(trace)
     safety = check_safety(trace)
@@ -166,7 +169,7 @@ def build_report(trace: Trace, delta: float) -> RunReport:
         safety_ok=safety.ok,
         cardinality_ok=trace.params.meets_cardinality_bound,
         condition_per_phase=verdicts,
-        condition_ok_all_phases=condition_report(flags, None),
+        condition_ok_all_phases=condition_report(flags, 1),
         condition_ok_io=condition_report(flags, IO_WINDOW_DEFAULT),
         io_window=IO_WINDOW_DEFAULT,
         progress_ok=progress.ok,

@@ -17,6 +17,8 @@ from .errors import ProtocolError
 
 NodeId = int
 Value = float
+# (sender, receiver, value) for one delivered or attempted message.
+Message = tuple[NodeId, NodeId, Value]
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .adversary import (
     ScriptedTable,
     Silent,
 )
+from .analysis import check_delta
 from .dynamics import Arena, MobilityModel, RandomWaypoint, Scripted, Stationary, TeleportRandom
 from .errors import ConfigError, malformed, require_finite
 from .protocol import ProtocolParams
@@ -58,7 +59,7 @@ class ScenarioConfig:
 
     @property
     def effective_delta(self) -> float:
-        return self.epsilon / 2.0 if self.delta is None else self.delta
+        return check_delta(self.delta, self.epsilon)
 
     @property
     def effective_max_rounds(self) -> int:
@@ -72,8 +73,7 @@ class ScenarioConfig:
                 raise ConfigError(f"seed must be an integer, got {self.seed!r}")
             if type(self.effective_max_rounds) is not int or self.effective_max_rounds < 1:
                 raise ConfigError(f"max_rounds must be an integer >= 1, got {self.max_rounds!r}")
-            if self.delta is not None and not 0 < self.delta <= self.epsilon / 2.0:
-                raise ConfigError(f"delta must lie in (0, epsilon/2], got {self.delta}")
+            check_delta(self.delta, self.epsilon)
             if not self.radius > 0:
                 raise ConfigError(f"radius must be > 0, got {self.radius}")
             if not 0.0 <= self.loss_rate <= 1.0:
@@ -83,30 +83,9 @@ class ScenarioConfig:
             adversary = build_adversary(self)
             if not self.correct_ids:
                 raise ConfigError("every node is faulty; a run needs a correct node")
-            # Parse the initial values and positions without drawing: the run draws them.
-            values = self.initial_values
-            if values.get("mode") == "explicit":
-                got, want = len(values.get("values", [])), len(self.correct_ids)
-                if got != want:
-                    raise ConfigError(
-                        f"explicit initial values: got {got}, need one per correct node ({want})"
-                    )
-                numbers = list(_initial_values(self, None).values())
-            elif values.get("mode") == "uniform":
-                lo, hi = map(float, values.get("range", [0.0, 1.0]))
-                numbers = [lo, hi]
-            else:
-                raise ConfigError(f"unknown initial_values mode {values.get('mode')!r}")
-            require_finite("initial values", *numbers)
-            positions = self.initial_positions
-            if positions.get("mode") == "explicit":
-                coords = positions.get("coords", {})
-                missing = [i for i in range(self.n) if str(i) not in coords and i not in coords]
-                if missing:
-                    raise ConfigError(f"explicit positions missing nodes {missing}")
-                _initial_positions(self, arena, None)
-            elif positions.get("mode") != "uniform":
-                raise ConfigError(f"unknown initial_positions mode {positions.get('mode')!r}")
+            # The run draws its own; these throwaway draws only check each spec.
+            _initial_values(self, random.Random(0))
+            _initial_positions(self, arena, random.Random(0))
         return params, arena, mobility, adversary
 
     def to_dict(self) -> dict:
@@ -189,26 +168,40 @@ def build_adversary(config: ScenarioConfig) -> AdversaryStrategy:
 
 def _initial_positions(config: ScenarioConfig, arena: Arena, rng: random.Random):
     spec = config.initial_positions
-    if spec.get("mode") == "explicit":
-        coords = spec.get("coords", {})
-        positions = {}
-        for i in range(config.n):
-            raw = coords.get(str(i), coords.get(i))
-            pos = (float(raw[0]), float(raw[1]))
-            if not arena.contains(pos):
-                raise ConfigError(f"initial position {pos} of node {i} outside arena")
-            positions[i] = pos
-        return positions
-    return {i: arena.random_point(rng) for i in range(config.n)}
+    if spec.get("mode") == "uniform":
+        return {i: arena.random_point(rng) for i in range(config.n)}
+    if spec.get("mode") != "explicit":
+        raise ConfigError(f"unknown initial_positions mode {spec.get('mode')!r}")
+    coords = spec.get("coords", {})
+    positions = {}
+    for i in range(config.n):
+        raw = coords.get(str(i), coords.get(i))
+        if raw is None:
+            raise ConfigError(f"explicit positions miss node {i}")
+        pos = (float(raw[0]), float(raw[1]))
+        if not arena.contains(pos):
+            raise ConfigError(f"initial position {pos} of node {i} outside arena")
+        positions[i] = pos
+    return positions
 
 
 def _initial_values(config: ScenarioConfig, rng: random.Random):
     spec = config.initial_values
     correct = config.correct_ids
     if spec.get("mode") == "explicit":
-        return {i: float(v) for i, v in zip(correct, spec["values"])}
-    lo, hi = spec.get("range", [0.0, 1.0])
-    return {i: rng.uniform(float(lo), float(hi)) for i in correct}
+        values = [float(v) for v in spec.get("values", [])]
+        if len(values) != len(correct):
+            raise ConfigError(
+                f"explicit initial values: got {len(values)}, "
+                f"need one per correct node ({len(correct)})"
+            )
+        require_finite("initial values", *values)
+        return dict(zip(correct, values))
+    if spec.get("mode") != "uniform":
+        raise ConfigError(f"unknown initial_values mode {spec.get('mode')!r}")
+    lo, hi = map(float, spec.get("range", [0.0, 1.0]))
+    require_finite("initial values", lo, hi)
+    return {i: rng.uniform(lo, hi) for i in correct}
 
 
 def save_scenario(config: ScenarioConfig, path: str | Path) -> None:

@@ -19,12 +19,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import TraceError, malformed
-from .protocol import Log, NodeId, ProtocolParams, Value
+from .protocol import Log, Message, NodeId, ProtocolParams, Value
 
 SCHEMA_VERSION = 1
-
-# (sender, receiver, value) for one delivered or attempted message.
-Message = tuple[NodeId, NodeId, Value]
 
 
 @dataclass
@@ -149,6 +146,9 @@ def _round_from_json(obj: dict, n: int, byz_set: set[NodeId]) -> RoundRecord:
         raise ValueError("an edge or a message goes from a node to itself")
     if not {m[0] for m in rec.byz_sent} <= byz_set:
         raise ValueError("byz_sent holds a message from a node outside byz_set")
+    for sent in (rec.byz_sent, rec.delivered):
+        if len({(s, k) for s, k, _v in sent}) < len(sent):
+            raise ValueError("two messages in one list share a (sender, receiver) pair")
     if not all(1 <= start <= rec.round for start in rec.local_start.values()):
         raise ValueError(f"local_start must lie in 1..{rec.round}")
     return rec

@@ -63,12 +63,11 @@ def vectors_from_trace(trace: Trace) -> list[dict]:
     }
     records = []
     for rec in trace.rounds:
+        inboxes: dict[int, list[tuple[int, float]]] = {}
+        for sender, receiver, value in rec.delivered:
+            inboxes.setdefault(receiver, []).append((sender, value))
         for i in sorted(states):
-            inbox = [
-                (sender, value)
-                for sender, receiver, value in rec.delivered
-                if receiver == i
-            ]
+            inbox = inboxes.get(i, [])
             result = step_round(states[i], inbox, rec.round, trace.params)
             records.append(step_vector(states[i], inbox, rec.round, trace.params, result))
             states[i] = result.state

@@ -9,8 +9,17 @@ what ``check_convergence`` and ``check_condition`` decide. ``trace_bytes``
 gives the bytes ``write_trace`` would write, for tests that compare runs.
 """
 
-from agreesim.analysis import Group, RangeCheck, Violation, is_proper, phase_bounds
-from agreesim.dynamics import joint_neighbor_set, retained_values
+import math
+
+from agreesim.analysis import (
+    Group,
+    RangeCheck,
+    Violation,
+    is_proper,
+    joint_neighbor_set,
+    phase_bounds,
+    retained_values,
+)
 from agreesim.trace import trace_to_lines
 
 
@@ -48,6 +57,17 @@ def reference_reduce(sorted_values, f, v_i):
 
 def reference_average(values, v_i):
     return (v_i + sum(values)) / (len(values) + 1)
+
+
+def reference_receivers(positions, radius):
+    """Per node j, every other node within ``radius`` of j, in id order."""
+    return {
+        j: sorted(
+            k for k in positions
+            if k != j and math.dist(positions[j], positions[k]) <= radius
+        )
+        for j in positions
+    }
 
 
 def reference_check_safety(trace):

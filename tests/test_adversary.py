@@ -25,11 +25,9 @@ def make_view(r=1, values=None):
 
 
 def star_graph(center, leaves, r=1):
-    edges = set()
-    for leaf in leaves:
-        edges.add((center, leaf))
-        edges.add((leaf, center))
-    return RoundGraph(round=r, edges=frozenset(edges))
+    receivers = {leaf: [center] for leaf in leaves}
+    receivers[center] = sorted(leaves)
+    return RoundGraph(round=r, receivers=receivers)
 
 
 STRATEGY_GRAPH = star_graph(9, [0, 1, 2])
@@ -113,7 +111,7 @@ class TestOutboxDiscipline:
         assert {receiver for _s, receiver, _v in out} == {0, 1, 2}
 
     def test_forged_off_topology_message_is_rejected_downstream(self):
-        graph = RoundGraph(round=1, edges=frozenset({(9, 0), (0, 9)}))
+        graph = RoundGraph(round=1, receivers={0: [9], 9: [0]})
         with pytest.raises(TopologyError):
             deliver(graph, [(9, 2, 99.0)], 0.0, random.Random(0))
 

@@ -12,15 +12,15 @@ from agreesim.analysis import (
     check_phase_progress,
     check_safety,
     check_validity,
-    classify_groups,
     classify_value,
     condition_report,
     is_proper,
     legal_reference_round,
+    phase_bounds,
     spread_series,
     trace_phases,
 )
-from agreesim.errors import AnalysisError
+from agreesim.errors import AnalysisError, ConfigError
 from agreesim.harness import simulate, sweep
 from agreesim.protocol import NodeState, ProtocolParams, step_round
 from agreesim.scenarios import LIBRARY, ScenarioConfig, builtin_scenario
@@ -200,21 +200,21 @@ class TestGroups:
             initial_values={"mode": "explicit", "values": [5.0, 5.0]}, seed=1,
         )
         trace = simulate(config)
-        classification = classify_groups(trace, 0, 1, 0.25)
-        assert classification.bounds.collapsed
-        assert all(g is Group.MIN for g in classification.tags.values())
+        bounds = phase_bounds(trace, 0, 0.25)
+        assert bounds.collapsed
+        assert all(classify_value(v, bounds) is Group.MIN for v in trace.values_at(1).values())
+        assert spread_series(trace, 0.25)[0]["c_min"] == 2
 
     def test_partition_of_correct_nodes(self):
         trace = simulate(builtin_scenario("fully_connected_baseline"))
-        classification = classify_groups(trace, 0, 1, 0.05)
-        assert set(classification.tags) == set(trace.initial_values)
-        counts = classification.counts()
-        assert sum(counts.values()) == len(trace.initial_values)
+        row = spread_series(trace, 0.05)[0]
+        counts = [row[c] for c in ("c_min", "c_nin", "c_mid", "c_nax", "c_max")]
+        assert counts == [1, 0, 2, 0, 1]  # values 0, 1, 2, 3
 
     def test_delta_out_of_range_rejected(self):
         trace = simulate(builtin_scenario("fully_connected_baseline"))
-        with pytest.raises(AnalysisError):
-            classify_groups(trace, 0, 1, 0.5)  # epsilon=0.1 caps delta at 0.05
+        with pytest.raises(ConfigError):
+            spread_series(trace, 0.5)  # epsilon=0.1 caps delta at 0.05
 
     @given(
         values=st.lists(st.integers(0, 40).map(lambda i: i / 4.0), min_size=2, max_size=9),
@@ -352,7 +352,7 @@ class TestCondition:
         verdicts = all_verdicts(trace, config.effective_delta)
         non_vacuous = [v for v in verdicts if not v.vacuous]
         if name == "fully_connected_baseline":
-            assert condition_report([v.satisfied for v in verdicts], None)
+            assert condition_report([v.satisfied for v in verdicts], 1)
             assert non_vacuous, "expected phases with spread still open"
             assert all(v.satisfied for v in non_vacuous)
         for verdict in non_vacuous:
@@ -369,14 +369,14 @@ class TestCondition:
             seed=13,
         )
         trace = simulate(config)
-        assert condition_report([v.satisfied for v in all_verdicts(trace, 0.05)], None)
+        assert condition_report([v.satisfied for v in all_verdicts(trace, 0.05)], 1)
         assert check_convergence(trace).reached
 
     def test_short_population_never_satisfies(self):
         trace = simulate(builtin_scenario("lemma2_3f_impossible"))
         flags = [v.satisfied for v in all_verdicts(trace, 0.5)]
         assert not any(flags)
-        assert not condition_report(flags, None)
+        assert not condition_report(flags, 1)
         assert not condition_report(flags, 3)
 
     def test_witness_names_the_proper_senders(self):
@@ -465,9 +465,10 @@ class TestInfinitelyOften:
         assert condition_report([True, False, False, True, False, False, True], 3)
 
     def test_no_window_needs_every_phase(self):
-        assert condition_report([], None)
-        assert condition_report([True, True], None)
-        assert not condition_report([True, False, True], None)
+        # Per-phase mode is window 1: every phase must be satisfied.
+        assert condition_report([], 1)
+        assert condition_report([True, True], 1)
+        assert not condition_report([True, False, True], 1)
 
     def test_rejects_empty_window(self):
         with pytest.raises(AnalysisError):

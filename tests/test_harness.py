@@ -458,11 +458,15 @@ class TestCli:
             "header_n_short", "header_initial_value", "late_local_start", "zero_local_start",
             "string_computed", "nan_final", "infinity_values_start", "long_delivered",
             "long_edge", "long_log_entry", "long_position", "correct_byz_sender",
+            "repeated_delivery", "repeated_pair", "repeated_byz_sent",
         ],
     )
     def test_check_rejects_malformed_trace_with_usage_exit(self, tmp_path, capsys, defect):
         trace_path = tmp_path / "trace.jsonl"
-        write_trace(simulate(builtin_scenario("fully_connected_baseline")), trace_path)
+        # The baseline has no faulty nodes; node 4 of the improper mix is one.
+        faulty = defect == "repeated_byz_sent"
+        name = "necessity_improper_mix" if faulty else "fully_connected_baseline"
+        write_trace(simulate(builtin_scenario(name)), trace_path)
         lines = trace_path.read_text().splitlines()
         first_round = json.loads(lines[1])
         if defect == "truncated":
@@ -522,6 +526,15 @@ class TestCli:
             lines[1] = json.dumps(first_round)
         elif defect == "correct_byz_sender":  # the baseline has no faulty nodes
             first_round["byz_sent"].append([3, 0, 1.0])
+            lines[1] = json.dumps(first_round)
+        elif defect in ("repeated_delivery", "repeated_pair"):
+            sender, receiver, value = first_round["delivered"][0]
+            if defect == "repeated_pair":
+                value += 0.25
+            first_round["delivered"].insert(1, [sender, receiver, value])
+            lines[1] = json.dumps(first_round)
+        elif defect == "repeated_byz_sent":
+            first_round["byz_sent"].insert(1, first_round["byz_sent"][0])
             lines[1] = json.dumps(first_round)
         trace_path.write_text("\n".join(lines) + "\n")
         if defect == "missing_file":
@@ -618,20 +631,15 @@ class TestCli:
 
     @pytest.mark.parametrize("delta,code", [("0", 2), ("-0.01", 2), ("0.06", 2),
                                             ("0.05", 0), ("0.01", 0)])
-    def test_check_delta_must_lie_in_the_group_margin(self, tmp_path, capsys, delta, code):
+    @pytest.mark.parametrize("rounds", ["all", "none"])
+    def test_check_delta_must_lie_in_the_group_margin(self, tmp_path, capsys, delta, code, rounds):
+        # epsilon is 0.1. With no rounds no phase reaches check_condition,
+        # so only the check on entry to build_report can reject the delta.
         trace_path = tmp_path / "trace.jsonl"
         write_trace(simulate(builtin_scenario("fully_connected_baseline")), trace_path)
-        capsys.readouterr()
-        assert main(["check", "--trace", str(trace_path), "--delta", delta]) == code
-        assert len(capsys.readouterr().err.splitlines()) == (1 if code else 0)
-
-    @pytest.mark.parametrize("delta,code", [("0.06", 2), ("0.05", 0)])
-    def test_check_delta_on_a_trace_without_rounds(self, tmp_path, capsys, delta, code):
-        # No phase reaches check_condition, so the delta is tested on entry.
-        trace_path = tmp_path / "trace.jsonl"
-        write_trace(simulate(builtin_scenario("fully_connected_baseline")), trace_path)
-        lines = trace_path.read_text().splitlines()
-        trace_path.write_text(lines[0] + "\n" + lines[-1] + "\n")
+        if rounds == "none":
+            lines = trace_path.read_text().splitlines()
+            trace_path.write_text(lines[0] + "\n" + lines[-1] + "\n")
         assert main(["check", "--trace", str(trace_path), "--delta", delta]) == code
         assert len(capsys.readouterr().err.splitlines()) == (1 if code else 0)
 
