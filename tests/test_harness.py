@@ -213,7 +213,35 @@ def check_digest(name: str, tmp_path, capsys) -> str:
     return h.hexdigest()
 
 
+# sha256 of the sweep.csv `write_sweep_csv` writes for one scenario over
+# SWEEP_GRID x SWEEP_SEEDS: every builtin, plus golden_waypoint_n40, whose
+# runs agree late with open phases before. How far a sweep run simulates
+# must leave them alone.
+SWEEP_GRID = {"r_c": [1, 2], "loss_rate": [0.0, 0.3]}
+SWEEP_SEEDS = [1, 2, 3]
+SWEEP_DIGESTS = {
+    "fig1_scripted_path": "4d2f3de3191574f29b1a4efacb5d7502f93f5d788fd8f40163e2aa5c4f283bfe",
+    "fully_connected_baseline": "458a6444ed905a3c473f3e1f6e378e68bc711b5e2ad41184ccadf1d552f51d49",
+    "golden_waypoint_n40": "bab92f6081c73765df7ed552b33126977022b380c624e2827a8f397d7580a379",
+    "lemma2_3f_impossible": "3d1bf64eb75d64e3293619f23835ca7dab40a689b598ed3adbca0810722b260e",
+    "necessity_f_proper": "3d1bf64eb75d64e3293619f23835ca7dab40a689b598ed3adbca0810722b260e",
+    "necessity_improper_mix": "3d1bf64eb75d64e3293619f23835ca7dab40a689b598ed3adbca0810722b260e",
+    "partition_never": "3d1bf64eb75d64e3293619f23835ca7dab40a689b598ed3adbca0810722b260e",
+    "stale_log_overshoot": "0031cf1dabc4d866bd3ca81d25007213382f0eafcabdd59a7abdd1cc33be86e9",
+}
+
+
 class TestReplay:
+    @pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
+    def test_sweep_csv_matches_golden_digest(self, name, tmp_path):
+        config = golden_waypoint_n40() if name == "golden_waypoint_n40" else builtin_scenario(name)
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(sweep(config, SWEEP_GRID, SWEEP_SEEDS), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_DIGESTS[name]
+
+    def test_sweep_digests_cover_the_library(self):
+        assert set(LIBRARY) <= set(SWEEP_DIGESTS)
+
     @pytest.mark.parametrize("name", sorted(CHECK_DIGESTS))
     def test_check_output_matches_golden_digest(self, name, tmp_path, capsys):
         assert check_digest(name, tmp_path, capsys) == CHECK_DIGESTS[name]
