@@ -16,7 +16,7 @@ import enum
 import itertools
 import math
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 
 from .errors import AnalysisError, ConfigError, TraceError
@@ -184,6 +184,16 @@ def is_proper(value: Value, observer_group: Group, bounds: PhaseBounds) -> bool:
     raise AnalysisError(f"observer must hold an extreme value, got {observer_group}")
 
 
+def agreed(values: Collection[Value], epsilon: float) -> bool:
+    """The agreement test: the spread ``max - min`` of ``values`` is below epsilon.
+
+    Convergence, condition vacuity and the simulator's early stop all use
+    this one test, so they cannot disagree when the spread lies within an
+    ulp of epsilon.
+    """
+    return max(values) - min(values) < epsilon
+
+
 @dataclass
 class ConvergenceResult:
     reached: bool
@@ -198,7 +208,7 @@ def check_convergence(trace: Trace) -> ConvergenceResult:
     """
     eps = trace.params.epsilon
     for r in trace.common_starts():
-        if trace.spread(r) < eps:
+        if agreed(trace.values_at(r).values(), eps):
             return ConvergenceResult(reached=True, at_round=r)
     return ConvergenceResult(reached=False, at_round=None)
 
@@ -268,9 +278,9 @@ def check_condition(trace: Trace, k: int, delta: float) -> ConditionVerdict:
     """
     bounds = phase_bounds(trace, k, delta)
     start = bounds.start_round
-    if trace.spread(start) < trace.params.epsilon:
-        return ConditionVerdict(phase=k, satisfied=True, vacuous=True)
     values = trace.values_at(start)
+    if agreed(values.values(), trace.params.epsilon):
+        return ConditionVerdict(phase=k, satisfied=True, vacuous=True)
     extremes = [
         (i, Group.MIN if values[i] == bounds.v_min else Group.MAX)
         for i in sorted(values)

@@ -20,6 +20,7 @@ from pathlib import Path
 from .adversary import RoundView, byzantine_outbox
 from .analysis import (
     ConditionVerdict,
+    agreed,
     check_condition,
     check_convergence,
     check_delta,
@@ -45,15 +46,25 @@ def substream(seed: int, *parts) -> random.Random:
     return random.Random(f"{seed}/" + "/".join(str(p) for p in parts))
 
 
-def run_scenario(config: ScenarioConfig, seed: int | None = None) -> tuple[Trace, "RunReport"]:
+def run_scenario(
+    config: ScenarioConfig, seed: int | None = None, *, stop_at_agreement: bool = False
+) -> tuple[Trace, "RunReport"]:
     """Execute a scenario end to end and analyze the resulting trace."""
-    trace = simulate(config, seed=seed)
+    trace = simulate(config, seed=seed, stop_at_agreement=stop_at_agreement)
     report = build_report(trace, config.effective_delta)
     return trace, report
 
 
-def simulate(config: ScenarioConfig, seed: int | None = None) -> Trace:
-    """Execute a scenario's lock-step rounds and record the full trace."""
+def simulate(
+    config: ScenarioConfig, seed: int | None = None, *, stop_at_agreement: bool = False
+) -> Trace:
+    """Execute a scenario's lock-step rounds and record the trace.
+
+    The trace covers every round up to the horizon, unless
+    ``stop_at_agreement`` is set: then the run ends before the first phase
+    start ``r`` whose correct values have agreed, so the trace's last round
+    is ``r - 1`` and its final values are those at round ``r``.
+    """
     params, arena, model, adversary = config.validate()
     run_seed = config.seed if seed is None else seed
     positions = _initial_positions(config, arena, substream(run_seed, "init-pos"))
@@ -72,6 +83,8 @@ def simulate(config: ScenarioConfig, seed: int | None = None) -> Trace:
     for r in range(1, config.effective_max_rounds + 1):
         if is_common_new_start(r, config.r_c):
             phase_start_values = {i: s.value for i, s in states.items()}
+            if stop_at_agreement and agreed(phase_start_values.values(), params.epsilon):
+                break
         positions = move_step(positions, model, substream(run_seed, "move", r), r)
         graph = build_round_graph(positions, config.radius, r)
         values_start = {i: s.value for i, s in states.items()}
@@ -230,6 +243,14 @@ def sweep(
     (spread still open) phases in which the progress condition held. A run
     that raises an error or breaks validity, legality or safety is counted
     as a failure of its cell and left out of the rates.
+
+    Each run stops at its first agreed phase start (``stop_at_agreement``),
+    which leaves every cell as the full horizon would. Safety keeps each
+    later correct value inside that start's envelope, so each later phase
+    start stays agreed: its phase is vacuous and no invariant can break.
+    Faulty nodes cannot change this, as a scenario never has more than f
+    of them. ``converged_at`` is the same phase start either way. ``run``
+    keeps the full horizon, since its trace bytes are the contract.
     """
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
@@ -249,7 +270,7 @@ def sweep(
         phases_ok = 0
         for seed in seeds:
             try:
-                _trace, report = run_scenario(config, seed=seed)
+                _trace, report = run_scenario(config, seed=seed, stop_at_agreement=True)
                 ok = report.invariants_ok
             except AgreesimError:
                 ok = False

@@ -27,7 +27,8 @@ class ProtocolParams:
 
     ``f`` bounds the number of faulty nodes, ``r_c`` is the log retention
     window in rounds, ``epsilon`` the agreement precision used by the
-    offline checkers (the node logic itself never reads it).
+    offline checkers and the sweep's early stop (the node logic itself
+    never reads it).
     """
 
     n: int

@@ -146,9 +146,13 @@ def _round_from_json(obj: dict, n: int, byz_set: set[NodeId]) -> RoundRecord:
         raise ValueError("an edge or a message goes from a node to itself")
     if not {m[0] for m in rec.byz_sent} <= byz_set:
         raise ValueError("byz_sent holds a message from a node outside byz_set")
+    edges = set(rec.edges)
     for sent in (rec.byz_sent, rec.delivered):
-        if len({(s, k) for s, k, _v in sent}) < len(sent):
+        pairs = {(s, k) for s, k, _v in sent}
+        if len(pairs) < len(sent):
             raise ValueError("two messages in one list share a (sender, receiver) pair")
+        if not pairs <= edges:
+            raise ValueError("a message's (sender, receiver) pair is not an edge of its round")
     if not all(1 <= start <= rec.round for start in rec.local_start.values()):
         raise ValueError(f"local_start must lie in 1..{rec.round}")
     return rec

@@ -5,10 +5,13 @@ explicit index sets, recomputing the side counts itself, so it shares no
 code path with the package's log-based implementation. The safety
 reference rescans every later round once per phase start. The group-based
 convergence detector and the witness re-check decide, by a second route,
-what ``check_convergence`` and ``check_condition`` decide. ``trace_bytes``
-gives the bytes ``write_trace`` would write, for tests that compare runs.
+what ``check_convergence`` and ``check_condition`` decide. The sweep
+reference runs every seed to its full horizon. ``trace_bytes`` gives the
+bytes ``write_trace`` would write, for tests that compare runs.
 """
 
+import dataclasses
+import itertools
 import math
 
 from agreesim.analysis import (
@@ -20,6 +23,8 @@ from agreesim.analysis import (
     phase_bounds,
     retained_values,
 )
+from agreesim.errors import AgreesimError
+from agreesim.harness import SweepCell, run_scenario
 from agreesim.trace import trace_to_lines
 
 
@@ -121,3 +126,36 @@ def validate_witness(trace, verdict, delta):
         if not is_proper(retained[j], group, bounds):
             return False
     return True
+
+
+def reference_sweep(template, grid, seeds):
+    """``sweep``'s cells with every run simulated to its full horizon.
+
+    Grid keys must name top-level scenario fields.
+    """
+    keys = sorted(grid)
+    cells = []
+    for combo in itertools.product(*(grid[k] for k in keys)):
+        assignment = dict(zip(keys, combo))
+        config = dataclasses.replace(template, **assignment)
+        completed = []
+        for seed in seeds:
+            try:
+                _trace, report = run_scenario(config, seed=seed)
+            except AgreesimError:
+                continue
+            if report.invariants_ok:
+                completed.append(report)
+        rounds = [rep.converged_at for rep in completed if rep.converged]
+        held = [v.satisfied for rep in completed for v in rep.condition_per_phase if not v.vacuous]
+        cells.append(
+            SweepCell(
+                assignment=assignment,
+                runs=len(seeds),
+                failures=len(seeds) - len(completed),
+                converged_rate=len(rounds) / len(completed) if completed else 0.0,
+                mean_converged_round=sum(rounds) / len(rounds) if rounds else None,
+                condition_rate=sum(held) / len(held) if held else 1.0,
+            )
+        )
+    return cells

@@ -5,8 +5,10 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agreesim import harness
+from agreesim.analysis import check_convergence
 from agreesim.cli import main
 from agreesim.errors import ConfigError
 from agreesim.harness import (
@@ -27,7 +29,8 @@ from agreesim.scenarios import (
 )
 from agreesim.trace import read_trace, trace_from_lines, trace_to_lines, write_trace
 from agreesim.vectors import read_vectors, replay_vectors, vectors_from_trace, write_vectors
-from reference import trace_bytes
+from reference import reference_sweep, trace_bytes
+from test_acceptance import random_scenario
 
 
 class TestRunScenario:
@@ -392,8 +395,8 @@ class TestSweep:
     def test_run_breaking_a_guarantee_counts_as_failure(self, monkeypatch):
         real = harness.run_scenario
 
-        def unsafe(config, seed=None):
-            trace, report = real(config, seed=seed)
+        def unsafe(config, seed=None, **kwargs):
+            trace, report = real(config, seed=seed, **kwargs)
             return trace, dataclasses.replace(report, safety_ok=False)
 
         monkeypatch.setattr(harness, "run_scenario", unsafe)
@@ -406,6 +409,65 @@ class TestSweep:
     def test_bad_grid_path_rejected(self):
         with pytest.raises(ConfigError):
             sweep(builtin_scenario("partition_never"), {"nonsense": [1]}, seeds=[1])
+
+
+def assert_early_stop_matches_full_run(config: ScenarioConfig) -> int:
+    """Check one early-stopped run against the full one; return its last round."""
+    full = simulate(config)
+    early = simulate(config, stop_at_agreement=True)
+    last = early.last_round
+    assert early.rounds == full.rounds[:last]
+    assert early.final_values == full.values_at(last + 1)
+    converged = check_convergence(full)
+    assert check_convergence(early) == converged
+    if last < full.last_round:
+        assert converged.at_round == last + 1
+    seeds = [config.seed, config.seed + 1]
+    grid = {"loss_rate": [0.0, 0.3]}
+    assert sweep(config, grid, seeds) == reference_sweep(config, grid, seeds)
+    return last
+
+
+def ulp_scenario() -> ScenarioConfig:
+    # The spread lies an ulp below epsilon, so the values agree at round 1.
+    return ScenarioConfig(
+        name="ulp", n=2, f=0, r_c=1, epsilon=0.0005, max_rounds=3, radius=1.0,
+        initial_values={
+            "mode": "explicit", "values": [2.5870580960129796, 2.5875580960129794],
+        },
+        initial_positions={"mode": "explicit", "coords": {"0": [1, 1], "1": [8, 8]}},
+        seed=1,
+    )
+
+
+class TestSweepEarlyStop:
+    @settings(max_examples=60, deadline=None)
+    @given(i=st.integers(0, 10**6))
+    def test_early_stop_matches_the_full_horizon(self, i):
+        assert_early_stop_matches_full_run(random_scenario(i))
+
+    def test_agreement_at_round_one_gives_zero_rounds(self):
+        config = ulp_scenario()
+        assert assert_early_stop_matches_full_run(config) == 0
+        _trace, report = run_scenario(config, stop_at_agreement=True)
+        assert report.converged_at == 1 and report.condition_per_phase == []
+
+    def test_horizon_inside_a_phase(self):
+        # Agreement at round 7 of 8 with r_c=3: the partial phase 2 is dropped.
+        config = dataclasses.replace(
+            builtin_scenario("fully_connected_baseline"), r_c=3, max_rounds=8,
+        )
+        assert assert_early_stop_matches_full_run(config) == 6
+
+    def test_agreement_first_seen_after_the_last_round(self):
+        config = dataclasses.replace(builtin_scenario("fully_connected_baseline"), max_rounds=4)
+        assert check_convergence(simulate(config)).at_round == 5
+        assert assert_early_stop_matches_full_run(config) == 4
+
+    def test_run_keeps_the_full_horizon(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", "--scenario", "fully_connected_baseline", "--out", str(out)]) == 0
+        assert read_trace(out / "trace.jsonl").last_round == 40
 
 
 class TestVectors:
@@ -487,12 +549,13 @@ class TestCli:
             "string_computed", "nan_final", "infinity_values_start", "long_delivered",
             "long_edge", "long_log_entry", "long_position", "correct_byz_sender",
             "repeated_delivery", "repeated_pair", "repeated_byz_sent",
+            "edgeless_rounds", "unlinked_byz_sent",
         ],
     )
     def test_check_rejects_malformed_trace_with_usage_exit(self, tmp_path, capsys, defect):
         trace_path = tmp_path / "trace.jsonl"
         # The baseline has no faulty nodes; node 4 of the improper mix is one.
-        faulty = defect == "repeated_byz_sent"
+        faulty = defect in ("repeated_byz_sent", "unlinked_byz_sent")
         name = "necessity_improper_mix" if faulty else "fully_connected_baseline"
         write_trace(simulate(builtin_scenario(name)), trace_path)
         lines = trace_path.read_text().splitlines()
@@ -563,6 +626,16 @@ class TestCli:
             lines[1] = json.dumps(first_round)
         elif defect == "repeated_byz_sent":
             first_round["byz_sent"].insert(1, first_round["byz_sent"][0])
+            lines[1] = json.dumps(first_round)
+        elif defect == "edgeless_rounds":  # deliveries unchanged, no edge left
+            for at in range(1, len(lines) - 1):
+                record = json.loads(lines[at])
+                record["edges"] = []
+                lines[at] = json.dumps(record)
+        elif defect == "unlinked_byz_sent":  # only the faulty message loses its edge
+            pair = first_round["byz_sent"][0][:2]
+            first_round["edges"].remove(pair)
+            first_round["delivered"] = [m for m in first_round["delivered"] if m[:2] != pair]
             lines[1] = json.dumps(first_round)
         trace_path.write_text("\n".join(lines) + "\n")
         if defect == "missing_file":
