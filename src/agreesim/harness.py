@@ -34,7 +34,7 @@ from .analysis import (
 )
 from .dynamics import build_round_graph, deliver, move_step
 from .errors import AgreesimError, ConfigError
-from .protocol import NodeState, is_common_new_start, step_round
+from .protocol import NodeId, NodeState, ProtocolParams, is_common_new_start, step_round
 from .scenarios import ScenarioConfig, _initial_positions, _initial_values
 from .trace import RoundRecord, Trace
 
@@ -87,9 +87,6 @@ def simulate(
                 break
         positions = move_step(positions, model, substream(run_seed, "move", r), r)
         graph = build_round_graph(positions, config.radius, r)
-        values_start = {i: s.value for i, s in states.items()}
-        local_start = {i: s.last_local_start for i, s in states.items()}
-
         outbox = []
         for i in sorted(states):
             for j in graph.out_neighbors(i):
@@ -101,12 +98,7 @@ def simulate(
                 byzantine_outbox(adversary, b, graph, view, substream(run_seed, "adv", r, b))
             )
         inboxes = deliver(graph, outbox + byz_sent, config.loss_rate, substream(run_seed, "loss", r))
-
-        results = {}
-        for i in sorted(states):
-            inbox = [(sender, value) for sender, _recv, value in inboxes.get(i, [])]
-            results[i] = step_round(states[i], inbox, r, params)
-
+        results, fields = step_nodes(states, inboxes, r, params)
         trace.rounds.append(
             RoundRecord(
                 round=r,
@@ -114,16 +106,51 @@ def simulate(
                 edges=graph.edges,
                 byz_sent=sorted(byz_sent),
                 delivered=sorted(m for msgs in inboxes.values() for m in msgs),
-                values_start=values_start,
-                local_start=local_start,
-                logs={i: res.merged_log for i, res in results.items()},
-                computed={i: res.computed for i, res in results.items()},
+                **fields,
             )
         )
         states = {i: res.state for i, res in results.items()}
 
     trace.final_values = {i: s.value for i, s in states.items()}
     return trace
+
+
+def step_nodes(
+    states: dict[NodeId, NodeState], inboxes: dict[NodeId, list], r: int, params: ProtocolParams
+) -> tuple[dict, dict]:
+    """Step every correct node on its inbox in id order: the one round engine.
+
+    ``inboxes`` has the shape ``deliver`` returns. Returns each node's step
+    result and the round record's per-node fields, keyed by field name.
+    """
+    results = {}
+    for i in sorted(states):
+        inbox = [(sender, value) for sender, _recv, value in inboxes.get(i, [])]
+        results[i] = step_round(states[i], inbox, r, params)
+    fields = {
+        "values_start": {i: states[i].value for i in results},
+        "local_start": {i: states[i].last_local_start for i in results},
+        "logs": {i: res.merged_log for i, res in results.items()},
+        "computed": {i: res.computed for i, res in results.items()},
+    }
+    return results, fields
+
+
+def replay(trace: Trace):
+    """Re-run a trace's correct nodes from its initial values and deliveries.
+
+    Yields per round the record, the states entering it, its ``delivered``
+    regrouped by receiver, and ``step_nodes``'s output. It reads only the
+    params, the initial values and each record's round and ``delivered``.
+    """
+    states = {i: NodeState(id=i, value=v) for i, v in trace.initial_values.items()}
+    for rec in trace.rounds:
+        inboxes: dict[NodeId, list] = {}
+        for msg in rec.delivered:
+            inboxes.setdefault(msg[1], []).append(msg)
+        results, fields = step_nodes(states, inboxes, rec.round, trace.params)
+        yield rec, states, inboxes, (results, fields)
+        states = {i: res.state for i, res in results.items()}
 
 
 @dataclass
@@ -210,15 +237,13 @@ def write_series_csv(trace: Trace, delta: float, path: str | Path) -> None:
 
 
 def _set_path(data: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
+    *parents, last = dotted.split(".")
     target = data
-    for part in parts[:-1]:
-        if part not in target or not isinstance(target[part], dict):
-            raise ConfigError(f"grid path {dotted!r} does not match the scenario")
-        target = target[part]
-    if parts[-1] not in target and parts[-1] not in ScenarioConfig.__dataclass_fields__:
+    for part in parents:
+        target = target.get(part) if isinstance(target, dict) else None
+    if not isinstance(target, dict) or last not in target:
         raise ConfigError(f"grid path {dotted!r} does not match the scenario")
-    target[parts[-1]] = value
+    target[last] = value
 
 
 @dataclass

@@ -216,6 +216,8 @@ def trace_from_lines(lines: list[str]) -> Trace:
             seed=header.get("seed", 0),
         )
         _require({int}, "byz_set", trace.byz_set)
+        if type(trace.seed) is not int or type(trace.scenario_name) is not str:
+            raise TypeError("seed must be an integer and scenario a string")
         _require({int, float}, "header values", [p["epsilon"], *trace.initial_values.values()])
     ids = set(trace.initial_values)
     if not ids:

@@ -10,68 +10,38 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .protocol import Log, NodeState, ProtocolParams, StepResult, step_round
+from .harness import replay
+from .protocol import NodeState, ProtocolParams, StepResult, step_round
 from .trace import Trace
 
 VECTOR_SCHEMA = 1
 
 
-def _log_to_json(log: Log) -> dict:
-    return {str(sender): list(entry) for sender, entry in log.items()}
-
-
-def _log_from_json(obj: dict) -> Log:
-    return {int(sender): (pair[0], pair[1]) for sender, pair in obj.items()}
+def _state_to_json(state: NodeState) -> dict:
+    log = {str(sender): list(entry) for sender, entry in state.log.items()}
+    return {"value": state.value, "log": log, "last_local_start": state.last_local_start}
 
 
 def _outputs(result: StepResult) -> dict:
-    return {
-        "broadcast": result.broadcast,
-        "value": result.state.value,
-        "log": _log_to_json(result.state.log),
-        "last_local_start": result.state.last_local_start,
-        "computed": result.computed,
-    }
-
-
-def step_vector(
-    state: NodeState,
-    inbox: list[tuple[int, float]],
-    r: int,
-    params: ProtocolParams,
-    result: StepResult,
-) -> dict:
-    return {
-        "schema": VECTOR_SCHEMA,
-        "round": r,
-        "params": {"n": params.n, "f": params.f, "r_c": params.r_c},
-        "state_in": {
-            "id": state.id,
-            "value": state.value,
-            "log": _log_to_json(state.log),
-            "last_local_start": state.last_local_start,
-        },
-        "inbox": [[sender, value] for sender, value in inbox],
-        "expect": _outputs(result),
-    }
+    state = _state_to_json(result.state)
+    return {"broadcast": result.broadcast, **state, "computed": result.computed}
 
 
 def vectors_from_trace(trace: Trace) -> list[dict]:
-    """Recompute every correct node's steps of a trace as vectors."""
-    states = {
-        i: NodeState(id=i, value=v) for i, v in trace.initial_values.items()
-    }
-    records = []
-    for rec in trace.rounds:
-        inboxes: dict[int, list[tuple[int, float]]] = {}
-        for sender, receiver, value in rec.delivered:
-            inboxes.setdefault(receiver, []).append((sender, value))
-        for i in sorted(states):
-            inbox = inboxes.get(i, [])
-            result = step_round(states[i], inbox, rec.round, trace.params)
-            records.append(step_vector(states[i], inbox, rec.round, trace.params, result))
-            states[i] = result.state
-    return records
+    """Format every correct node's replayed steps of a trace as vectors."""
+    p = trace.params
+    return [
+        {
+            "schema": VECTOR_SCHEMA,
+            "round": rec.round,
+            "params": {"n": p.n, "f": p.f, "r_c": p.r_c},
+            "state_in": {"id": i, **_state_to_json(states[i])},
+            "inbox": [[sender, value] for sender, _recv, value in inboxes.get(i, [])],
+            "expect": _outputs(result),
+        }
+        for rec, states, inboxes, (results, _fields) in replay(trace)
+        for i, result in results.items()
+    ]
 
 
 def write_vectors(records: list[dict], path: str | Path) -> None:
@@ -95,7 +65,7 @@ def replay_vector(record: dict) -> list[str]:
     state = NodeState(
         id=s["id"],
         value=s["value"],
-        log=_log_from_json(s["log"]),
+        log={int(sender): (pair[0], pair[1]) for sender, pair in s["log"].items()},
         last_local_start=s["last_local_start"],
     )
     inbox = [(pair[0], pair[1]) for pair in record["inbox"]]

@@ -13,6 +13,7 @@ from agreesim.cli import main
 from agreesim.errors import ConfigError
 from agreesim.harness import (
     build_report,
+    replay,
     report_to_json,
     run_scenario,
     simulate,
@@ -27,7 +28,7 @@ from agreesim.scenarios import (
     load_scenario,
     save_scenario,
 )
-from agreesim.trace import read_trace, trace_from_lines, trace_to_lines, write_trace
+from agreesim.trace import Trace, read_trace, trace_from_lines, trace_to_lines, write_trace
 from agreesim.vectors import read_vectors, replay_vectors, vectors_from_trace, write_vectors
 from reference import reference_sweep, trace_bytes
 from test_acceptance import random_scenario
@@ -406,9 +407,11 @@ class TestSweep:
         assert cell.converged_rate == 0.0
         assert cell.mean_converged_round is None
 
-    def test_bad_grid_path_rejected(self):
+    # The last two end in a top-level field's name under a nested key.
+    @pytest.mark.parametrize("path", ["nonsense", "adversary.seed", "mobility.n"])
+    def test_bad_grid_path_rejected(self, path):
         with pytest.raises(ConfigError):
-            sweep(builtin_scenario("partition_never"), {"nonsense": [1]}, seeds=[1])
+            sweep(builtin_scenario("partition_never"), {path: [1, 2]}, seeds=[1])
 
 
 def assert_early_stop_matches_full_run(config: ScenarioConfig) -> int:
@@ -493,6 +496,42 @@ class TestVectors:
         assert len(records) == trace.last_round * len(trace.initial_values)
 
 
+def assert_replay_rebuilds(trace: Trace) -> None:
+    """Replay ``trace`` with its derived fields blanked; they must all come back."""
+    blank = {"values_start": {}, "local_start": {}, "logs": {}, "computed": {}}
+    inputs = dataclasses.replace(
+        trace,
+        rounds=[dataclasses.replace(rec, **blank) for rec in trace.rounds],
+        final_values={},
+    )
+    final = trace.initial_values
+    replayed = 0
+    for rec, _states, _inboxes, (results, fields) in replay(inputs):
+        assert fields == {name: getattr(trace.record(rec.round), name) for name in blank}
+        final = {i: res.state.value for i, res in results.items()}
+        replayed += 1
+    assert replayed == trace.last_round
+    assert final == trace.final_values
+
+
+class TestRoundEngine:
+    @pytest.mark.parametrize("stop", [False, True])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_replay_rebuilds_every_named_run(self, name, stop):
+        config = golden_waypoint_n40() if name == "golden_waypoint_n40" else builtin_scenario(name)
+        assert_replay_rebuilds(simulate(config, stop_at_agreement=stop))
+
+    @settings(max_examples=200, deadline=None)
+    @given(i=st.integers(0, 10**6), stop=st.booleans())
+    def test_replay_rebuilds_random_runs(self, i, stop):
+        assert_replay_rebuilds(simulate(random_scenario(i), stop_at_agreement=stop))
+
+    def test_replay_of_a_zero_round_trace_keeps_the_initial_values(self):
+        trace = simulate(ulp_scenario(), stop_at_agreement=True)
+        assert trace.last_round == 0
+        assert_replay_rebuilds(trace)
+
+
 class TestCli:
     def test_run_writes_outputs_and_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -549,7 +588,8 @@ class TestCli:
             "string_computed", "nan_final", "infinity_values_start", "long_delivered",
             "long_edge", "long_log_entry", "long_position", "correct_byz_sender",
             "repeated_delivery", "repeated_pair", "repeated_byz_sent",
-            "edgeless_rounds", "unlinked_byz_sent",
+            "edgeless_rounds", "unlinked_byz_sent", "list_seed", "bool_seed", "float_seed",
+            "dict_scenario",
         ],
     )
     def test_check_rejects_malformed_trace_with_usage_exit(self, tmp_path, capsys, defect):
@@ -584,9 +624,15 @@ class TestCli:
                      "self_delivery": [0, 0, 0.5]}[defect]
             first_round["delivered"].append(extra)
             lines[1] = json.dumps(first_round)
-        elif defect in ("correct_node_faulty", "header_n_short", "header_initial_value"):
+        elif defect in ("correct_node_faulty", "header_n_short", "header_initial_value",
+                        "list_seed", "bool_seed", "float_seed", "dict_scenario"):
             header = json.loads(lines[0])
-            if defect == "correct_node_faulty":
+            bad_seeds = {"list_seed": [1, 2], "bool_seed": True, "float_seed": 1.5}
+            if defect in bad_seeds:
+                header["seed"] = bad_seeds[defect]
+            elif defect == "dict_scenario":
+                header["scenario"] = {"a": 1}
+            elif defect == "correct_node_faulty":
                 header["byz_set"] = [0]
             elif defect == "header_n_short":
                 header["params"]["n"] = 2
