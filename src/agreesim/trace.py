@@ -146,7 +146,11 @@ def _round_from_json(obj: dict, n: int, byz_set: set[NodeId]) -> RoundRecord:
         raise ValueError("an edge or a message goes from a node to itself")
     if not {m[0] for m in rec.byz_sent} <= byz_set:
         raise ValueError("byz_sent holds a message from a node outside byz_set")
+    if {m for m in rec.delivered if m[0] in byz_set} - set(rec.byz_sent):
+        raise ValueError("a faulty node's delivered message is not in its round's byz_sent")
     edges = set(rec.edges)
+    if len(edges) < len(rec.edges):
+        raise ValueError("edges lists one (sender, receiver) pair twice")
     for sent in (rec.byz_sent, rec.delivered):
         pairs = {(s, k) for s, k, _v in sent}
         if len(pairs) < len(sent):
@@ -194,42 +198,52 @@ def _reject_constant(token: str):
     raise ValueError(f"{token} is not a finite number")
 
 
-def trace_from_lines(lines: list[str]) -> Trace:
-    records = []
-    for lineno, line in enumerate(lines, 1):
-        if line.strip():
-            with malformed(TraceError, f"line {lineno}: malformed record"):
-                obj = json.loads(line, parse_constant=_reject_constant)
-                records.append((lineno, obj, obj.get("type")))
-    if not records or records[0][2] != "header":
-        raise TraceError("trace does not start with a header record")
-    lineno, header, _ = records[0]
-    if header.get("schema") != SCHEMA_VERSION:
-        raise TraceError(f"unsupported trace schema {header.get('schema')!r}")
-    with malformed(TraceError, f"line {lineno}: malformed record"):
-        p = header["params"]
-        trace = Trace(
-            params=ProtocolParams(n=p["n"], f=p["f"], r_c=p["r_c"], epsilon=p["epsilon"]),
-            byz_set=set(header["byz_set"]),
-            initial_values={int(k): v for k, v in header["initial_values"].items()},
-            scenario_name=header.get("scenario", ""),
-            seed=header.get("seed", 0),
-        )
-        _require({int}, "byz_set", trace.byz_set)
-        if type(trace.seed) is not int or type(trace.scenario_name) is not str:
-            raise TypeError("seed must be an integer and scenario a string")
-        _require({int, float}, "header values", [p["epsilon"], *trace.initial_values.values()])
+def _header_from_json(obj: dict) -> Trace:
+    if obj.get("type") != "header" or obj.get("schema") != SCHEMA_VERSION:
+        raise ValueError(f"expected a schema {SCHEMA_VERSION} header, got {obj.get('type')!r} "
+                         f"schema {obj.get('schema')!r}")
+    p = obj["params"]
+    trace = Trace(
+        params=ProtocolParams(n=p["n"], f=p["f"], r_c=p["r_c"], epsilon=p["epsilon"]),
+        byz_set=set(obj["byz_set"]),
+        initial_values={int(k): v for k, v in obj["initial_values"].items()},
+        scenario_name=obj.get("scenario", ""),
+        seed=obj.get("seed", 0),
+    )
+    _require({int}, "byz_set", trace.byz_set)
+    if type(trace.seed) is not int or type(trace.scenario_name) is not str:
+        raise TypeError("seed must be an integer and scenario a string")
+    _require({int, float}, "header values", [p["epsilon"], *trace.initial_values.values()])
     ids = set(trace.initial_values)
     if not ids:
-        raise TraceError(f"line {lineno}: header lists no initial values")
+        raise ValueError("header lists no initial values")
     if not all(0 <= i < trace.params.n for i in ids | trace.byz_set):
-        raise TraceError(f"line {lineno}: node ids must lie in 0..{trace.params.n - 1}")
+        raise ValueError(f"node ids must lie in 0..{trace.params.n - 1}")
     if ids & trace.byz_set:
-        raise TraceError(f"line {lineno}: faulty nodes {sorted(ids & trace.byz_set)} are correct too")
-    for lineno, obj, kind in records[1:]:
+        raise ValueError(f"faulty nodes {sorted(ids & trace.byz_set)} are correct too")
+    return trace
+
+
+def trace_from_lines(lines: Iterable[str]) -> Trace:
+    """Build a trace from any iterable of lines, checking each record as it arrives."""
+    trace = None
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        if trace is not None and trace.final_values:
+            raise TraceError(f"line {lineno}: a record follows the final record")
         with malformed(TraceError, f"line {lineno}: malformed record"):
+            obj = json.loads(line, parse_constant=_reject_constant)
+            if trace is None:
+                trace = _header_from_json(obj)
+                continue
+            kind = obj.get("type")
             if kind == "round":
                 rec = _round_from_json(obj, trace.params.n, trace.byz_set)
+                if rec.round != trace.last_round + 1:
+                    raise TraceError(f"line {lineno}: round {rec.round} is out of order")
+                if rec.round == 1 and rec.values_start != trace.initial_values:
+                    raise TraceError("round 1 values_start differs from the header's initial values")
                 trace.rounds.append(rec)
                 by_node = [rec.values_start, rec.local_start, rec.logs, rec.computed]
             elif kind == "final":
@@ -238,21 +252,20 @@ def trace_from_lines(lines: list[str]) -> Trace:
                 by_node = [trace.final_values]
             else:
                 raise TraceError(f"line {lineno}: unknown trace record type {kind!r}")
-        if any(set(per_node) != ids for per_node in by_node):
+        if any(per_node.keys() != trace.initial_values.keys() for per_node in by_node):
             raise TraceError(f"line {lineno}: node ids differ from the header's initial values")
+    if trace is None:
+        raise TraceError("trace does not start with a header record")
     if not trace.final_values:  # a final record without values fails the id check
         raise TraceError("trace has no final record")
-    expected = list(range(1, len(trace.rounds) + 1))
-    if [rec.round for rec in trace.rounds] != expected:
-        raise TraceError("trace rounds are not contiguous from 1")
-    if trace.rounds and trace.rounds[0].values_start != trace.initial_values:
-        raise TraceError("round 1 values_start differs from the header's initial values")
     return trace
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:
-    Path(path).write_text("\n".join(trace_to_lines(trace)) + "\n")
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(line + "\n" for line in trace_to_lines(trace))
 
 
 def read_trace(path: str | Path) -> Trace:
-    return trace_from_lines(Path(path).read_text().splitlines())
+    with open(path, encoding="utf-8", newline="\n") as lines:  # JSON Lines splits on "\n" only
+        return trace_from_lines(lines)

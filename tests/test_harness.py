@@ -293,6 +293,7 @@ class TestFiles:
         assert trace_to_lines(loaded) == trace_to_lines(trace)
         reloaded = trace_from_lines(trace_to_lines(loaded))
         assert trace_bytes(reloaded) == trace_bytes(trace)
+        assert trace_from_lines(iter(trace_to_lines(trace))) == reloaded
 
     def test_report_round_trips_as_json(self):
         _trace, report = run_scenario(builtin_scenario("fully_connected_baseline"))
@@ -589,13 +590,15 @@ class TestCli:
             "long_edge", "long_log_entry", "long_position", "correct_byz_sender",
             "repeated_delivery", "repeated_pair", "repeated_byz_sent",
             "edgeless_rounds", "unlinked_byz_sent", "list_seed", "bool_seed", "float_seed",
-            "dict_scenario",
+            "dict_scenario", "two_finals", "final_before_last_round", "repeated_edge",
+            "unsent_faulty_delivery",
         ],
     )
     def test_check_rejects_malformed_trace_with_usage_exit(self, tmp_path, capsys, defect):
         trace_path = tmp_path / "trace.jsonl"
         # The baseline has no faulty nodes; node 4 of the improper mix is one.
-        faulty = defect in ("repeated_byz_sent", "unlinked_byz_sent")
+        faulty = defect in ("repeated_byz_sent", "unlinked_byz_sent", "repeated_edge",
+                            "unsent_faulty_delivery")
         name = "necessity_improper_mix" if faulty else "fully_connected_baseline"
         write_trace(simulate(builtin_scenario(name)), trace_path)
         lines = trace_path.read_text().splitlines()
@@ -683,11 +686,43 @@ class TestCli:
             first_round["edges"].remove(pair)
             first_round["delivered"] = [m for m in first_round["delivered"] if m[:2] != pair]
             lines[1] = json.dumps(first_round)
+        elif defect == "two_finals":  # the first breaks validity, the true one follows
+            final = json.loads(lines[-1])
+            final["values"]["0"] = 999.0
+            lines.insert(-1, json.dumps(final))
+        elif defect == "final_before_last_round":
+            lines[-2], lines[-1] = lines[-1], lines[-2]
+        elif defect == "repeated_edge":
+            first_round["edges"].insert(1, first_round["edges"][0])
+            lines[1] = json.dumps(first_round)
+        elif defect == "unsent_faulty_delivery":  # still delivered, no longer sent
+            del first_round["byz_sent"][0]
+            lines[1] = json.dumps(first_round)
         trace_path.write_text("\n".join(lines) + "\n")
         if defect == "missing_file":
             trace_path = tmp_path / "absent.jsonl"
         assert main(["check", "--trace", str(trace_path)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("edit,code", [("line_separator", 0), ("bad_utf8_line_11", 2)])
+    def test_check_reads_utf8_records_split_on_newline(self, tmp_path, capsys, edit, code):
+        # JSON Lines ends a record at "\n" only, so a raw U+2028 inside a string
+        # is no line break; a byte that is not UTF-8 is reported, not raised.
+        trace_path = tmp_path / "trace.jsonl"
+        lines = trace_to_lines(simulate(builtin_scenario("fully_connected_baseline")))
+        if edit == "line_separator":
+            header = json.loads(lines[0])
+            header["scenario"] = "split\u2028here"
+            lines[0] = json.dumps(header, ensure_ascii=False)
+        data = ("\n".join(lines) + "\n").encode("utf-8")
+        if edit == "bad_utf8_line_11":
+            data = b"\n".join(b"\xff" + line if i == 10 else line
+                              for i, line in enumerate(data.split(b"\n")))
+        trace_path.write_bytes(data)
+        assert main(["check", "--trace", str(trace_path)]) == code
+        assert len(capsys.readouterr().err.splitlines()) == (1 if code else 0)
+        if edit == "line_separator":
+            assert read_trace(trace_path).scenario_name == "split\u2028here"
 
     def test_check_cost_does_not_grow_with_header_n(self, tmp_path, capsys):
         # Ids are range-tested, not looked up in a set of every id below n,
