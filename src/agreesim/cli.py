@@ -2,14 +2,17 @@
 
 Exit codes: 0 when every requested check passes, 1 when a protocol
 guarantee (validity, legality, safety) is violated, 2 for usage or
-configuration errors and unreadable or malformed traces.
+configuration errors, unreadable or malformed traces and outputs that
+cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .analysis import condition_report, check_convergence
@@ -40,16 +43,27 @@ def _resolve_scenario(ref: str) -> ScenarioConfig:
     return load_scenario(path)
 
 
+@contextmanager
+def _writing(path: str | Path):
+    """Report an output that cannot be written as a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _resolve_scenario(args.scenario)
     trace, report = run_scenario(config, seed=args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_trace(trace, out / "trace.jsonl")
-    write_report(report, out / "report.json")
-    write_series_csv(trace, config.effective_delta, out / "series.csv")
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        write_trace(trace, out / "trace.jsonl")
+        write_report(report, out / "report.json")
+        write_series_csv(trace, config.effective_delta, out / "series.csv")
     if args.vectors:
-        write_vectors(vectors_from_trace(trace), args.vectors)
+        with _writing(args.vectors):
+            write_vectors(vectors_from_trace(trace), args.vectors)
     print(f"scenario:  {report.scenario}")
     print(f"seed:      {report.seed}")
     print(f"rounds:    {trace.last_round}")
@@ -97,7 +111,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     print(f"condition ({args.mode}): {'holds' if holds else 'does not hold'} "
           f"[{sum(flags)}/{len(flags)} phases satisfied]")
     if args.out:
-        write_report(report, args.out)
+        with _writing(args.out):
+            write_report(report, args.out)
     return EXIT_OK if report.invariants_ok else EXIT_CHECK_FAILED
 
 
@@ -112,8 +127,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     seeds = [template.seed + i for i in range(args.seeds)]
     cells = sweep(template, grid, seeds)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_sweep_csv(cells, out / "sweep.csv")
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        write_sweep_csv(cells, out / "sweep.csv")
     for cell in cells:
         label = ", ".join(f"{k}={v}" for k, v in sorted(cell.assignment.items()))
         mean = (
@@ -136,7 +152,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         return EXIT_OK
     config = builtin_scenario(args.name)
     if args.out:
-        save_scenario(config, args.out)
+        with _writing(args.out):
+            save_scenario(config, args.out)
         print(f"wrote {args.out}")
     else:
         print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
@@ -190,6 +207,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # A command's records stay alive until it ends and form no cycles, so
+    # reference counting frees them all, and cyclic collection would only
+    # walk the growing heap again and again. Restore the caller's setting.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -201,6 +223,9 @@ def main(argv: list[str] | None = None) -> int:
     except AgreesimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -86,11 +86,11 @@ class RandomWaypoint:
         for i in sorted(positions):
             pos = positions[i]
             target, speed = self._targets.get(i, (None, 0.0))
-            if target is None or _distance(pos, target) < 1e-12:
+            if target is None or math.dist(pos, target) < 1e-12:
                 target = self.arena.random_point(rng)
                 speed = rng.uniform(self.speed_min, self.speed_max)
                 self._targets[i] = (target, speed)
-            dist = _distance(pos, target)
+            dist = math.dist(pos, target)
             if dist <= speed:
                 new_positions[i] = target
                 self._targets[i] = (None, 0.0)
@@ -142,10 +142,6 @@ class TeleportRandom:
 MobilityModel = Stationary | RandomWaypoint | Scripted | TeleportRandom
 
 
-def _distance(a: Position, b: Position) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
 def move_step(
     positions: dict[NodeId, Position],
     model: MobilityModel,
@@ -167,9 +163,10 @@ def build_round_graph(
     ids = sorted(positions)
     receivers: dict[NodeId, list[NodeId]] = {i: [] for i in ids}
     for a, i in enumerate(ids):
+        pos, row = positions[i], receivers[i]
         for j in ids[a + 1:]:
-            if _distance(positions[i], positions[j]) <= radius:
-                receivers[i].append(j)
+            if math.dist(pos, positions[j]) <= radius:
+                row.append(j)
                 receivers[j].append(i)
     return RoundGraph(round=r, receivers=receivers)
 

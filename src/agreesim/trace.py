@@ -7,13 +7,16 @@ plus everything that happened during it (positions after the move part,
 edges, messages sent by faulty nodes, deliveries, post-merge logs, and
 whether each node computed a new value). Records are written in the order
 they hold, and the simulator stores edges and messages sorted, so identical
-runs produce byte-identical files.
+runs produce byte-identical files. Every record is canonical JSON: keys
+sorted, no spaces. Round lines, nearly all of a trace's bytes, come from a
+dedicated encoder that gives the same bytes as ``json.dumps`` would.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,27 +84,6 @@ class Trace:
         return (r - 1) // self.params.r_c
 
 
-def _round_to_json(rec: RoundRecord) -> dict:
-    return {
-        "type": "round",
-        "round": rec.round,
-        # json writes a tuple as the array a list would give, so tuples pass
-        # through uncopied. Keys become strings first: sort_keys would sort
-        # int keys by number, not in the string order the trace holds.
-        "positions": {str(k): v for k, v in rec.positions.items()},
-        "edges": rec.edges,
-        "byz_sent": rec.byz_sent,
-        "delivered": rec.delivered,
-        "values_start": {str(k): v for k, v in rec.values_start.items()},
-        "local_start": {str(k): v for k, v in rec.local_start.items()},
-        "logs": {
-            str(i): {str(j): entry for j, entry in log.items()}
-            for i, log in rec.logs.items()
-        },
-        "computed": {str(k): v for k, v in rec.computed.items()},
-    }
-
-
 def _require(types: set, field: str, values: Iterable) -> None:
     """Raise TypeError unless every value's type is in ``types``, so never for a bool."""
     if not set(map(type, values)) <= types:
@@ -166,6 +148,70 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+class _FloatText(dict):
+    """The JSON text of each float one trace holds, each formatted once.
+
+    ``float.__repr__`` is the round encoder's main cost, and a trace writes
+    each value many times: sent, delivered and kept in logs. Only floats
+    are looked up here (ints and bools go to ``json.dumps``), so ``1``,
+    ``1.0`` and ``True`` never share an entry; zeros are never stored,
+    because ``0.0 == -0.0``.
+    """
+
+    def __missing__(self, v: float) -> str:
+        text = float.__repr__(v) if math.isfinite(v) else json.dumps(v)
+        if v:
+            self[v] = text
+        return text
+
+
+def _by_id(entries: Iterable[str]) -> str:
+    # The members of an object keyed by node id, each '"<id>":<text>'. A
+    # quote sorts before every digit, so the entries sort in the string
+    # order of their ids ("10" before "2"), the order sort_keys gives.
+    return ",".join(sorted(entries))
+
+
+def _messages(sent: list[Message], num: _FloatText) -> str:
+    return ",".join(
+        [f"[{s},{k},{num[v] if type(v) is float else json.dumps(v)}]" for s, k, v in sent]
+    )
+
+
+def _round_line(rec: RoundRecord, num: _FloatText) -> str:
+    """``rec`` as the text ``_dumps`` gives, written directly: keys in sort_keys order.
+
+    The line is joined once from its parts: a chain of ``+`` would copy each
+    long prefix again, and the freed copies inflate the process's memory.
+    """
+    # Messages and log entries hold nearly every value, so they make the
+    # same float test inline: a call per value would cost more than it does.
+    def value(v) -> str:
+        return num[v] if type(v) is float else json.dumps(v)
+
+    logs = _by_id(
+        f'"{i}":{{' + _by_id([
+            f'"{j}":[{num[v] if type(v) is float else json.dumps(v)},{r}]'
+            for j, (v, r) in log.items()
+        ]) + "}"
+        for i, log in rec.logs.items()
+    )
+    computed = _by_id(f'"{i}":{"true" if c else "false"}' for i, c in rec.computed.items())
+    positions = _by_id(f'"{i}":[{value(x)},{value(y)}]' for i, (x, y) in rec.positions.items())
+    return "".join([
+        '{"byz_sent":[', _messages(rec.byz_sent, num),
+        '],"computed":{', computed,
+        '},"delivered":[', _messages(rec.delivered, num),
+        '],"edges":[', ",".join([f"[{j},{k}]" for j, k in rec.edges]),
+        '],"local_start":{', _by_id(f'"{i}":{r}' for i, r in rec.local_start.items()),
+        '},"logs":{', logs,
+        '},"positions":{', positions,
+        f'}},"round":{rec.round},"type":"round","values_start":{{',
+        _by_id(f'"{i}":{value(v)}' for i, v in rec.values_start.items()),
+        "}}",
+    ])
+
+
 def trace_to_lines(trace: Trace) -> list[str]:
     header = {
         "type": "header",
@@ -181,8 +227,9 @@ def trace_to_lines(trace: Trace) -> list[str]:
         "byz_set": sorted(trace.byz_set),
         "initial_values": {str(k): v for k, v in trace.initial_values.items()},
     }
+    num = _FloatText()
     lines = [_dumps(header)]
-    lines.extend(_dumps(_round_to_json(rec)) for rec in trace.rounds)
+    lines.extend(_round_line(rec, num) for rec in trace.rounds)
     lines.append(
         _dumps(
             {

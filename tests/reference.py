@@ -6,12 +6,15 @@ code path with the package's log-based implementation. The safety
 reference rescans every later round once per phase start. The group-based
 convergence detector and the witness re-check decide, by a second route,
 what ``check_convergence`` and ``check_condition`` decide. The sweep
-reference runs every seed to its full horizon. ``trace_bytes`` gives the
-bytes ``write_trace`` would write, for tests that compare runs.
+reference runs every seed to its full horizon. ``reference_trace_lines``
+encodes a trace with the generic JSON encoder, the oracle for the
+dedicated round-line encoder. ``trace_bytes`` gives the bytes
+``write_trace`` would write, for tests that compare runs.
 """
 
 import dataclasses
 import itertools
+import json
 import math
 
 from agreesim.analysis import (
@@ -25,11 +28,49 @@ from agreesim.analysis import (
 )
 from agreesim.errors import AgreesimError
 from agreesim.harness import SweepCell, run_scenario
-from agreesim.trace import trace_to_lines
+from agreesim.trace import SCHEMA_VERSION, trace_to_lines
 
 
 def trace_bytes(trace):
     return ("\n".join(trace_to_lines(trace)) + "\n").encode()
+
+
+def reference_trace_lines(trace):
+    """``trace_to_lines``'s lines from ``json.dumps`` with sorted keys, one record at a time."""
+    def by_id(values):
+        # Keys become strings first: sort_keys would sort int keys by number,
+        # not in the string order the trace holds.
+        return {str(k): v for k, v in values.items()}
+
+    def dumps(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    header = {
+        "type": "header",
+        "schema": SCHEMA_VERSION,
+        "scenario": trace.scenario_name,
+        "seed": trace.seed,
+        "params": dataclasses.asdict(trace.params),
+        "byz_set": sorted(trace.byz_set),
+        "initial_values": by_id(trace.initial_values),
+    }
+    rounds = [
+        {
+            "type": "round",
+            "round": rec.round,
+            "positions": by_id(rec.positions),
+            "edges": rec.edges,
+            "byz_sent": rec.byz_sent,
+            "delivered": rec.delivered,
+            "values_start": by_id(rec.values_start),
+            "local_start": by_id(rec.local_start),
+            "logs": {str(i): by_id(log) for i, log in rec.logs.items()},
+            "computed": by_id(rec.computed),
+        }
+        for rec in trace.rounds
+    ]
+    final = {"type": "final", "values": by_id(trace.final_values)}
+    return [dumps(record) for record in [header, *rounds, final]]
 
 
 def reference_counts(sorted_values, v_i):

@@ -1,16 +1,17 @@
 """End-to-end runs, scenario library verdicts, replay, files, CLI."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from agreesim import harness
+from agreesim import cli, harness
 from agreesim.analysis import check_convergence
 from agreesim.cli import main
-from agreesim.errors import ConfigError
+from agreesim.errors import AnalysisError, ConfigError, TraceError
 from agreesim.harness import (
     build_report,
     replay,
@@ -28,9 +29,17 @@ from agreesim.scenarios import (
     load_scenario,
     save_scenario,
 )
-from agreesim.trace import Trace, read_trace, trace_from_lines, trace_to_lines, write_trace
+from agreesim.protocol import ProtocolParams
+from agreesim.trace import (
+    RoundRecord,
+    Trace,
+    read_trace,
+    trace_from_lines,
+    trace_to_lines,
+    write_trace,
+)
 from agreesim.vectors import read_vectors, replay_vectors, vectors_from_trace, write_vectors
-from reference import reference_sweep, trace_bytes
+from reference import reference_sweep, reference_trace_lines, trace_bytes
 from test_acceptance import random_scenario
 
 
@@ -284,7 +293,91 @@ class TestReplay:
         assert trace_bytes(t1) != trace_bytes(t2)
 
 
+# Numbers whose JSON texts differ although they compare equal (0.0 and
+# -0.0; 1, 1.0 and 1e16 against ints), the smallest subnormal, and the
+# exponent forms float.__repr__ switches to.
+TRICKY_NUMBERS = [0.0, -0.0, 1, 1.0, 5e-324, 1e16, 10**16, 1e22, -1e22, 2.5]
+NUMBERS = st.one_of(st.floats(), st.integers(-(2**70), 2**70), st.sampled_from(TRICKY_NUMBERS))
+
+
+@st.composite
+def encodable_traces(draw):
+    """Traces the encoder must write as the generic one does; they need not be consistent."""
+    n = draw(st.integers(1, 14))
+    ids = st.integers(0, n - 1)
+
+    def per_node(values):
+        return st.dictionaries(ids, values, max_size=n)
+
+    messages = st.lists(st.tuples(ids, ids, NUMBERS), max_size=6)
+    rounds = st.builds(
+        RoundRecord,
+        round=st.integers(1, 60),
+        positions=per_node(st.tuples(NUMBERS, NUMBERS)),
+        edges=st.lists(st.tuples(ids, ids), max_size=6),
+        byz_sent=messages,
+        delivered=messages,
+        values_start=per_node(NUMBERS),
+        local_start=per_node(st.integers(1, 60)),
+        logs=per_node(per_node(st.tuples(NUMBERS, st.integers(1, 60)))),
+        computed=per_node(st.booleans()),
+    )
+    return Trace(
+        params=ProtocolParams(n=n, f=draw(st.integers(0, 4)), r_c=draw(st.integers(1, 4)),
+                              epsilon=draw(st.floats(1e-9, 10.0))),
+        byz_set=draw(st.sets(ids)),
+        initial_values=draw(per_node(NUMBERS)),
+        rounds=draw(st.lists(rounds, max_size=3)),
+        final_values=draw(per_node(NUMBERS)),
+        scenario_name=draw(st.text()),
+        seed=draw(st.integers(0, 2**40)),
+    )
+
+
+# Every case the encoder must get right, in one trace: ids of two digits,
+# 0.0 and -0.0 in one round, 1 and 1.0 in one trace, integer values and
+# positions, empty lists and logs, positions whose ids differ per round.
+COVERING_TRACE = Trace(
+    params=ProtocolParams(n=13, f=1, r_c=2, epsilon=0.5),
+    byz_set={12},
+    initial_values={10: 1, 2: -0.0, 0: 1.0},
+    rounds=[
+        RoundRecord(
+            round=1,
+            positions={10: (1, 2.5), 2: (0.0, -0.0), 0: (1e16, 3)},
+            edges=[(10, 2), (2, 10), (12, 2)],
+            byz_sent=[(12, 2, 5e-324)],
+            delivered=[(2, 10, -0.0), (10, 2, 1), (12, 2, 5e-324)],
+            values_start={10: 1, 2: -0.0, 0: 1.0},
+            local_start={10: 1, 2: 1, 0: 1},
+            logs={10: {2: (-0.0, 1)}, 2: {12: (5e-324, 1), 10: (1, 1)}, 0: {}},
+            computed={10: True, 2: False, 0: False},
+        ),
+        RoundRecord(
+            round=2,
+            positions={0: (0.0, 1e22), 11: (4, 4)},
+            edges=[],
+            byz_sent=[],
+            delivered=[],
+            values_start={10: 0.0, 2: 1e16, 0: 1.0},
+            local_start={10: 1, 2: 2, 0: 1},
+            logs={10: {}, 2: {}, 0: {}},
+            computed={10: False, 2: False, 0: False},
+        ),
+    ],
+    final_values={10: 0.0, 2: -0.0, 0: 1},
+    scenario_name="grüße ✓ \"quoted\"",
+    seed=7,
+)
+
+
 class TestFiles:
+    @given(trace=encodable_traces())
+    @example(trace=COVERING_TRACE)
+    @example(trace=dataclasses.replace(COVERING_TRACE, rounds=[]))
+    def test_round_encoder_matches_the_generic_encoder(self, trace):
+        assert trace_to_lines(trace) == reference_trace_lines(trace)
+
     def test_trace_round_trips_losslessly(self, tmp_path):
         trace = simulate(builtin_scenario("stale_log_overshoot"))
         path = tmp_path / "trace.jsonl"
@@ -810,6 +903,81 @@ class TestCli:
                     "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "case", ["run_out_is_a_file", "run_vectors", "check_out", "export_out"]
+    )
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, case):
+        # Every output but the first goes into a directory that does not exist.
+        existing = tmp_path / "file"
+        existing.write_text("")
+        missing = tmp_path / "absent" / "out.json"
+        trace_path = tmp_path / "trace.jsonl"
+        write_trace(simulate(builtin_scenario("fully_connected_baseline")), trace_path)
+        run = ["run", "--scenario", "fully_connected_baseline"]
+        argv = {
+            "run_out_is_a_file": run + ["--out", str(existing)],
+            "run_vectors": run + ["--out", str(tmp_path / "out"), "--vectors", str(missing)],
+            "check_out": ["check", "--trace", str(trace_path), "--out", str(missing)],
+            "export_out": ["scenarios", "export", "partition_never", "--out", str(missing)],
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: cannot write ")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "ending,code",
+        [("ok", 0), ("violated", 1), ("agreesim_error", 1), ("config_error", 2),
+         ("trace_error", 2), ("usage_error", 2), ("exception", None)],
+    )
+    def test_main_restores_the_callers_gc_setting(self, monkeypatch, capsys, ending, code,
+                                                  enabled):
+        raised = {"agreesim_error": AnalysisError, "config_error": ConfigError,
+                  "trace_error": TraceError, "exception": RuntimeError}
+        collecting = []
+
+        def command(args):
+            collecting.append(gc.isenabled())
+            if ending in raised:
+                raise raised[ending]("raised by the command")
+            return 1 if ending == "violated" else 0
+
+        monkeypatch.setattr(cli, "_cmd_scenarios", command)
+        argv = ["scenarios", "--no-such-flag"] if ending == "usage_error" else ["scenarios", "list"]
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if code is None:
+                with pytest.raises(RuntimeError):
+                    main(argv)
+            else:
+                assert main(argv) == code
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert after is enabled
+        assert collecting == ([] if ending == "usage_error" else [False])
+
+    def test_sweep_leaves_no_cycles_that_grow_with_its_runs(self, tmp_path, capsys):
+        # Collection is off while a command runs, so reference counting must
+        # free every run: what is left for the collector is argparse's own
+        # cycles, the same for 1 seed as for 10.
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"r_c": [1, 2], "loss_rate": [0.0, 0.3]}))
+        found = []
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            for seeds in (1, 10):
+                gc.collect()
+                assert main(["sweep", "--scenario", "fully_connected_baseline", "--grid",
+                             str(grid), "--seeds", str(seeds), "--out", str(tmp_path / "s")]) == 0
+                found.append(gc.collect())
+        finally:
+            if was:
+                gc.enable()
+        assert found[0] == found[1] < 1000
 
     @pytest.mark.parametrize("delta,code", [("0", 2), ("-0.01", 2), ("0.06", 2),
                                             ("0.05", 0), ("0.01", 0)])
