@@ -9,10 +9,13 @@ replay exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NoReturn
 
 from .errors import ConfigError, TopologyError
 from .protocol import Message, NodeId
@@ -181,13 +184,30 @@ def deliver(
 
     Every message must match an edge of the round graph (faulty senders get
     no shortcut past topology) and each (sender, receiver) pair may carry at
-    most one message per round. Draws happen in sorted message order so the
-    loss pattern replays exactly.
+    most one message per round. Both rules are checked per sender with set
+    operations before any loss is drawn. Draws happen in sorted message
+    order so the loss pattern replays exactly.
     """
-    seen: set[tuple[NodeId, NodeId]] = set()
+    msgs = sorted(outbox)
+    receivers = graph.receivers
+    for sender, group in itertools.groupby(msgs, itemgetter(0)):
+        heard = list(map(itemgetter(1), group))
+        targets = set(heard)
+        if len(targets) != len(heard) or not targets.issubset(receivers.get(sender, ())):
+            _raise_first_offender(graph, msgs)
+    if loss_rate > 0.0:
+        draw = rng.random
+        msgs = [msg for msg in msgs if not draw() < loss_rate]
     inboxes: dict[NodeId, list[Message]] = {}
-    for msg in sorted(outbox):
-        sender, receiver, _value = msg
+    for msg in msgs:
+        inboxes.setdefault(msg[1], []).append(msg)
+    return inboxes
+
+
+def _raise_first_offender(graph: RoundGraph, msgs: list[Message]) -> NoReturn:
+    """Raise for the first message in ``msgs`` that breaks a delivery rule."""
+    seen: set[tuple[NodeId, NodeId]] = set()
+    for sender, receiver, _value in msgs:
         if receiver not in graph.receivers.get(sender, ()):
             raise TopologyError(
                 f"message {sender}->{receiver} has no edge in round {graph.round}"
@@ -197,7 +217,3 @@ def deliver(
                 f"duplicate message {sender}->{receiver} in round {graph.round}"
             )
         seen.add((sender, receiver))
-        if loss_rate > 0.0 and rng.random() < loss_rate:
-            continue
-        inboxes.setdefault(receiver, []).append(msg)
-    return inboxes

@@ -13,8 +13,11 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import os
 import random
+import threading
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from .adversary import RoundView, byzantine_outbox
@@ -105,7 +108,7 @@ def simulate(
                 positions=dict(positions),
                 edges=graph.edges,
                 byz_sent=sorted(byz_sent),
-                delivered=sorted(m for msgs in inboxes.values() for m in msgs),
+                delivered=_delivered(inboxes),
                 **fields,
             )
         )
@@ -113,6 +116,17 @@ def simulate(
 
     trace.final_values = {i: s.value for i, s in states.items()}
     return trace
+
+
+def _delivered(inboxes: dict[NodeId, list]) -> list:
+    """``deliver``'s inboxes as one list sorted by (sender, receiver).
+
+    Each inbox is sorted by sender and a pair carries at most one message,
+    so a stable sort on the sender of the inboxes chained in receiver order
+    gives the full sort.
+    """
+    chained = itertools.chain.from_iterable(inboxes[k] for k in sorted(inboxes))
+    return sorted(chained, key=itemgetter(0))
 
 
 def step_nodes(
@@ -276,11 +290,21 @@ def sweep(
     Faulty nodes cannot change this, as a scenario never has more than f
     of them. ``converged_at`` is the same phase start either way. ``run``
     keeps the full horizon, since its trace bytes are the contract.
+
+    Every cell's scenario is checked before any run starts. The runs are
+    independent and fully seeded, so they go to a pool of forked workers,
+    one per CPU in this process's affinity mask (``taskset`` limits them),
+    and are folded here in cell and seed order: the cells do not depend on
+    the worker count. With one worker they run in this process.
     """
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
     keys = sorted(grid)
-    cells = []
+    for key in keys:
+        if not grid[key]:
+            raise ConfigError(f"grid path {key!r} has no values")
+    assignments = []
+    configs = []
     for combo in itertools.product(*(grid[k] for k in keys)):
         assignment = dict(zip(keys, combo))
         doc = template.to_dict()
@@ -288,18 +312,31 @@ def sweep(
             _set_path(doc, dotted, value)
         config = ScenarioConfig.from_dict(doc)
         config.validate()
+        assignments.append(assignment)
+        configs.append(config)
+    tasks = [(config, seed) for config in configs for seed in seeds]
+    workers = _sweep_workers(len(tasks))
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # About eight batches per worker: fewer messages than one run each
+        # (which also left the parent's peak memory about 1 MB higher), and
+        # no worker waits long for the last batch.
+        chunksize = max(1, len(tasks) // (8 * workers))
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            reports = list(pool.map(_sweep_run, tasks, chunksize=chunksize))
+    else:
+        reports = list(map(_sweep_run, tasks))
+    cells = []
+    for c, assignment in enumerate(assignments):
         converged = 0
         failures = 0
         rounds = []
         phases_total = 0
         phases_ok = 0
-        for seed in seeds:
-            try:
-                _trace, report = run_scenario(config, seed=seed, stop_at_agreement=True)
-                ok = report.invariants_ok
-            except AgreesimError:
-                ok = False
-            if not ok:
+        for report in reports[c * len(seeds):(c + 1) * len(seeds)]:
+            if report is None or not report.invariants_ok:
                 failures += 1
                 continue
             if report.converged:
@@ -322,6 +359,31 @@ def sweep(
             )
         )
     return cells
+
+
+def _sweep_workers(task_count: int) -> int:
+    """One worker per CPU in this process's affinity mask, at most one per task.
+
+    Forking a process that runs other threads can deadlock the child, so
+    such a process, like one on an OS without affinity masks, gets one.
+    """
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), task_count)
+
+
+def _sweep_run(task: tuple[ScenarioConfig, int]) -> RunReport | None:
+    """One sweep run's report, or None if it raised an agreesim error.
+
+    ``run_scenario`` is looked up when the run starts, so a pool worker
+    forked from the caller runs whatever the caller's module holds.
+    """
+    config, seed = task
+    try:
+        _trace, report = run_scenario(config, seed=seed, stop_at_agreement=True)
+    except AgreesimError:
+        return None
+    return report
 
 
 def write_sweep_csv(cells: list[SweepCell], path: str | Path) -> None:

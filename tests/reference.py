@@ -8,7 +8,9 @@ convergence detector and the witness re-check decide, by a second route,
 what ``check_convergence`` and ``check_condition`` decide. The sweep
 reference runs every seed to its full horizon. ``reference_trace_lines``
 encodes a trace with the generic JSON encoder, the oracle for the
-dedicated round-line encoder. ``trace_bytes`` gives the bytes
+dedicated round-line encoder. ``reference_deliver`` checks each message
+against its sender's receiver list as it draws its loss, the oracle for
+``deliver``'s set checks. ``trace_bytes`` gives the bytes
 ``write_trace`` would write, for tests that compare runs.
 """
 
@@ -26,7 +28,7 @@ from agreesim.analysis import (
     phase_bounds,
     retained_values,
 )
-from agreesim.errors import AgreesimError
+from agreesim.errors import AgreesimError, TopologyError
 from agreesim.harness import SweepCell, run_scenario
 from agreesim.trace import SCHEMA_VERSION, trace_to_lines
 
@@ -114,6 +116,27 @@ def reference_receivers(positions, radius):
         )
         for j in positions
     }
+
+
+def reference_deliver(graph, outbox, loss_rate, rng):
+    """``deliver`` walking the sorted messages one by one, checking each as it goes."""
+    seen = set()
+    inboxes = {}
+    for msg in sorted(outbox):
+        sender, receiver, _value = msg
+        if receiver not in graph.receivers.get(sender, ()):
+            raise TopologyError(
+                f"message {sender}->{receiver} has no edge in round {graph.round}"
+            )
+        if (sender, receiver) in seen:
+            raise TopologyError(
+                f"duplicate message {sender}->{receiver} in round {graph.round}"
+            )
+        seen.add((sender, receiver))
+        if loss_rate > 0.0 and rng.random() < loss_rate:
+            continue
+        inboxes.setdefault(receiver, []).append(msg)
+    return inboxes
 
 
 def reference_check_safety(trace):

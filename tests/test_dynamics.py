@@ -19,9 +19,9 @@ from agreesim.dynamics import (
 )
 from agreesim.analysis import joint_neighbor_set
 from agreesim.errors import ConfigError, TopologyError, TraceError
-from agreesim.harness import simulate, substream
+from agreesim.harness import _delivered, simulate, substream
 from agreesim.scenarios import builtin_scenario
-from reference import reference_receivers
+from reference import reference_deliver, reference_receivers
 
 ARENA = Arena(10.0, 10.0)
 
@@ -149,6 +149,47 @@ class TestDeliver:
         g = full_graph([0, 1])
         with pytest.raises(TopologyError):
             deliver(g, [(0, 1, 5.0), (0, 1, 6.0)], 0.0, random.Random(0))
+
+
+@st.composite
+def delivery_rounds(draw):
+    """A round graph on ids 0-5 and an outbox over ids 0-6 in any order.
+
+    Correct messages follow edges. Faulty ones may repeat a pair, have no
+    edge or come from a node outside the graph.
+    """
+    ids = range(6)
+    receivers = {
+        j: sorted(draw(st.sets(st.sampled_from([k for k in ids if k != j]))))
+        for j in draw(st.sets(st.sampled_from(ids)))
+    }
+    graph = RoundGraph(round=draw(st.integers(1, 9)), receivers=receivers)
+    value = st.floats(-2.0, 2.0)
+    edges = [(j, k) for j in receivers for k in receivers[j]]
+    sent = draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
+    correct = [(j, k, draw(value)) for j, k in sent]
+    node = st.integers(0, 6)
+    faulty = draw(st.lists(st.tuples(node, node, value), max_size=6))
+    outbox = draw(st.permutations(correct + faulty))
+    return graph, outbox
+
+
+class TestDeliverMatchesReference:
+    @given(delivery_rounds(), st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 2**32))
+    def test_same_inboxes_draws_and_errors(self, round_, loss_rate, seed):
+        graph, outbox = round_
+        expected_rng, rng = random.Random(seed), random.Random(seed)
+        try:
+            expected = reference_deliver(graph, outbox, loss_rate, expected_rng)
+        except TopologyError as exc:
+            with pytest.raises(TopologyError) as raised:
+                deliver(graph, outbox, loss_rate, rng)
+            assert str(raised.value) == str(exc)
+            return
+        inboxes = deliver(graph, outbox, loss_rate, rng)
+        assert inboxes == expected and list(inboxes) == list(expected)
+        assert rng.getstate() == expected_rng.getstate()
+        assert _delivered(inboxes) == sorted(m for msgs in inboxes.values() for m in msgs)
 
 
 class TestJointNeighborSet:

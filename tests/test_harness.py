@@ -1,9 +1,15 @@
 """End-to-end runs, scenario library verdicts, replay, files, CLI."""
 
+import concurrent.futures
 import dataclasses
 import gc
 import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -501,6 +507,99 @@ class TestSweep:
         assert cell.converged_rate == 0.0
         assert cell.mean_converged_round is None
 
+    def test_every_cell_is_checked_before_any_run(self, monkeypatch):
+        # One CPU keeps every run in this process, where the spy sees it.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
+        calls = []
+        real = harness.run_scenario
+
+        def spy(config, seed=None, **kwargs):
+            calls.append(seed)
+            return real(config, seed=seed, **kwargs)
+
+        monkeypatch.setattr(harness, "run_scenario", spy)
+        with pytest.raises(ConfigError):
+            sweep(builtin_scenario("fully_connected_baseline"), {"r_c": [1, 0]}, [1, 2])
+        assert calls == []
+
+    @pytest.mark.parametrize("grid", [{"r_c": []}, {"r_c": [1], "loss_rate": []}])
+    def test_empty_value_list_rejected(self, grid):
+        with pytest.raises(ConfigError, match="has no values"):
+            sweep(builtin_scenario("fully_connected_baseline"), grid, [1])
+
+    @staticmethod
+    def sweep_on_one_and_two_cpus(monkeypatch, tmp_path, config, seeds):
+        """Each sweep's cells and sweep.csv bytes, and the pools' (workers, chunksize)."""
+        pools = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, *iterables, chunksize=1, **kwargs):
+                pools.append((self._max_workers, chunksize))
+                return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        results = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, c=cpus: c, raising=False)
+            cells = sweep(config, SWEEP_GRID, seeds)
+            path = tmp_path / f"sweep-{len(cpus)}.csv"
+            write_sweep_csv(cells, path)
+            results.append((cells, path.read_bytes()))
+        return results, pools
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
+    def test_cells_do_not_depend_on_the_worker_count(self, name, monkeypatch, tmp_path):
+        config = golden_waypoint_n40() if name == "golden_waypoint_n40" else builtin_scenario(name)
+        results, pools = self.sweep_on_one_and_two_cpus(monkeypatch, tmp_path, config, SWEEP_SEEDS)
+        assert pools == [(2, 1)]
+        assert results[0] == results[1]
+        assert hashlib.sha256(results[0][1]).hexdigest() == SWEEP_DIGESTS[name]
+
+    def test_batched_runs_fold_in_order(self, monkeypatch, tmp_path):
+        config = builtin_scenario("stale_log_overshoot")
+        results, pools = self.sweep_on_one_and_two_cpus(monkeypatch, tmp_path, config,
+                                                        list(range(1, 13)))
+        assert pools == [(2, 3)]
+        assert results[0] == results[1]
+
+    def test_error_in_a_worker_propagates_and_leaves_no_worker(self, monkeypatch):
+        real = harness.run_scenario
+
+        def broken(config, seed=None, **kwargs):
+            if seed == 2:
+                raise RuntimeError("raised by a run")
+            return real(config, seed=seed, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+        monkeypatch.setattr(harness, "run_scenario", broken)
+        with pytest.raises(RuntimeError, match="raised by a run"):
+            sweep(builtin_scenario("fully_connected_baseline"), {"r_c": [1, 2]}, [1, 2, 3])
+        assert multiprocessing.active_children() == []
+
+    def test_no_pool_while_other_threads_run(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+        pools = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: pools.append(args))
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            cells = sweep(builtin_scenario("fully_connected_baseline"), {"r_c": [1, 2]}, [1, 2])
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert pools == [] and [c.runs for c in cells] == [2, 2]
+
+    def test_importing_the_cli_loads_no_pool_modules(self):
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        code = ("import sys, agreesim.cli; "
+                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout.strip() == "[]"
+
     # The last two end in a top-level field's name under a nested key.
     @pytest.mark.parametrize("path", ["nonsense", "adversary.seed", "mobility.n"])
     def test_bad_grid_path_rejected(self, path):
@@ -833,7 +932,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "defect",
         ["no_value", "string_n", "short_speed", "string_value", "json_list", "all_faulty",
-         "sweep_range", "waypoint_9", "waypoint_-1", "nan_value",
+         "sweep_range", "sweep_no_values", "waypoint_9", "waypoint_-1", "nan_value",
          "infinite_value", "nan_range", "nan_arena", "infinite_epsilon",
          "nan_fixed_value", "infinite_extreme_split", "nan_random_low", "infinite_random_high",
          "nan_scripted_table", "zero_radius", "big_loss_rate", "big_delta", "short_values",
@@ -855,7 +954,7 @@ class TestCli:
             doc.update(n=1, f=1, initial_values={"mode": "explicit", "values": []})
             doc["adversary"]["byz_set"] = [0]
             doc["initial_positions"] = {"mode": "uniform"}
-        elif defect == "sweep_range":
+        elif defect in ("sweep_range", "sweep_no_values"):
             doc["adversary"] = {"strategy": "random-legal", "range": [0.0, 1.0], "byz_set": [4]}
         elif defect.startswith("waypoint_"):  # n is 5
             doc["mobility"]["waypoints"][defect.split("_")[1]] = [[1.0, 1.0]]
@@ -896,9 +995,10 @@ class TestCli:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "out")]
-        if defect == "sweep_range":  # the template is fine; one grid cell reverses the range
+        if defect.startswith("sweep_"):  # the template is fine, the grid is not
             grid = tmp_path / "grid.json"
-            grid.write_text(json.dumps({"adversary.range": [[1.0, 0.0]]}))
+            values = [[1.0, 0.0]] if defect == "sweep_range" else []  # a reversed range, or none
+            grid.write_text(json.dumps({"adversary.range": values}))
             argv = ["sweep", "--scenario", str(path), "--grid", str(grid), "--seeds", "2",
                     "--out", str(tmp_path / "out")]
         assert main(argv) == 2
