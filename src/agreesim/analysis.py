@@ -20,7 +20,7 @@ from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 
 from .errors import AnalysisError, ConfigError, TraceError
-from .protocol import NodeId, Value, is_common_new_start
+from .protocol import Message, NodeId, Value, is_common_new_start
 from .trace import Trace
 
 
@@ -228,21 +228,37 @@ class ConditionVerdict:
     witness: ConditionWitness | None = None
 
 
-def window_deliveries(trace: Trace, i: NodeId, r: int) -> list[tuple[NodeId, Value]]:
-    """(sender, value) of every message delivered to node i in its window.
+def _windows(trace: Trace, nodes: list[NodeId], first: int, last: int):
+    """Walk rounds ``first..last`` once, yielding ``(r, windows)`` after each round.
 
-    The window runs from i's local new starting round in effect at round r
-    through round r itself; deliveries come oldest first.
+    ``windows[i]`` is ``(start, senders, retained)`` for each node i of
+    ``nodes``: its retention-window start in effect at round r, the senders
+    delivered to it from there through round r, and the most recent finite
+    value of each. A window carries over while its start stays put and is
+    rebuilt from the new start when it moves; in a well-formed trace a
+    start only moves to the current round, so a rebuild reads no earlier one.
     """
-    record = trace.record(r)
-    if i not in record.local_start:
-        raise TraceError(f"node {i} is not a correct node of this trace")
-    return [
-        (sender, value)
-        for rr in range(record.local_start[i], r + 1)
-        for sender, receiver, value in trace.record(rr).delivered
-        if receiver == i
-    ]
+    windows: dict[NodeId, tuple[int, set[NodeId], dict[NodeId, Value]]] = {}
+
+    def deliver(into: dict, delivered: list[Message]) -> None:
+        for sender, receiver, value in delivered:
+            if receiver in into:
+                into[receiver][1].add(sender)
+                if math.isfinite(value):
+                    into[receiver][2][sender] = value
+
+    for r in range(first, last + 1):
+        record = trace.record(r)
+        for i in nodes:
+            if i not in record.local_start:
+                raise TraceError(f"node {i} is not a correct node of this trace")
+            start = record.local_start[i]
+            if i not in windows or windows[i][0] != start:
+                windows[i] = (start, set(), {})
+                for earlier in range(start, r):
+                    deliver({i: windows[i]}, trace.record(earlier).delivered)
+        deliver(windows, record.delivered)
+        yield r, windows
 
 
 def joint_neighbor_set(trace: Trace, i: NodeId, r: int) -> set[NodeId]:
@@ -251,30 +267,29 @@ def joint_neighbor_set(trace: Trace, i: NodeId, r: int) -> set[NodeId]:
     Only delivered messages count: an edge over which every message was
     lost communicates nothing.
     """
-    return {sender for sender, _value in window_deliveries(trace, i, r)} - {i}
+    [(_r, windows)] = _windows(trace, [i], r, r)
+    return windows[i][1] - {i}
 
 
 def retained_values(trace: Trace, i: NodeId, r: int) -> dict[NodeId, Value]:
     """Live log content of node i at round r, rebuilt from raw deliveries.
 
-    Most recent value per sender, delivered in i's current retention
+    Most recent finite value per sender, delivered in i's current retention
     window. Equals the post-merge log the node itself acted on.
     """
-    return {
-        sender: value
-        for sender, value in window_deliveries(trace, i, r)
-        if math.isfinite(value)
-    }
+    [(_r, windows)] = _windows(trace, [i], r, r)
+    return windows[i][2]
 
 
 def check_condition(trace: Trace, k: int, delta: float) -> ConditionVerdict:
-    """Quantity-and-quality test for one phase.
+    """Quantity-and-quality test for one phase, in one walk over its rounds.
 
     Satisfied when some correct node holding an extreme value at the phase
     start gathers, at some round of the phase, proper values from at least
     f+1 distinct senders of its joint neighbor set. A sender's value is the
     one the holder retained (the most recent in its window). Phases that begin
-    already inside the agreement band are vacuously satisfied.
+    already inside the agreement band are vacuously satisfied. The witness is
+    the first such holder by round, then by id.
     """
     bounds = phase_bounds(trace, k, delta)
     start = bounds.start_round
@@ -288,20 +303,15 @@ def check_condition(trace: Trace, k: int, delta: float) -> ConditionVerdict:
     ]
     f = trace.params.f
     last_phase_round = min(start + trace.params.r_c - 1, trace.last_round)
-    for r_prime in range(start, last_phase_round + 1):
+    walk = _windows(trace, [i for i, _group in extremes], start, last_phase_round)
+    for r_prime, windows in walk:
         for i, group in extremes:
-            joint = joint_neighbor_set(trace, i, r_prime)
-            retained = retained_values(trace, i, r_prime)
-            proper = [
-                j for j in sorted(retained)
-                if is_proper(retained[j], group, bounds) and j in joint
-            ]
+            # A sender in i's log is in its joint neighbor set unless it is i itself.
+            log = windows[i][2]
+            proper = [j for j in sorted(log) if j != i and is_proper(log[j], group, bounds)]
             if len(proper) >= f + 1:
-                return ConditionVerdict(
-                    phase=k,
-                    satisfied=True,
-                    witness=ConditionWitness(i, r_prime, proper),
-                )
+                witness = ConditionWitness(i, r_prime, proper)
+                return ConditionVerdict(phase=k, satisfied=True, witness=witness)
     return ConditionVerdict(phase=k, satisfied=False)
 
 

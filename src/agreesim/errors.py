@@ -30,10 +30,11 @@ class AnalysisError(AgreesimError):
 
 @contextmanager
 def malformed(error: type[AgreesimError], what: str):
-    """Turn a missing key, a wrong type or a short list in an input into ``error``."""
+    """Turn a missing key, wrong type, short list or too-large integer in an input into ``error``."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError, ProtocolError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError,
+            ProtocolError) as exc:
         raise error(f"{what} ({type(exc).__name__}: {exc})") from None
 
 

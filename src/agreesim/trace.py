@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +26,7 @@ from .errors import TraceError, malformed
 from .protocol import Log, Message, NodeId, ProtocolParams, Value
 
 SCHEMA_VERSION = 1
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass
@@ -85,9 +87,16 @@ class Trace:
 
 
 def _require(types: set, field: str, values: Iterable) -> None:
-    """Raise TypeError unless every value's type is in ``types``, so never for a bool."""
+    """Raise TypeError unless every value's type is in ``types``, so never for a bool.
+
+    A number field (``float`` in ``types``), passed as a collection, must also
+    lie within float range: a larger integer breaks float arithmetic, and JSON's
+    ``1e400`` reads as inf.
+    """
     if not set(map(type, values)) <= types:
         raise TypeError(f"{field} must hold {'numbers' if float in types else 'integers'}")
+    if float in types and values and not -_FLOAT_MAX <= min(values) <= max(values) <= _FLOAT_MAX:
+        raise ValueError(f"{field} must lie within float range")
 
 
 def _round_from_json(obj: dict, n: int, byz_set: set[NodeId]) -> RoundRecord:
@@ -118,7 +127,7 @@ def _round_from_json(obj: dict, n: int, byz_set: set[NodeId]) -> RoundRecord:
     _require({int, float}, "values_start", rec.values_start.values())
     _require({int, float}, "message values", [m[2] for m in messages])
     _require({int, float}, "logs", [v for v, _r in entries])
-    _require({int, float}, "positions", chain(rec.positions.values()))
+    _require({int, float}, "positions", list(chain(rec.positions.values())))
     if not all(type(c) is bool for c in rec.computed.values()):
         raise TypeError("computed must hold booleans")
     node_ids = set(rec.positions).union(chain(rec.edges), message_ids, chain(rec.logs.values()))

@@ -6,7 +6,10 @@ code path with the package's log-based implementation. The safety
 reference rescans every later round once per phase start. The group-based
 convergence detector and the witness re-check decide, by a second route,
 what ``check_convergence`` and ``check_condition`` decide. The sweep
-reference runs every seed to its full horizon. ``reference_trace_lines``
+reference runs every seed to its full horizon. The window references
+rescan every round of a node's retention window at each query, the
+oracles for the one walk behind ``joint_neighbor_set``,
+``retained_values`` and ``check_condition``. ``reference_trace_lines``
 encodes a trace with the generic JSON encoder, the oracle for the
 dedicated round-line encoder. ``reference_deliver`` checks each message
 against its sender's receiver list as it draws its loss, the oracle for
@@ -20,15 +23,16 @@ import json
 import math
 
 from agreesim.analysis import (
+    ConditionVerdict,
+    ConditionWitness,
     Group,
     RangeCheck,
     Violation,
+    agreed,
     is_proper,
-    joint_neighbor_set,
     phase_bounds,
-    retained_values,
 )
-from agreesim.errors import AgreesimError, TopologyError
+from agreesim.errors import AgreesimError, TopologyError, TraceError
 from agreesim.harness import SweepCell, run_scenario
 from agreesim.trace import SCHEMA_VERSION, trace_to_lines
 
@@ -152,6 +156,66 @@ def reference_check_safety(trace):
     return RangeCheck(ok=not violations, violations=violations)
 
 
+def reference_window_deliveries(trace, i, r):
+    """(sender, value) of every message delivered to node i in its window.
+
+    The window runs from i's local new starting round in effect at round r
+    through round r itself; deliveries come oldest first.
+    """
+    record = trace.record(r)
+    if i not in record.local_start:
+        raise TraceError(f"node {i} is not a correct node of this trace")
+    return [
+        (sender, value)
+        for rr in range(record.local_start[i], r + 1)
+        for sender, receiver, value in trace.record(rr).delivered
+        if receiver == i
+    ]
+
+
+def reference_joint_neighbor_set(trace, i, r):
+    return {sender for sender, _value in reference_window_deliveries(trace, i, r)} - {i}
+
+
+def reference_retained_values(trace, i, r):
+    return {
+        sender: value
+        for sender, value in reference_window_deliveries(trace, i, r)
+        if math.isfinite(value)
+    }
+
+
+def reference_check_condition(trace, k, delta):
+    """``check_condition`` rebuilding each extreme holder's window at every round of the phase."""
+    bounds = phase_bounds(trace, k, delta)
+    start = bounds.start_round
+    values = trace.values_at(start)
+    if agreed(values.values(), trace.params.epsilon):
+        return ConditionVerdict(phase=k, satisfied=True, vacuous=True)
+    extremes = [
+        (i, Group.MIN if values[i] == bounds.v_min else Group.MAX)
+        for i in sorted(values)
+        if values[i] in (bounds.v_min, bounds.v_max)
+    ]
+    f = trace.params.f
+    last_phase_round = min(start + trace.params.r_c - 1, trace.last_round)
+    for r_prime in range(start, last_phase_round + 1):
+        for i, group in extremes:
+            joint = reference_joint_neighbor_set(trace, i, r_prime)
+            retained = reference_retained_values(trace, i, r_prime)
+            proper = [
+                j for j in sorted(retained)
+                if is_proper(retained[j], group, bounds) and j in joint
+            ]
+            if len(proper) >= f + 1:
+                return ConditionVerdict(
+                    phase=k,
+                    satisfied=True,
+                    witness=ConditionWitness(i, r_prime, proper),
+                )
+    return ConditionVerdict(phase=k, satisfied=False)
+
+
 def groups_converged(values, delta):
     """Group-based agreement detector for one phase-start value vector.
 
@@ -182,8 +246,8 @@ def validate_witness(trace, verdict, delta):
         group = Group.MAX
     else:
         return False
-    joint = joint_neighbor_set(trace, w.node, w.round)
-    retained = retained_values(trace, w.node, w.round)
+    joint = reference_joint_neighbor_set(trace, w.node, w.round)
+    retained = reference_retained_values(trace, w.node, w.round)
     for j in w.senders:
         if j not in joint or j not in retained:
             return False

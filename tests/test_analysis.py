@@ -1,7 +1,10 @@
 """Trace checkers: range guarantees, groups, condition, convergence, progress."""
 
+import dataclasses
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from agreesim.analysis import (
     Group,
@@ -15,8 +18,10 @@ from agreesim.analysis import (
     classify_value,
     condition_report,
     is_proper,
+    joint_neighbor_set,
     legal_reference_round,
     phase_bounds,
+    retained_values,
     spread_series,
     trace_phases,
 )
@@ -25,7 +30,15 @@ from agreesim.harness import simulate, sweep
 from agreesim.protocol import NodeState, ProtocolParams, step_round
 from agreesim.scenarios import LIBRARY, ScenarioConfig, builtin_scenario
 from agreesim.trace import RoundRecord, Trace
-from reference import groups_converged, reference_check_safety, validate_witness
+from reference import (
+    groups_converged,
+    reference_check_condition,
+    reference_check_safety,
+    reference_joint_neighbor_set,
+    reference_retained_values,
+    validate_witness,
+)
+from test_acceptance import random_scenario
 from test_harness import golden_waypoint_n40
 
 
@@ -401,6 +414,50 @@ class TestCondition:
         trace = simulate(builtin_scenario("fully_connected_baseline"))
         with pytest.raises(AnalysisError):
             check_condition(trace, 100, 0.05)
+
+
+def with_moved_local_starts(trace, seed):
+    """A copy of ``trace`` with about 30% of its local_start entries moved within 1..round."""
+    rng = random.Random(seed)
+    rounds = [
+        dataclasses.replace(rec, local_start={
+            i: rng.randint(1, rec.round) if rng.random() < 0.3 else start
+            for i, start in rec.local_start.items()
+        })
+        for rec in trace.rounds
+    ]
+    return dataclasses.replace(trace, rounds=rounds)
+
+
+def assert_walk_matches_rescan(trace, delta):
+    """The window walk gives the rescan oracle's views at every (node, round), and its verdicts."""
+    for rec in trace.rounds:
+        for i in rec.local_start:
+            r = rec.round
+            assert joint_neighbor_set(trace, i, r) == reference_joint_neighbor_set(trace, i, r)
+            assert retained_values(trace, i, r) == reference_retained_values(trace, i, r)
+    for k in trace_phases(trace):
+        assert check_condition(trace, k, delta) == reference_check_condition(trace, k, delta)
+
+
+class TestWindowWalk:
+    @settings(max_examples=100, deadline=None)
+    @given(i=st.integers(0, 199), seed=st.integers(0, 2**32 - 1))
+    def test_random_runs_match_the_rescan(self, i, seed):
+        config = random_scenario(i)
+        trace = simulate(config)
+        assert_walk_matches_rescan(trace, config.effective_delta)
+        assert_walk_matches_rescan(with_moved_local_starts(trace, seed), config.effective_delta)
+
+    @pytest.mark.parametrize("name", sorted(LIBRARY))
+    def test_builtins_match_the_rescan_at_several_windows(self, name):
+        for r_c in (1, 2, 3, 5):
+            config = dataclasses.replace(builtin_scenario(name), r_c=r_c)
+            trace = simulate(config)
+            assert_walk_matches_rescan(trace, config.effective_delta)
+            for seed in range(3):
+                assert_walk_matches_rescan(with_moved_local_starts(trace, seed),
+                                           config.effective_delta)
 
 
 class TestPhaseProgress:

@@ -217,6 +217,12 @@ class TestJointNeighborSet:
         with pytest.raises(TraceError):
             joint_neighbor_set(trace, 0, trace.last_round + 1)
 
+    def test_faulty_node_raises(self):
+        trace = simulate(builtin_scenario("necessity_f_proper"))
+        assert 4 in trace.byz_set
+        with pytest.raises(TraceError, match="node 4 is not a correct node"):
+            joint_neighbor_set(trace, 4, 1)
+
     @pytest.mark.parametrize(
         "name", ["fully_connected_baseline", "fig1_scripted_path", "stale_log_overshoot"]
     )

@@ -783,10 +783,22 @@ class TestCli:
             "repeated_delivery", "repeated_pair", "repeated_byz_sent",
             "edgeless_rounds", "unlinked_byz_sent", "list_seed", "bool_seed", "float_seed",
             "dict_scenario", "two_finals", "final_before_last_round", "repeated_edge",
-            "unsent_faulty_delivery",
+            "unsent_faulty_delivery", "huge_delivered_value", "huge_initial_value",
+            "e400_delivered_value", "e400_final", "empty_file", "header_without_values",
+            "unknown_record_type", "round_2_ids_differ", "final_ids_differ",
         ],
     )
     def test_check_rejects_malformed_trace_with_usage_exit(self, tmp_path, capsys, defect):
+        # Each newer case names the reason it must be rejected for.
+        reasons = {"huge_delivered_value": "must lie within float range",
+                   "huge_initial_value": "must lie within float range",
+                   "e400_delivered_value": "must lie within float range",
+                   "e400_final": "must lie within float range",
+                   "empty_file": "does not start with a header",
+                   "header_without_values": "header lists no initial values",
+                   "unknown_record_type": "unknown trace record type 'bogus'",
+                   "round_2_ids_differ": "line 3: node ids differ from the header's",
+                   "final_ids_differ": "node ids differ from the header's"}
         trace_path = tmp_path / "trace.jsonl"
         # The baseline has no faulty nodes; node 4 of the improper mix is one.
         faulty = defect in ("repeated_byz_sent", "unlinked_byz_sent", "repeated_edge",
@@ -890,13 +902,48 @@ class TestCli:
         elif defect == "unsent_faulty_delivery":  # still delivered, no longer sent
             del first_round["byz_sent"][0]
             lines[1] = json.dumps(first_round)
-        trace_path.write_text("\n".join(lines) + "\n")
+        elif defect in ("huge_delivered_value", "e400_delivered_value"):
+            # Node 0 holds the minimum, so the condition reads what it is sent.
+            # JSON's 1e400 reads as inf; json.dumps cannot write it.
+            to_node_0 = next(m for m in first_round["delivered"] if m[1] == 0)
+            to_node_0[2] = 10**400 if defect == "huge_delivered_value" else "1e400"
+            lines[1] = json.dumps(first_round).replace('"1e400"', "1e400")
+        elif defect == "huge_initial_value":  # in the header and round 1 alike
+            header = json.loads(lines[0])
+            header["initial_values"]["0"] = first_round["values_start"]["0"] = 10**400
+            lines[0], lines[1] = json.dumps(header), json.dumps(first_round)
+        elif defect == "e400_final":
+            final = json.loads(lines[-1])
+            final["values"]["0"] = "1e400"
+            lines[-1] = json.dumps(final).replace('"1e400"', "1e400")
+        elif defect == "empty_file":
+            lines = []
+        elif defect == "header_without_values":
+            header = json.loads(lines[0])
+            header["initial_values"] = {}
+            lines[0] = json.dumps(header)
+        elif defect == "unknown_record_type":
+            first_round["type"] = "bogus"
+            lines[1] = json.dumps(first_round)
+        elif defect == "round_2_ids_differ":
+            second_round = json.loads(lines[2])
+            del second_round["computed"]["0"]
+            lines[2] = json.dumps(second_round)
+        elif defect == "final_ids_differ":
+            final = json.loads(lines[-1])
+            del final["values"]["0"]
+            lines[-1] = json.dumps(final)
+        trace_path.write_text("".join(line + "\n" for line in lines))
         if defect == "missing_file":
             trace_path = tmp_path / "absent.jsonl"
         assert main(["check", "--trace", str(trace_path)]) == 2
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert reasons.get(defect, "") in err[0]
 
-    @pytest.mark.parametrize("edit,code", [("line_separator", 0), ("bad_utf8_line_11", 2)])
+    @pytest.mark.parametrize(
+        "edit,code", [("line_separator", 0), ("bad_utf8_line_11", 2), ("blank_lines", 0)]
+    )
     def test_check_reads_utf8_records_split_on_newline(self, tmp_path, capsys, edit, code):
         # JSON Lines ends a record at "\n" only, so a raw U+2028 inside a string
         # is no line break; a byte that is not UTF-8 is reported, not raised.
@@ -906,7 +953,8 @@ class TestCli:
             header = json.loads(lines[0])
             header["scenario"] = "split\u2028here"
             lines[0] = json.dumps(header, ensure_ascii=False)
-        data = ("\n".join(lines) + "\n").encode("utf-8")
+        # Blank lines between records hold no record, so they are skipped.
+        data = (("\n \n" if edit == "blank_lines" else "\n").join(lines) + "\n").encode("utf-8")
         if edit == "bad_utf8_line_11":
             data = b"\n".join(b"\xff" + line if i == 10 else line
                               for i, line in enumerate(data.split(b"\n")))
@@ -936,9 +984,29 @@ class TestCli:
          "infinite_value", "nan_range", "nan_arena", "infinite_epsilon",
          "nan_fixed_value", "infinite_extreme_split", "nan_random_low", "infinite_random_high",
          "nan_scripted_table", "zero_radius", "big_loss_rate", "big_delta", "short_values",
-         "missing_position", "unknown_values_mode", "unknown_positions_mode"],
+         "missing_position", "unknown_values_mode", "unknown_positions_mode",
+         "huge_initial_value", "huge_speed", "huge_fixed_value", "float_seed", "zero_max_rounds",
+         "schema_2", "unknown_mobility", "unknown_strategy", "position_outside_arena",
+         "faulty_id_outside", "reversed_speed", "sweep_missing_grid", "sweep_list_grid",
+         "sweep_zero_seeds", "export_unknown"],
     )
     def test_malformed_scenario_exits_two(self, tmp_path, capsys, defect):
+        # Each newer case names the reason it must be rejected for.
+        overflow = "OverflowError: int too large to convert to float"
+        reasons = {"all_faulty": "every node is faulty",
+                   "huge_initial_value": overflow, "huge_speed": overflow,
+                   "huge_fixed_value": overflow, "float_seed": "seed must be an integer",
+                   "zero_max_rounds": "max_rounds must be an integer >= 1",
+                   "schema_2": "unsupported scenario schema 2",
+                   "unknown_mobility": "unknown mobility model 'levy'",
+                   "unknown_strategy": "unknown adversary strategy 'chaos'",
+                   "position_outside_arena": "outside arena",
+                   "faulty_id_outside": "faulty ids [7] are not integers in 0..4",
+                   "reversed_speed": "need 0 < speed_min <= speed_max",
+                   "sweep_missing_grid": "cannot read grid",
+                   "sweep_list_grid": "grid must map parameter paths to value lists",
+                   "sweep_zero_seeds": "sweep needs at least one seed",
+                   "export_unknown": "unknown builtin scenario 'nope'"}
         doc = builtin_scenario("stale_log_overshoot").to_dict()
         if defect == "no_value":
             del doc["adversary"]["value"]
@@ -954,6 +1022,7 @@ class TestCli:
             doc.update(n=1, f=1, initial_values={"mode": "explicit", "values": []})
             doc["adversary"]["byz_set"] = [0]
             doc["initial_positions"] = {"mode": "uniform"}
+            doc["mobility"] = {"model": "stationary"}  # the scripted one names nodes 1 and 4
         elif defect in ("sweep_range", "sweep_no_values"):
             doc["adversary"] = {"strategy": "random-legal", "range": [0.0, 1.0], "byz_set": [4]}
         elif defect.startswith("waypoint_"):  # n is 5
@@ -992,17 +1061,58 @@ class TestCli:
             doc["initial_values"]["mode"] = "gaussian"
         elif defect == "unknown_positions_mode":
             doc["initial_positions"]["mode"] = "grid"
+        elif defect == "huge_initial_value":
+            doc["initial_values"]["values"][0] = 10**400
+        elif defect in ("huge_speed", "reversed_speed"):
+            speed = [10**400, 10**400] if defect == "huge_speed" else [2.0, 1.0]
+            doc["mobility"] = {"model": "random-waypoint", "speed": speed}
+        elif defect == "huge_fixed_value":
+            doc["adversary"]["value"] = 10**400
+        elif defect == "float_seed":
+            doc["seed"] = 7.5
+        elif defect == "zero_max_rounds":
+            doc["max_rounds"] = 0
+        elif defect == "schema_2":
+            doc["schema"] = 2
+        elif defect == "unknown_mobility":
+            doc["mobility"] = {"model": "levy"}
+        elif defect == "unknown_strategy":
+            doc["adversary"]["strategy"] = "chaos"
+        elif defect == "position_outside_arena":  # the arena is 12 x 12
+            doc["initial_positions"]["coords"]["0"] = [99.0, 99.0]
+        elif defect == "faulty_id_outside":  # n is 5
+            doc["adversary"]["byz_set"] = [7]
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "out")]
-        if defect.startswith("sweep_"):  # the template is fine, the grid is not
+        if defect.startswith("sweep_"):  # the template is fine; the grid or the seeds are not
             grid = tmp_path / "grid.json"
-            values = [[1.0, 0.0]] if defect == "sweep_range" else []  # a reversed range, or none
-            grid.write_text(json.dumps({"adversary.range": values}))
-            argv = ["sweep", "--scenario", str(path), "--grid", str(grid), "--seeds", "2",
+            grid.write_text(json.dumps({
+                "sweep_range": {"adversary.range": [[1.0, 0.0]]},  # a reversed range
+                "sweep_no_values": {"adversary.range": []},
+                "sweep_list_grid": [{"r_c": [1]}],
+            }.get(defect, {"r_c": [1]})))
+            if defect == "sweep_missing_grid":
+                grid = tmp_path / "absent.json"
+            seeds = "0" if defect == "sweep_zero_seeds" else "2"
+            argv = ["sweep", "--scenario", str(path), "--grid", str(grid), "--seeds", seeds,
                     "--out", str(tmp_path / "out")]
+        if defect == "export_unknown":
+            argv = ["scenarios", "export", "nope"]
         assert main(argv) == 2
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert reasons.get(defect, "") in err[0]
+
+    @pytest.mark.parametrize("mode,reason", [("io:x", "bad io window in mode 'io:x'"),
+                                             ("io:0", "io window must be >= 1"),
+                                             ("bogus", "mode must be 'per-phase' or 'io:<W>'")])
+    def test_bad_check_mode_exits_two(self, tmp_path, capsys, mode, reason):
+        trace_path = tmp_path / "trace.jsonl"
+        write_trace(simulate(builtin_scenario("fully_connected_baseline")), trace_path)
+        assert main(["check", "--trace", str(trace_path), "--mode", mode]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and reason in err[0]
 
     @pytest.mark.parametrize(
         "case", ["run_out_is_a_file", "run_vectors", "check_out", "export_out"]
