@@ -148,6 +148,11 @@ GOLDEN_DIGESTS = {
         "report": "6cf37bcc8ef269d9bf3b97624b152708727e2cfe5b63e9608a792b879fdd4530",
         "vectors": "3a37fc6f6f8a21591b86d4e915cc2810e65f5d9ef1b5457406b397b83d81b6ae",
     },
+    "golden_random_streams": {
+        "trace": "fa94d6f8cf79cccd2f9382053b6f3ff8bc42088eca27a329ea62c423633e2668",
+        "report": "405d57f9c311293117fd99eb7837656f81d7f069b96110b86c3ec888bdfc6a66",
+        "vectors": "1f1b48e0ab8e9103bb4568b76a1f7a9f64d4fce8c02e2b5750e24cfb0e2e77d7",
+    },
     "lemma2_3f_impossible": {
         "trace": "fc92fe57b578f37336518ce6310948c9b1cbf7efb4df70418aa49be0aee72b63",
         "report": "9ff25644e540b8ea43a4dfc31e11735335f9fd09d11e130eecfb6cfad9d395c3",
@@ -189,6 +194,26 @@ def golden_waypoint_n40() -> ScenarioConfig:
         },
         seed=20120601,
     )
+
+
+def golden_random_streams() -> ScenarioConfig:
+    # Draws from every random stream a run has: teleports, random-legal
+    # fakes from three faulty nodes, and 20% loss. Agreement comes at round
+    # 13 of 24, after one phase in which the condition failed.
+    return ScenarioConfig(
+        name="golden_random_streams", n=13, f=3, r_c=2, epsilon=0.01, max_rounds=24,
+        arena=(6.0, 6.0), radius=2.5, loss_rate=0.2,
+        mobility={"model": "teleport-random"},
+        adversary={"strategy": "random-legal", "range": [-1.0, 2.0], "byz_set": [2, 7, 10]},
+        seed=20120602,
+    )
+
+
+def golden_config(name: str) -> ScenarioConfig:
+    """A builtin scenario, or one of the two golden runs defined here."""
+    extras = {"golden_waypoint_n40": golden_waypoint_n40,
+              "golden_random_streams": golden_random_streams}
+    return extras[name]() if name in extras else builtin_scenario(name)
 
 
 def run_digests(config: ScenarioConfig) -> dict[str, str]:
@@ -253,7 +278,7 @@ SWEEP_DIGESTS = {
 class TestReplay:
     @pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
     def test_sweep_csv_matches_golden_digest(self, name, tmp_path):
-        config = golden_waypoint_n40() if name == "golden_waypoint_n40" else builtin_scenario(name)
+        config = golden_config(name)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(sweep(config, SWEEP_GRID, SWEEP_SEEDS), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_DIGESTS[name]
@@ -270,7 +295,7 @@ class TestReplay:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
     def test_outputs_match_golden_digest(self, name):
-        config = golden_waypoint_n40() if name == "golden_waypoint_n40" else builtin_scenario(name)
+        config = golden_config(name)
         assert run_digests(config) == GOLDEN_DIGESTS[name]
 
     def test_golden_digests_cover_the_library(self):
@@ -549,7 +574,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
     def test_cells_do_not_depend_on_the_worker_count(self, name, monkeypatch, tmp_path):
-        config = golden_waypoint_n40() if name == "golden_waypoint_n40" else builtin_scenario(name)
+        config = golden_config(name)
         results, pools = self.sweep_on_one_and_two_cpus(monkeypatch, tmp_path, config, SWEEP_SEEDS)
         assert pools == [(2, 1)]
         assert results[0] == results[1]
@@ -711,7 +736,7 @@ class TestRoundEngine:
     @pytest.mark.parametrize("stop", [False, True])
     @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
     def test_replay_rebuilds_every_named_run(self, name, stop):
-        config = golden_waypoint_n40() if name == "golden_waypoint_n40" else builtin_scenario(name)
+        config = golden_config(name)
         assert_replay_rebuilds(simulate(config, stop_at_agreement=stop))
 
     @settings(max_examples=200, deadline=None)
