@@ -30,20 +30,24 @@ class RoundView:
 class Silent:
     """Send nothing, ever."""
 
+    draws = False
+
     def messages(self, b: NodeId, receivers: Sequence[NodeId], view: RoundView,
-                 rng: random.Random) -> list[tuple[NodeId, Value]]:
+                 rng: random.Random | None) -> list[tuple[NodeId, Value]]:
         return []
 
 
 class FixedValue:
     """Send the same constant to every neighbor every round."""
 
+    draws = False
+
     def __init__(self, value: Value):
         require_finite("fixed-value value", value)
         self.value = value
 
     def messages(self, b: NodeId, receivers: Sequence[NodeId], view: RoundView,
-                 rng: random.Random) -> list[tuple[NodeId, Value]]:
+                 rng: random.Random | None) -> list[tuple[NodeId, Value]]:
         return [(r, self.value) for r in receivers]
 
 
@@ -56,13 +60,15 @@ class ExtremeSplit:
     ``v_lo``. Faulty receivers are skipped.
     """
 
+    draws = False
+
     def __init__(self, v_hi: Value, v_lo: Value):
         require_finite("extreme-split values", v_hi, v_lo)
         self.v_hi = v_hi
         self.v_lo = v_lo
 
     def messages(self, b: NodeId, receivers: Sequence[NodeId], view: RoundView,
-                 rng: random.Random) -> list[tuple[NodeId, Value]]:
+                 rng: random.Random | None) -> list[tuple[NodeId, Value]]:
         base = view.phase_start_values
         if not base:
             return []
@@ -77,6 +83,8 @@ class ExtremeSplit:
 
 class RandomLegal:
     """Independent uniform draws from a range, one per receiver per round."""
+
+    draws = True
 
     def __init__(self, lo: Value, hi: Value):
         require_finite("random-legal range", lo, hi)
@@ -97,19 +105,23 @@ class ScriptedTable:
     own entry. Receivers absent from the applicable row get nothing.
     """
 
+    draws = False
+
     def __init__(self, table: dict[int | str, dict[NodeId, Value]]):
         for key, row in table.items():
             require_finite(f"scripted table row {key!r} values", *row.values())
         self.table = {k: dict(v) for k, v in table.items()}
 
     def messages(self, b: NodeId, receivers: Sequence[NodeId], view: RoundView,
-                 rng: random.Random) -> list[tuple[NodeId, Value]]:
+                 rng: random.Random | None) -> list[tuple[NodeId, Value]]:
         row = self.table.get(view.round, self.table.get("*"))
         if row is None:
             return []
         return [(r, row[r]) for r in receivers if r in row]
 
 
+# Each behavior declares ``draws``: whether ``messages`` reads its rng. A
+# behavior that does not is handed None, and the run seeds no stream for it.
 Strategy = Silent | FixedValue | ExtremeSplit | RandomLegal | ScriptedTable
 
 
@@ -135,7 +147,7 @@ def byzantine_outbox(
     b: NodeId,
     graph: RoundGraph,
     view: RoundView,
-    rng: random.Random,
+    rng: random.Random | None,
 ) -> list[Message]:
     """Messages node b emits this round: at most one per reachable receiver."""
     if b not in strategy.byz_set:

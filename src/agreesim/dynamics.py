@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NoReturn
 
-from .errors import ConfigError, TopologyError
+from .errors import ConfigError, TopologyError, require_finite
 from .protocol import Message, NodeId
 
 Position = tuple[float, float]
@@ -65,15 +65,20 @@ class RoundGraph:
 class Stationary:
     """Nodes never move."""
 
+    draws = False
+
     def step(self, r: int, positions: dict[NodeId, Position],
-             rng: random.Random) -> dict[NodeId, Position]:
+             rng: random.Random | None) -> dict[NodeId, Position]:
         return dict(positions)
 
 
 class RandomWaypoint:
     """Classic waypoint roaming: pick a target, walk to it, pick another."""
 
+    draws = True
+
     def __init__(self, arena: Arena, speed_min: float, speed_max: float):
+        require_finite("random-waypoint speed", speed_min, speed_max)
         if not 0 < speed_min <= speed_max:
             raise ConfigError(
                 f"need 0 < speed_min <= speed_max, got {speed_min}, {speed_max}"
@@ -113,6 +118,8 @@ class Scripted:
     the node occupies waypoint[r-1] during round r.
     """
 
+    draws = False
+
     def __init__(self, arena: Arena, waypoints: dict[NodeId, list[Position]]):
         for i, path in waypoints.items():
             for pos in path:
@@ -123,7 +130,7 @@ class Scripted:
         self.waypoints = {i: list(path) for i, path in waypoints.items()}
 
     def step(self, r: int, positions: dict[NodeId, Position],
-             rng: random.Random) -> dict[NodeId, Position]:
+             rng: random.Random | None) -> dict[NodeId, Position]:
         new_positions = dict(positions)
         for i, path in self.waypoints.items():
             if path:
@@ -134,6 +141,8 @@ class Scripted:
 class TeleportRandom:
     """Jump to a fresh uniform position every round."""
 
+    draws = True
+
     def __init__(self, arena: Arena):
         self.arena = arena
 
@@ -142,13 +151,15 @@ class TeleportRandom:
         return {i: self.arena.random_point(rng) for i in sorted(positions)}
 
 
+# Each model declares ``draws``: whether ``step`` reads its rng. A model
+# that does not is handed None, and the run seeds no stream for it.
 MobilityModel = Stationary | RandomWaypoint | Scripted | TeleportRandom
 
 
 def move_step(
     positions: dict[NodeId, Position],
     model: MobilityModel,
-    rng: random.Random,
+    rng: random.Random | None,
     r: int,
 ) -> dict[NodeId, Position]:
     """Advance every node through the move part of round r."""
@@ -178,7 +189,7 @@ def deliver(
     graph: RoundGraph,
     outbox: list[Message],
     loss_rate: float,
-    rng: random.Random,
+    rng: random.Random | None,
 ) -> dict[NodeId, list[Message]]:
     """Route messages, dropping each independently with probability loss_rate.
 
@@ -186,7 +197,8 @@ def deliver(
     no shortcut past topology) and each (sender, receiver) pair may carry at
     most one message per round. Both rules are checked per sender with set
     operations before any loss is drawn. Draws happen in sorted message
-    order so the loss pattern replays exactly.
+    order so the loss pattern replays exactly; only a positive loss_rate
+    draws, so ``rng`` may otherwise be None.
     """
     msgs = sorted(outbox)
     receivers = graph.receivers

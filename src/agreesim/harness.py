@@ -5,7 +5,10 @@ graph, broadcast (correct nodes send their value, faulty nodes whatever
 their strategy picks), deliver with loss, then step every correct node.
 All randomness flows through per-(purpose, round) child streams of the
 master seed, so a (scenario, seed) pair always reproduces the same trace
-and report, byte for byte.
+and report, byte for byte. A round seeds a stream only for the parts that
+draw from it: the mobility model and faulty behavior say so by their
+``draws`` attribute, and delivery draws only when loss_rate > 0. Each
+stream is seeded from its own name, so skipping one moves no other.
 """
 
 from __future__ import annotations
@@ -83,12 +86,15 @@ def simulate(
     )
     phase_start_values = dict(values)
 
+    def stream(draws: bool, *parts) -> random.Random | None:
+        return substream(run_seed, *parts) if draws else None
+
     for r in range(1, config.effective_max_rounds + 1):
         if is_common_new_start(r, config.r_c):
             phase_start_values = {i: s.value for i, s in states.items()}
             if stop_at_agreement and agreed(phase_start_values.values(), params.epsilon):
                 break
-        positions = move_step(positions, model, substream(run_seed, "move", r), r)
+        positions = move_step(positions, model, stream(model.draws, "move", r), r)
         graph = build_round_graph(positions, config.radius, r)
         outbox = []
         for i in sorted(states):
@@ -98,9 +104,11 @@ def simulate(
         byz_sent = []
         for b in sorted(byz):
             byz_sent.extend(
-                byzantine_outbox(adversary, b, graph, view, substream(run_seed, "adv", r, b))
+                byzantine_outbox(adversary, b, graph, view,
+                                 stream(adversary.behavior.draws, "adv", r, b))
             )
-        inboxes = deliver(graph, outbox + byz_sent, config.loss_rate, substream(run_seed, "loss", r))
+        inboxes = deliver(graph, outbox + byz_sent, config.loss_rate,
+                          stream(config.loss_rate > 0.0, "loss", r))
         results, fields = step_nodes(states, inboxes, r, params)
         trace.rounds.append(
             RoundRecord(

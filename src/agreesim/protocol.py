@@ -11,7 +11,7 @@ new value is computed or the retention window expires.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ProtocolError
 
@@ -68,12 +68,15 @@ class NodeState:
     last_local_start: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass
 class StepResult:
     """Outcome of one protocol step.
 
     ``state`` and ``broadcast`` are the contract outputs; the remaining
     fields expose the intermediate gathering stage for tracing and audits.
+    Not frozen: a frozen dataclass sets each field through
+    ``object.__setattr__``, which more than doubles the cost of the one
+    built per node per round.
     """
 
     state: NodeState
@@ -84,9 +87,8 @@ class StepResult:
 
 def count_relative(log: Log, v_i: Value) -> tuple[int, int]:
     """Counts of log entries >= v_i and <= v_i; ties count on both sides."""
-    x = sum(1 for v, _ in log.values() if v >= v_i)
-    y = sum(1 for v, _ in log.values() if v <= v_i)
-    return x, y
+    values = [v for v, _ in log.values()]
+    return len([v for v in values if v >= v_i]), len([v for v in values if v <= v_i])
 
 
 def admission_test(x: int, y: int, f: int) -> bool:
@@ -108,14 +110,14 @@ def reduce_log(log: Log, f: int, x: int, y: int, v_i: Value) -> Log:
         raise ProtocolError(
             f"reduce_log called without admission (x={x}, y={y}, f={f})"
         )
-    order = sorted(log, key=lambda s: (log[s][0], s))
+    order = sorted([(v, s) for s, (v, _) in log.items()])
     top = order[len(order) - f:] if f > 0 else []
     bottom = order[:f]
     if x > y:
-        removed = set(top).union(s for s in bottom if log[s][0] < v_i)
+        removed = {s for _, s in top}.union(s for v, s in bottom if v < v_i)
     else:
-        removed = set(bottom).union(s for s in top if log[s][0] > v_i)
-    return {s: log[s] for s in order if s not in removed}
+        removed = {s for _, s in bottom}.union(s for v, s in top if v > v_i)
+    return {s: log[s] for _, s in order if s not in removed}
 
 
 def average(log: Log, v_i: Value) -> Value:
@@ -128,9 +130,8 @@ def average(log: Log, v_i: Value) -> Value:
     """
     values = [v for v, _ in log.values()]
     mean = (v_i + math.fsum(values)) / (len(values) + 1)
-    lo = min(values + [v_i])
-    hi = max(values + [v_i])
-    return min(max(mean, lo), hi)
+    values.append(v_i)
+    return min(max(mean, min(values)), max(values))
 
 
 def is_common_new_start(r: int, r_c: int) -> bool:
@@ -157,20 +158,15 @@ def step_round(
             raise ProtocolError(f"node {state.id} received its own broadcast")
         if math.isfinite(value):
             merged[sender] = (value, r)
-    x, y = count_relative(merged, state.value)
+    x, y = count_relative(merged, broadcast)
     if admission_test(x, y, params.f):
-        survivors = reduce_log(merged, params.f, x, y, state.value)
-        new_state = replace(
-            state,
-            value=average(survivors, state.value),
-            log={},
-            last_local_start=r + 1,
-        )
+        survivors = reduce_log(merged, params.f, x, y, broadcast)
+        new_state = NodeState(state.id, average(survivors, broadcast), {}, r + 1)
         computed = True
     elif r % params.r_c == 0:
-        new_state = replace(state, log={}, last_local_start=r + 1)
+        new_state = NodeState(state.id, broadcast, {}, r + 1)
         computed = False
     else:
-        new_state = replace(state, log=merged)
+        new_state = NodeState(state.id, broadcast, merged, state.last_local_start)
         computed = False
     return StepResult(new_state, broadcast, merged, computed)

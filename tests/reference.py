@@ -13,7 +13,9 @@ oracles for the one walk behind ``joint_neighbor_set``,
 encodes a trace with the generic JSON encoder, the oracle for the
 dedicated round-line encoder. ``reference_deliver`` checks each message
 against its sender's receiver list as it draws its loss, the oracle for
-``deliver``'s set checks. ``trace_bytes`` gives the bytes
+``deliver``'s set checks. ``reference_step_round`` is the node step as
+first written, each new state a ``dataclasses.replace`` of the old, the
+oracle for the lean ``step_round``. ``trace_bytes`` gives the bytes
 ``write_trace`` would write, for tests that compare runs.
 """
 
@@ -32,8 +34,9 @@ from agreesim.analysis import (
     is_proper,
     phase_bounds,
 )
-from agreesim.errors import AgreesimError, TopologyError, TraceError
+from agreesim.errors import AgreesimError, ProtocolError, TopologyError, TraceError
 from agreesim.harness import SweepCell, run_scenario
+from agreesim.protocol import StepResult
 from agreesim.trace import SCHEMA_VERSION, trace_to_lines
 
 
@@ -109,6 +112,43 @@ def reference_reduce(sorted_values, f, v_i):
 
 def reference_average(values, v_i):
     return (v_i + sum(values)) / (len(values) + 1)
+
+
+def reference_step_round(state, inbox, r, params):
+    """``step_round`` with its own count, trim and average, as first written."""
+    broadcast = state.value
+    merged = dict(state.log)
+    for sender, value in inbox:
+        if sender == state.id:
+            raise ProtocolError(f"node {state.id} received its own broadcast")
+        if math.isfinite(value):
+            merged[sender] = (value, r)
+    f = params.f
+    x = sum(1 for v, _ in merged.values() if v >= state.value)
+    y = sum(1 for v, _ in merged.values() if v <= state.value)
+    if x >= f + 1 or y >= f + 1:
+        order = sorted(merged, key=lambda s: (merged[s][0], s))
+        top = order[len(order) - f:] if f > 0 else []
+        bottom = order[:f]
+        if x > y:
+            removed = set(top).union(s for s in bottom if merged[s][0] < state.value)
+        else:
+            removed = set(bottom).union(s for s in top if merged[s][0] > state.value)
+        values = [merged[s][0] for s in order if s not in removed]
+        mean = (state.value + math.fsum(values)) / (len(values) + 1)
+        lo = min(values + [state.value])
+        hi = max(values + [state.value])
+        new_state = dataclasses.replace(
+            state, value=min(max(mean, lo), hi), log={}, last_local_start=r + 1
+        )
+        computed = True
+    elif r % params.r_c == 0:
+        new_state = dataclasses.replace(state, log={}, last_local_start=r + 1)
+        computed = False
+    else:
+        new_state = dataclasses.replace(state, log=merged)
+        computed = False
+    return StepResult(new_state, broadcast, merged, computed)
 
 
 def reference_receivers(positions, radius):

@@ -7,16 +7,35 @@ import hashlib
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import threading
+import typing
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from agreesim import cli, harness
+from agreesim.adversary import (
+    ExtremeSplit,
+    FixedValue,
+    RandomLegal,
+    RoundView,
+    ScriptedTable,
+    Silent,
+    Strategy,
+)
 from agreesim.analysis import check_convergence
 from agreesim.cli import main
+from agreesim.dynamics import (
+    Arena,
+    MobilityModel,
+    RandomWaypoint,
+    Scripted,
+    Stationary,
+    TeleportRandom,
+)
 from agreesim.errors import AnalysisError, ConfigError, TraceError
 from agreesim.harness import (
     build_report,
@@ -732,6 +751,85 @@ def assert_replay_rebuilds(trace: Trace) -> None:
     assert final == trace.final_values
 
 
+class NoDraws(random.Random):
+    """A stream whose every method raises: what a part that never draws may be handed."""
+
+    def __init__(self):
+        pass
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"drew from the stream: rng.{name}")
+
+
+ARENA = Arena(6.0, 6.0)
+# One factory per class: a model such as RandomWaypoint keeps state, so
+# every run gets a fresh part.
+MODELS = {
+    Stationary: Stationary,
+    RandomWaypoint: lambda: RandomWaypoint(ARENA, 0.5, 2.0),
+    Scripted: lambda: Scripted(ARENA, {0: [(1.0, 1.0), (2.0, 1.0)], 2: [(5.0, 5.0)]}),
+    TeleportRandom: lambda: TeleportRandom(ARENA),
+}
+BEHAVIORS = {
+    Silent: Silent,
+    FixedValue: lambda: FixedValue(0.5),
+    ExtremeSplit: lambda: ExtremeSplit(2.0, -1.0),
+    RandomLegal: lambda: RandomLegal(0.0, 1.0),
+    ScriptedTable: lambda: ScriptedTable({"*": {0: 1.0, 2: 0.0}, 3: {1: 0.5}}),
+}
+
+
+def move_rounds(model, rng):
+    positions = {0: (0.5, 0.5), 1: (3.0, 3.0), 2: (5.5, 1.0)}
+    out = []
+    for r in range(1, 6):
+        positions = model.step(r, positions, rng)
+        out.append(positions)
+    return out
+
+
+def message_rounds(behavior, rng):
+    view = RoundView(round=0, phase_start_values={0: 0.1, 1: 0.9, 2: 0.5})
+    out = []
+    for r in range(1, 6):
+        view.round = r
+        out.append(behavior.messages(3, [0, 1, 2], view, rng))
+    return out
+
+
+class TestStreams:
+    """A round seeds a stream only for the parts whose ``draws`` says they read it."""
+
+    @pytest.mark.parametrize(
+        "cls,make,run",
+        [pytest.param(c, m, move_rounds, id=c.__name__) for c, m in MODELS.items()]
+        + [pytest.param(c, b, message_rounds, id=c.__name__) for c, b in BEHAVIORS.items()],
+    )
+    def test_draws_declares_whether_a_part_reads_its_stream(self, cls, make, run):
+        assert type(cls.draws) is bool
+        if cls.draws:
+            with pytest.raises(AssertionError, match="drew from the stream"):
+                run(make(), NoDraws())
+        else:
+            assert run(make(), NoDraws()) == run(make(), random.Random(7))
+
+    def test_every_model_and_behavior_is_covered(self):
+        assert set(typing.get_args(MobilityModel)) == set(MODELS)
+        assert set(typing.get_args(Strategy)) == set(BEHAVIORS)
+
+    def test_a_run_that_draws_nothing_seeds_only_its_initial_streams(self, monkeypatch):
+        config = builtin_scenario("fully_connected_baseline")
+        config.adversary = {"strategy": "fixed-value", "value": 0.5, "byz_set": [3]}
+        config.initial_values = {"mode": "uniform", "range": [0.0, 1.0]}
+        seeded = []
+        real = harness.substream
+        monkeypatch.setattr(harness, "substream",
+                            lambda seed, *parts: seeded.append(parts) or real(seed, *parts))
+        trace = simulate(config)
+        assert trace.last_round == 40 and trace.rounds[0].byz_sent
+        assert seeded == [("init-pos",), ("init-values",)]
+
+
 class TestRoundEngine:
     @pytest.mark.parametrize("stop", [False, True])
     @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
@@ -1012,8 +1110,8 @@ class TestCli:
          "missing_position", "unknown_values_mode", "unknown_positions_mode",
          "huge_initial_value", "huge_speed", "huge_fixed_value", "float_seed", "zero_max_rounds",
          "schema_2", "unknown_mobility", "unknown_strategy", "position_outside_arena",
-         "faulty_id_outside", "reversed_speed", "sweep_missing_grid", "sweep_list_grid",
-         "sweep_zero_seeds", "export_unknown"],
+         "faulty_id_outside", "reversed_speed", "infinite_speed", "huge_and_infinite_speed",
+         "sweep_missing_grid", "sweep_list_grid", "sweep_zero_seeds", "export_unknown"],
     )
     def test_malformed_scenario_exits_two(self, tmp_path, capsys, defect):
         # Each newer case names the reason it must be rejected for.
@@ -1028,10 +1126,15 @@ class TestCli:
                    "position_outside_arena": "outside arena",
                    "faulty_id_outside": "faulty ids [7] are not integers in 0..4",
                    "reversed_speed": "need 0 < speed_min <= speed_max",
+                   "infinite_speed": "random-waypoint speed must be finite",
+                   "huge_and_infinite_speed": "random-waypoint speed must be finite",
                    "sweep_missing_grid": "cannot read grid",
                    "sweep_list_grid": "grid must map parameter paths to value lists",
                    "sweep_zero_seeds": "sweep needs at least one seed",
                    "export_unknown": "unknown builtin scenario 'nope'"}
+        speeds = {"huge_speed": [10**400, 10**400], "reversed_speed": [2.0, 1.0],
+                  "infinite_speed": [float("inf"), float("inf")],
+                  "huge_and_infinite_speed": [1e308, float("inf")]}
         doc = builtin_scenario("stale_log_overshoot").to_dict()
         if defect == "no_value":
             del doc["adversary"]["value"]
@@ -1088,9 +1191,8 @@ class TestCli:
             doc["initial_positions"]["mode"] = "grid"
         elif defect == "huge_initial_value":
             doc["initial_values"]["values"][0] = 10**400
-        elif defect in ("huge_speed", "reversed_speed"):
-            speed = [10**400, 10**400] if defect == "huge_speed" else [2.0, 1.0]
-            doc["mobility"] = {"model": "random-waypoint", "speed": speed}
+        elif defect in speeds:
+            doc["mobility"] = {"model": "random-waypoint", "speed": speeds[defect]}
         elif defect == "huge_fixed_value":
             doc["adversary"]["value"] = 10**400
         elif defect == "float_seed":

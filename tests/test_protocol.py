@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from agreesim.errors import ProtocolError
 from agreesim.protocol import (
@@ -18,7 +18,12 @@ from agreesim.protocol import (
     step_round,
 )
 
-from reference import reference_admitted, reference_average, reference_reduce
+from reference import (
+    reference_admitted,
+    reference_average,
+    reference_reduce,
+    reference_step_round,
+)
 
 
 def make_log(values, senders=None, recv_round=1):
@@ -257,6 +262,59 @@ class TestStepRound:
         assert set(state.log) == {1, 2}
         assert state.log[1][0] == 3.0
         assert state.log[2][0] == -3.0
+
+
+# Values whose order or sign the step could get wrong: signed zeros that
+# compare equal, the smallest subnormal, and the non-finite payloads that
+# ingestion drops. Finite values stay far enough below the largest float
+# that no sum of a few of them overflows in fsum.
+FINITE = [-0.0, 0.0, 5e-324, -1.0, 1.0, 0.5, 2.0, 1e300]
+FLOATS = st.sampled_from(FINITE) | st.floats(-1e300, 1e300)
+PAYLOADS = FLOATS | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def step_inputs(draw):
+    f = draw(st.integers(0, 3))
+    params = ProtocolParams(n=3 * f + 4, f=f, r_c=draw(st.integers(1, 4)), epsilon=0.1)
+    senders = st.integers(0, params.n - 1)
+    node = draw(senders)
+    # A carried log holds finite values from earlier rounds, often fewer than 2f.
+    log = draw(st.dictionaries(
+        senders.filter(lambda s: s != node),
+        st.tuples(FLOATS, st.integers(1, 12)),
+        max_size=2 * f + 2,
+    ))
+    r = draw(st.integers(1, 12))
+    state = NodeState(node, draw(st.sampled_from(FINITE)), log, draw(st.integers(1, r)))
+    inbox = draw(st.lists(st.tuples(senders, PAYLOADS), max_size=2 * f + 3))
+    return state, inbox, r, params
+
+
+@given(step_inputs())
+@example((NodeState(0, 0.0, {1: (-0.0, 1)}), [(2, -0.0), (3, 0.0)], 4, ProtocolParams(6, 1, 2, 0.1)))
+@example((NodeState(0, -0.0, {}), [(1, 0.0), (2, math.nan), (3, -math.inf)], 3,
+          ProtocolParams(6, 1, 2, 0.1)))
+@example((NodeState(0, 1.0, {}), [(1, 2.0), (0, 1.0)], 1, ProtocolParams(6, 1, 2, 0.1)))
+# The rounded mean of three equal values falls one ulp below them: the clamp.
+@example((NodeState(0, 0.40309273233720366, {}),
+          [(1, 0.40309273233720366), (2, 0.40309273233720366)], 1, ProtocolParams(4, 0, 2, 0.1)))
+# Only an exact sum keeps the 1.0 between the two large values.
+@example((NodeState(0, 1.0, {}), [(1, 1e300), (2, 1.0), (3, -1e300)], 1, ProtocolParams(4, 0, 2, 0.1)))
+def test_step_matches_reference(inputs):
+    state, inbox, r, params = inputs
+    before = repr(state)
+    try:
+        expected = reference_step_round(state, inbox, r, params)
+    except ProtocolError:
+        with pytest.raises(ProtocolError):
+            step_round(state, inbox, r, params)
+        return
+    result = step_round(state, inbox, r, params)
+    assert result == expected
+    # repr tells -0.0 from 0.0 and shows each log's order, which == ignores.
+    assert repr(result) == repr(expected)
+    assert repr(state) == before
 
 
 class TestParams:
