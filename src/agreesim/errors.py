@@ -28,14 +28,22 @@ class AnalysisError(AgreesimError):
     """An analysis precondition failed or internal cross-checks disagreed."""
 
 
+# What reading a missing key, wrong type, short list or too-large integer raises.
+MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError,
+             ProtocolError)
+
+
+def describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 @contextmanager
 def malformed(error: type[AgreesimError], what: str):
     """Turn a missing key, wrong type, short list or too-large integer in an input into ``error``."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError,
-            ProtocolError) as exc:
-        raise error(f"{what} ({type(exc).__name__}: {exc})") from None
+    except MALFORMED as exc:
+        raise error(f"{what} ({describe(exc)})") from None
 
 
 def require_finite(what: str, *values: float) -> None:

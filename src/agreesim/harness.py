@@ -16,9 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import os
 import random
-import threading
 from dataclasses import asdict, dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -38,6 +36,7 @@ from .analysis import (
     spread_series,
     trace_phases,
 )
+from .cpus import worker_count
 from .dynamics import build_round_graph, deliver, move_step
 from .errors import AgreesimError, ConfigError
 from .protocol import NodeId, NodeState, ProtocolParams, is_common_new_start, step_round
@@ -323,7 +322,7 @@ def sweep(
         assignments.append(assignment)
         configs.append(config)
     tasks = [(config, seed) for config in configs for seed in seeds]
-    workers = _sweep_workers(len(tasks))
+    workers = worker_count(len(tasks))
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -367,17 +366,6 @@ def sweep(
             )
         )
     return cells
-
-
-def _sweep_workers(task_count: int) -> int:
-    """One worker per CPU in this process's affinity mask, at most one per task.
-
-    Forking a process that runs other threads can deadlock the child, so
-    such a process, like one on an OS without affinity masks, gets one.
-    """
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    return min(len(os.sched_getaffinity(0)), task_count)
 
 
 def _sweep_run(task: tuple[ScenarioConfig, int]) -> RunReport | None:

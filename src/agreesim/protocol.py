@@ -126,11 +126,19 @@ def average(log: Log, v_i: Value) -> Value:
     The exact mean always lies within the range of its inputs, but the
     rounded quotient can escape it by one ulp (e.g. (x+x+x)/3 < x), which
     would break the protocol's range invariants; the result is therefore
-    pinned back into that range.
+    pinned back into that range. A sum beyond float range, which finite
+    values near the float maximum can reach, is taken over the values
+    divided by their count instead: the mean itself is always in range.
     """
     values = [v for v, _ in log.values()]
-    mean = (v_i + math.fsum(values)) / (len(values) + 1)
+    count = len(values) + 1
+    try:
+        mean = (v_i + math.fsum(values)) / count
+    except OverflowError:  # fsum's partial sums left float range
+        mean = math.inf
     values.append(v_i)
+    if math.isinf(mean):
+        mean = math.fsum([v / count for v in values])
     return min(max(mean, min(values)), max(values))
 
 

@@ -17,13 +17,20 @@ against its sender's receiver list as it draws its loss, the oracle for
 first written, each new state a ``dataclasses.replace`` of the old, the
 oracle for the lean ``step_round``. ``trace_bytes`` gives the bytes
 ``write_trace`` would write, for tests that compare runs.
+``split_reads`` makes ``read_trace`` decode any file in forked workers,
+with the one-pass serial reader, ``trace_from_lines``, as its oracle.
 """
 
+import contextlib
 import dataclasses
 import itertools
 import json
 import math
+import os
 
+import pytest
+
+from agreesim import trace as trace_module
 from agreesim.analysis import (
     ConditionVerdict,
     ConditionWitness,
@@ -327,3 +334,13 @@ def reference_sweep(template, grid, seeds):
             )
         )
     return cells
+
+
+@contextlib.contextmanager
+def split_reads(workers: int):
+    """``read_trace`` splits every file over ``workers`` processes, whatever the
+    affinity mask; with one worker it reads serially."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace_module, "SPLIT_READ_BYTES", 0)
+        patch.setattr(os, "sched_getaffinity", lambda _pid: set(range(workers)), raising=False)
+        yield

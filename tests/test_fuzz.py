@@ -5,7 +5,8 @@ of its records the way a faulty writer would: a dict key dropped, a value
 swapped for one of another type, a list entry repeated, or a number moved
 beyond float range. Whatever the edit, ``check`` must end with an exit
 code of the contract (0 ok, 1 violated, 2 usage) and never raise; on exit
-2 it prints exactly one line to stderr.
+2 it prints exactly one line to stderr. Read in forked workers, every
+trace gives the same exit code and output as read in one pass.
 """
 
 import contextlib
@@ -20,6 +21,8 @@ from agreesim.cli import main
 from agreesim.harness import simulate
 from agreesim.scenarios import LIBRARY, builtin_scenario
 from agreesim.trace import trace_to_lines
+
+from reference import split_reads
 
 # One value of each JSON type, for swaps; the huge numbers for range edits.
 # "1e400" is written as a bare JSON number, which reads as inf.
@@ -80,9 +83,14 @@ def trace_path(tmp_path_factory):
 @given(lines=mutated_traces())
 def test_check_never_crashes_on_a_mutated_trace(trace_path, lines):
     trace_path.write_text("".join(line + "\n" for line in lines))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["check", "--trace", str(trace_path)])
+    outcomes = []
+    for workers in (1, 3):
+        out, err = io.StringIO(), io.StringIO()
+        with split_reads(workers), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", "--trace", str(trace_path)])
+        outcomes.append((code, out.getvalue(), err.getvalue()))
+    code, _out, err = outcomes[0]
     assert code in (0, 1, 2)
     if code == 2:
-        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        assert len(err.splitlines()) == 1, err
+    assert outcomes[1] == outcomes[0]

@@ -64,7 +64,7 @@ from agreesim.trace import (
     write_trace,
 )
 from agreesim.vectors import read_vectors, replay_vectors, vectors_from_trace, write_vectors
-from reference import reference_sweep, reference_trace_lines, trace_bytes
+from reference import reference_sweep, reference_trace_lines, split_reads, trace_bytes
 from test_acceptance import random_scenario
 
 
@@ -639,7 +639,7 @@ class TestSweep:
     def test_importing_the_cli_loads_no_pool_modules(self):
         src = os.path.dirname(os.path.dirname(harness.__file__))
         code = ("import sys, agreesim.cli; "
-                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+                "print(sorted({'multiprocessing', 'concurrent.futures', 'pickle'} & set(sys.modules)))")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         assert done.stdout.strip() == "[]"
@@ -862,6 +862,16 @@ class TestCli:
         assert (tmp_path / "vectors.jsonl").exists()
         assert "converged: True" in capsys.readouterr().out
 
+    def test_run_with_values_summing_past_float_range(self, tmp_path, capsys):
+        doc = builtin_scenario("fully_connected_baseline").to_dict()
+        doc.update(f=0, initial_values={"mode": "explicit", "values": [1.7e308, 1.7e308, 1.0, 0.0]})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+        assert main(["check", "--trace", str(out / "trace.jsonl")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_run_accepts_scenario_file(self, tmp_path):
         path = tmp_path / "scenario.json"
         save_scenario(builtin_scenario("partition_never"), path)
@@ -909,6 +919,7 @@ class TestCli:
             "unsent_faulty_delivery", "huge_delivered_value", "huge_initial_value",
             "e400_delivered_value", "e400_final", "empty_file", "header_without_values",
             "unknown_record_type", "round_2_ids_differ", "final_ids_differ",
+            "non_canonical_key", "shadowed_node_key", "header_n_long", "unlisted_node",
         ],
     )
     def test_check_rejects_malformed_trace_with_usage_exit(self, tmp_path, capsys, defect):
@@ -921,7 +932,11 @@ class TestCli:
                    "header_without_values": "header lists no initial values",
                    "unknown_record_type": "unknown trace record type 'bogus'",
                    "round_2_ids_differ": "line 3: node ids differ from the header's",
-                   "final_ids_differ": "node ids differ from the header's"}
+                   "final_ids_differ": "node ids differ from the header's",
+                   "non_canonical_key": "node id ' 0' is not a canonical decimal",
+                   "shadowed_node_key": "node id '00' is not a canonical decimal",
+                   "header_n_long": "n is 1000000000, but the header lists 4 nodes",
+                   "unlisted_node": "n is 5, but the header lists 4 nodes"}
         trace_path = tmp_path / "trace.jsonl"
         # The baseline has no faulty nodes; node 4 of the improper mix is one.
         faulty = defect in ("repeated_byz_sent", "unlinked_byz_sent", "repeated_edge",
@@ -1056,6 +1071,23 @@ class TestCli:
             final = json.loads(lines[-1])
             del final["values"]["0"]
             lines[-1] = json.dumps(final)
+        elif defect == "non_canonical_key":  # int() reads " 0" as node 0
+            first_round["positions"] = {" 0" if k == "0" else k: v
+                                        for k, v in first_round["positions"].items()}
+            lines[1] = json.dumps(first_round)
+        elif defect == "shadowed_node_key":  # "00" would collapse into node 0's entry
+            final = json.loads(lines[-1])
+            final["values"] = {"00": 999.0, **final["values"]}
+            lines[-1] = json.dumps(final)
+        elif defect in ("header_n_long", "unlisted_node"):
+            # A header that claims more nodes than it lists; the second case
+            # also places the unlisted node 4 in round 1.
+            header = json.loads(lines[0])
+            header["params"]["n"] = 10**9 if defect == "header_n_long" else 5
+            lines[0] = json.dumps(header)
+            if defect == "unlisted_node":
+                first_round["positions"]["4"] = [0.5, 0.5]
+                lines[1] = json.dumps(first_round)
         trace_path.write_text("".join(line + "\n" for line in lines))
         if defect == "missing_file":
             trace_path = tmp_path / "absent.jsonl"
@@ -1063,6 +1095,9 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert reasons.get(defect, "") in err[0]
+        with split_reads(3):  # decoded in forked workers, reported the same
+            assert main(["check", "--trace", str(trace_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == err
 
     @pytest.mark.parametrize(
         "edit,code", [("line_separator", 0), ("bad_utf8_line_11", 2), ("blank_lines", 0)]
@@ -1082,14 +1117,17 @@ class TestCli:
             data = b"\n".join(b"\xff" + line if i == 10 else line
                               for i, line in enumerate(data.split(b"\n")))
         trace_path.write_bytes(data)
-        assert main(["check", "--trace", str(trace_path)]) == code
-        assert len(capsys.readouterr().err.splitlines()) == (1 if code else 0)
+        for workers in (1, 3):  # read in one pass, then in forked workers
+            with split_reads(workers):
+                assert main(["check", "--trace", str(trace_path)]) == code
+            assert len(capsys.readouterr().err.splitlines()) == (1 if code else 0)
         if edit == "line_separator":
             assert read_trace(trace_path).scenario_name == "split\u2028here"
 
     def test_check_cost_does_not_grow_with_header_n(self, tmp_path, capsys):
-        # Ids are range-tested, not looked up in a set of every id below n,
-        # so a huge n in the header costs nothing.
+        # The header's n must count its listed nodes, and is compared with
+        # that count before anything is sized from it, so a huge n costs
+        # nothing and is rejected.
         trace_path = tmp_path / "trace.jsonl"
         write_trace(simulate(builtin_scenario("fully_connected_baseline")), trace_path)
         lines = trace_path.read_text().splitlines()
@@ -1097,8 +1135,8 @@ class TestCli:
         header["params"]["n"] = 2**62
         lines[0] = json.dumps(header)
         trace_path.write_text("\n".join(lines) + "\n")
-        assert main(["check", "--trace", str(trace_path)]) == 0
-        assert "validity:  ok" in capsys.readouterr().out
+        assert main(["check", "--trace", str(trace_path)]) == 2
+        assert "but the header lists 4 nodes" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "defect",

@@ -180,6 +180,12 @@ class TestAverage:
     def test_two_survivors(self):
         assert average(make_log([3, 8]), 5.0) == 16 / 3
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_sum_beyond_float_range(self, sign):
+        # Each value is finite, but their sum is not: the mean still is.
+        mean = average(make_log([sign * 1.7e308, 1.0, 0.0]), sign * 1.7e308)
+        assert mean == sign * 8.5e307
+
 
 class TestCommonNewStart:
     @pytest.mark.parametrize(

@@ -1,0 +1,155 @@
+"""The split trace read: line ranges decoded in forked workers, folded in order.
+
+``read_trace`` must give what the one-pass reader ``trace_from_lines``
+gives, for any worker count, on good traces and bad: the same trace, or
+the same error line from ``check``. No worker may outlive the read.
+"""
+
+import contextlib
+import io
+import os
+import pickle
+import signal
+import threading
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from agreesim import trace as trace_module
+from agreesim.cli import main
+from agreesim.harness import simulate
+from agreesim.scenarios import LIBRARY, builtin_scenario
+from agreesim.trace import read_trace, trace_from_lines, trace_to_lines, write_trace
+
+from reference import split_reads
+from test_acceptance import random_scenario
+from test_harness import golden_waypoint_n40
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def check_outcome(path) -> tuple[int, str, list[str]]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", "--trace", str(path)])
+    return code, out.getvalue(), err.getvalue().splitlines()
+
+
+def assert_split_reads_like_serial(path) -> None:
+    with open(path, encoding="utf-8", newline="\n") as lines:
+        expected = trace_from_lines(lines)
+    for workers in (2, 3):
+        with split_reads(workers):
+            assert read_trace(path) == expected
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY) + ["golden_waypoint_n40"])
+def test_split_read_equals_serial_read(name, tmp_path):
+    config = golden_waypoint_n40() if name == "golden_waypoint_n40" else builtin_scenario(name)
+    path = tmp_path / "trace.jsonl"
+    write_trace(simulate(config), path)
+    assert_split_reads_like_serial(path)
+
+
+@settings(max_examples=25, deadline=None)
+@given(i=st.integers(0, 10**6))
+def test_split_read_equals_serial_read_on_random_scenarios(i, tmp_path_factory):
+    path = tmp_path_factory.mktemp("random") / "trace.jsonl"
+    write_trace(simulate(random_scenario(i)), path)
+    assert_split_reads_like_serial(path)
+
+
+def test_blank_lines_and_an_unterminated_last_line(tmp_path):
+    lines = trace_to_lines(simulate(builtin_scenario("fully_connected_baseline")))
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n\n" + "\n \n".join(lines))
+    assert_split_reads_like_serial(path)
+
+
+@pytest.fixture
+def baseline_trace(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    write_trace(simulate(builtin_scenario("stale_log_overshoot")), path)
+    return path
+
+
+def test_every_extra_worker_is_a_forked_child(baseline_trace, monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    with split_reads(3):
+        read_trace(baseline_trace)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_no_fork_while_other_threads_run(baseline_trace, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked while another thread ran")
+
+    expected = read_trace(baseline_trace)
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        with split_reads(3):
+            assert read_trace(baseline_trace) == expected
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+
+
+def test_no_child_outlives_a_read_that_raises(baseline_trace):
+    lines = baseline_trace.read_text().splitlines()
+    lines[-2] = lines[-2][:100]  # the last round, cut short
+    baseline_trace.write_text("".join(line + "\n" for line in lines))
+    with split_reads(3):
+        code, _out, err = check_outcome(baseline_trace)
+    assert code == 2 and len(err) == 1
+    assert_no_child_left()
+
+
+class DyingPickler(pickle.Pickler):
+    """Writes the first half of its pickle, then kills its process."""
+
+    def __init__(self, file, *args, **kwargs):
+        super().__init__(file, *args, **kwargs)
+        self.out = file
+
+    def dump(self, obj):
+        data = pickle.dumps(obj)
+        self.out.write(data[: len(data) // 2])
+        self.out.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("when", ["before_writing", "mid_stream"])
+def test_a_killed_child_leaves_its_range_to_the_parent(baseline_trace, monkeypatch, when):
+    expected = read_trace(baseline_trace)
+    parent = os.getpid()
+    if when == "before_writing":
+        real = trace_module._decode_lines
+
+        def dying_decode(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(trace_module, "_decode_lines", dying_decode)
+    else:
+        monkeypatch.setattr(pickle, "Pickler", DyingPickler)
+    with split_reads(3):
+        assert read_trace(baseline_trace) == expected
+    assert_no_child_left()
