@@ -26,7 +26,7 @@ from .harness import (
     write_sweep_csv,
 )
 from .scenarios import LIBRARY, ScenarioConfig, builtin_scenario, load_scenario, save_scenario
-from .trace import read_trace, write_trace
+from .trace import TraceEncoder, read_trace, write_trace
 from .vectors import vectors_from_trace, write_vectors
 
 EXIT_OK = 0
@@ -54,13 +54,14 @@ def _writing(path: str | Path):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _resolve_scenario(args.scenario)
-    trace, report = run_scenario(config, seed=args.seed)
     out = Path(args.out)
-    with _writing(out):
-        out.mkdir(parents=True, exist_ok=True)
-        write_trace(trace, out / "trace.jsonl")
-        write_report(report, out / "report.json")
-        write_series_csv(trace, config.effective_delta, out / "series.csv")
+    with TraceEncoder(config.effective_max_rounds) as encoder:
+        trace, report = run_scenario(config, seed=args.seed, on_round=encoder.add)
+        with _writing(out):
+            out.mkdir(parents=True, exist_ok=True)
+            write_trace(trace, out / "trace.jsonl", encoder)
+            write_report(report, out / "report.json")
+            write_series_csv(trace, config.effective_delta, out / "series.csv")
     if args.vectors:
         with _writing(args.vectors):
             write_vectors(vectors_from_trace(trace), args.vectors)

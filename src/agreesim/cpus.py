@@ -1,7 +1,11 @@
-"""How many processes a command may fork for work that splits."""
+"""How many processes a command may fork for work that splits, and the forked children."""
+
+from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Callable
+from typing import BinaryIO
 
 
 def worker_count(limit: int) -> int:
@@ -14,3 +18,73 @@ def worker_count(limit: int) -> int:
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), limit))
+
+
+class Children:
+    """Forked children that each write one result into a pipe; none outlives the ``with`` block.
+
+    A plain fork shares this process's memory copy-on-write, so a child
+    needs no arguments sent and no import repeated. A child leaves by
+    ``os._exit``, so it runs no cleanup of this process and flushes none of
+    its streams. A child whose result is not read is killed: nothing it
+    holds needs cleaning up.
+    """
+
+    def __init__(self) -> None:
+        self._live: dict = {}  # key -> (pid, read end of its pipe)
+
+    def __enter__(self) -> Children:
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        while self._live:
+            from signal import SIGKILL  # only a command that fails pays for the import
+
+            _key, (pid, r) = self._live.popitem()
+            os.close(r)
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+    def fork(self, key, work: Callable[[BinaryIO], None]) -> bool:
+        """Run ``work`` on the write end of a new pipe in a forked child.
+
+        Returns False, and forks nothing, when no process can be spared.
+        """
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            return False
+        if pid == 0:
+            code = 1
+            try:
+                os.close(r)
+                for _pid, other in self._live.values():  # older siblings' read ends
+                    os.close(other)
+                with open(w, "wb") as out:
+                    work(out)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+        self._live[key] = (pid, r)
+        return True
+
+    def result(self, key, read: Callable[[BinaryIO], object]):
+        """What ``read`` makes of the pipe of ``key``'s child, or None.
+
+        None means there is no such child, or it died: it exited non-zero,
+        was killed, or ``read`` returned None for a stream cut short.
+        """
+        if key not in self._live:
+            return None
+        pid, r = self._live.pop(key)
+        try:
+            with open(r, "rb") as stream:
+                value = read(stream)
+                stream.read()  # to EOF: the child has finished writing
+        finally:
+            _pid, status = os.waitpid(pid, 0)
+        return value if status == 0 else None

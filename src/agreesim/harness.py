@@ -17,6 +17,7 @@ import csv
 import itertools
 import json
 import random
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -52,16 +53,24 @@ def substream(seed: int, *parts) -> random.Random:
 
 
 def run_scenario(
-    config: ScenarioConfig, seed: int | None = None, *, stop_at_agreement: bool = False
+    config: ScenarioConfig,
+    seed: int | None = None,
+    *,
+    stop_at_agreement: bool = False,
+    on_round: Callable[[Trace], None] | None = None,
 ) -> tuple[Trace, "RunReport"]:
     """Execute a scenario end to end and analyze the resulting trace."""
-    trace = simulate(config, seed=seed, stop_at_agreement=stop_at_agreement)
+    trace = simulate(config, seed=seed, stop_at_agreement=stop_at_agreement, on_round=on_round)
     report = build_report(trace, config.effective_delta)
     return trace, report
 
 
 def simulate(
-    config: ScenarioConfig, seed: int | None = None, *, stop_at_agreement: bool = False
+    config: ScenarioConfig,
+    seed: int | None = None,
+    *,
+    stop_at_agreement: bool = False,
+    on_round: Callable[[Trace], None] | None = None,
 ) -> Trace:
     """Execute a scenario's lock-step rounds and record the trace.
 
@@ -69,6 +78,8 @@ def simulate(
     ``stop_at_agreement`` is set: then the run ends before the first phase
     start ``r`` whose correct values have agreed, so the trace's last round
     is ``r - 1`` and its final values are those at round ``r``.
+    ``on_round``, if given, is called with the trace after each round's
+    record is appended to it.
     """
     params, arena, model, adversary = config.validate()
     run_seed = config.seed if seed is None else seed
@@ -119,6 +130,8 @@ def simulate(
                 **fields,
             )
         )
+        if on_round is not None:
+            on_round(trace)
         states = {i: res.state for i, res in results.items()}
 
     trace.final_values = {i: s.value for i, s in states.items()}

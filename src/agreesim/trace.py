@@ -11,6 +11,10 @@ runs produce byte-identical files. Every record is canonical JSON: keys
 sorted, no spaces. Round lines, nearly all of a trace's bytes, come from a
 dedicated encoder that gives the same bytes as ``json.dumps`` would.
 
+``run`` encodes batches of round records in forked children while the
+simulation goes on, and writes their bytes in round order: the file does
+not depend on how many CPUs did the work.
+
 Reading decodes and checks each line on its own, then folds the lines in
 order, checking what spans records. A large file's lines are decoded in
 forked workers, with the same result as one pass.
@@ -18,18 +22,19 @@ forked workers, with the same result as one pass.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
 import operator
 import os
+import shutil
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
-from .cpus import worker_count
+from .cpus import Children, worker_count
 from .errors import MALFORMED, TraceError, describe, malformed
 from .protocol import Log, Message, NodeId, ProtocolParams, Value
 
@@ -287,7 +292,8 @@ def _round_line(rec: RoundRecord, num: _FloatText) -> str:
     ])
 
 
-def trace_to_lines(trace: Trace) -> list[str]:
+def trace_to_lines(trace: Trace, encoded: int = 0) -> list[str]:
+    """The trace's lines: header, each round record after the first ``encoded``, final values."""
     header = {
         "type": "header",
         "schema": SCHEMA_VERSION,
@@ -304,7 +310,7 @@ def trace_to_lines(trace: Trace) -> list[str]:
     }
     num = _FloatText()
     lines = [_dumps(header)]
-    lines.extend(_round_line(rec, num) for rec in trace.rounds)
+    lines.extend(_round_line(rec, num) for rec in trace.rounds[encoded:])
     lines.append(
         _dumps(
             {
@@ -419,19 +425,79 @@ def _finished(trace: Trace) -> Trace:
     return trace
 
 
-def trace_from_lines(lines: Iterable[str]) -> Trace:
-    """Build a trace from any iterable of lines in one pass, checking each record as it arrives."""
-    numbered = enumerate(lines, 1)
-    trace, _lineno = _read_header(numbered)
-    keys = _node_keys(trace)
-    for lineno, line in numbered:
-        _fold(trace, lineno, _decode(line, keys, trace))
-    return _finished(trace)
+def _encode_rounds(records: list[RoundRecord]) -> bytes:
+    """The lines of ``records`` as a trace file holds them, each ended by a newline."""
+    num = _FloatText()
+    return "".join([_round_line(rec, num) + "\n" for rec in records]).encode()
 
 
-def write_trace(trace: Trace, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.writelines(line + "\n" for line in trace_to_lines(trace))
+# A run's horizon is encoded in ENCODE_BATCHES batches of rounds, each in a
+# forked child. A batch waits, gathering rounds, until the rounds in it
+# delivered ENCODE_MIN_MESSAGES messages. Forking cost the parent 1.1 ms
+# with the stuck_partition benchmark trace in memory and 1.6 ms with the
+# mobile_n100 one, and encoding costs 2-3 us per delivered message, so a
+# batch saves the parent at least 4 ms. No builtin scenario delivers that
+# many in its whole run, so none forks.
+ENCODE_BATCHES = 4
+ENCODE_MIN_MESSAGES = 2048
+
+
+class TraceEncoder(Children):
+    """Encodes round records in forked children while the simulation produces later ones.
+
+    ``add`` is ``simulate``'s ``on_round`` hook: once a batch of rounds is
+    complete, one child encodes it, from the records it shares with this
+    process copy-on-write, and holds the bytes until ``write_trace`` reads
+    them. With one allowed CPU, or other threads running, or once a fork
+    fails, the rounds not yet taken are left to ``write_trace`` to encode
+    here.
+    """
+
+    def __init__(self, max_rounds: int) -> None:
+        super().__init__()
+        self.batch = -(-max_rounds // ENCODE_BATCHES)
+        self.taken = 0  # rounds 1..taken went to children
+        self._messages = 0  # delivered in the rounds after taken
+        self._forking = True
+        self._spans: list[tuple[int, int]] = []  # rounds[a:b] of each child, in order
+
+    def add(self, trace: Trace) -> None:
+        rounds = trace.rounds
+        self._messages += len(rounds[-1].delivered)
+        if (not self._forking or len(rounds) - self.taken < self.batch
+                or self._messages < ENCODE_MIN_MESSAGES):
+            return
+        span = (self.taken, len(rounds))
+        self._forking = worker_count(2) > 1 and self.fork(
+            span, lambda out: out.write(_encode_rounds(rounds[span[0]:span[1]]))
+        )
+        if self._forking:
+            self._spans.append(span)
+            self.taken, self._messages = span[1], 0
+
+    def write_batches(self, trace: Trace, out: BinaryIO) -> None:
+        """Each child's bytes in round order; a dead child's batch is encoded here instead."""
+        def copy(stream: BinaryIO) -> bool:
+            shutil.copyfileobj(stream, out)
+            return True
+
+        for span in self._spans:
+            start = out.tell()
+            if self.result(span, copy) is None:
+                out.seek(start)
+                out.truncate()
+                out.write(_encode_rounds(trace.rounds[span[0]:span[1]]))
+
+
+def write_trace(trace: Trace, path: str | Path, encoder: TraceEncoder | None = None) -> None:
+    """Write ``trace`` to ``path``; the rounds ``encoder``'s children took come from their pipes."""
+    lines = trace_to_lines(trace, encoder.taken if encoder else 0)
+    with open(path, "wb") as out:
+        out.write(lines[0].encode() + b"\n")
+        if encoder is not None:
+            encoder.write_batches(trace, out)
+        for line in lines[1:]:
+            out.write(line.encode() + b"\n")
 
 
 # A trace file at least this large is decoded on every allowed CPU. Reading
@@ -451,8 +517,6 @@ def read_trace(path: str | Path) -> Trace:
         workers = 1
         if size >= SPLIT_READ_BYTES:  # each worker decodes at least half the split size
             workers = worker_count(2 * size // max(SPLIT_READ_BYTES, 1))
-        if workers == 1:
-            return trace_from_lines(io.TextIOWrapper(fh, encoding="utf-8", newline="\n"))
         return _read_split(path, fh, workers)
 
 
@@ -481,7 +545,9 @@ def _decode_lines(path: str | Path, span: tuple[int, int], keys: dict[str, NodeI
 
     The range starts a line and ends one or the file. It is read one line
     at a time through a file of its own, so no process moves another's
-    offset and no copy of the whole range is held.
+    offset and no copy of the whole range is held. It stops after the first
+    line that is not UTF-8 or is malformed: ``_fold`` raises there at the
+    latest, so a bad record early in a large file is reported at once.
     """
     start, stop = span
     decoded = []
@@ -489,13 +555,12 @@ def _decode_lines(path: str | Path, span: tuple[int, int], keys: dict[str, NodeI
         fh.seek(start)
         for raw in fh:  # lines keep their b"\n"
             try:
-                line = raw.decode()
+                item = _decode(raw.decode(), keys, trace)
             except UnicodeDecodeError as exc:
-                decoded.append(exc)
-                break
-            decoded.append(_decode(line, keys, trace))
+                item = exc
+            decoded.append(item)
             start += len(raw)
-            if start >= stop:
+            if start >= stop or isinstance(item, (str, UnicodeDecodeError)):
                 break
     return decoded
 
@@ -505,57 +570,30 @@ def _decode_spans(path: str | Path, spans: list[tuple[int, int]], keys: dict[str
     """``_decode_lines`` of each byte range: the first here, each other in a forked child.
 
     A plain fork shares the decoded header and needs no import, which a
-    spawned worker would repeat at a cost above what the split saves.
-    A child pickles its list into a pipe and leaves by ``os._exit``, so it
-    runs no cleanup of this process and flushes none of its streams. A
-    pickle that does not load in full means the child died; its range is
-    then decoded here. Every pipe is closed before its child is reaped, so
-    a child still writing gets EPIPE and exits, and none outlives the call.
+    spawned worker would repeat at a cost above what the split saves. A
+    child pickles its list into its pipe; a child that dies leaves its
+    range to be decoded here.
     """
     import pickle  # only a split read pays for the import
 
-    children = {}  # byte range -> (pid, read end of its pipe)
-    try:
+    def dump(span: tuple[int, int], out: BinaryIO) -> None:
+        pickler = pickle.Pickler(out, pickle.HIGHEST_PROTOCOL)
+        pickler.fast = True  # no memo: the records share no objects
+        pickler.dump(_decode_lines(path, span, keys, trace))
+
+    def load(stream: BinaryIO) -> list | None:
+        # Streamed: a list read whole into bytes first would double its size in memory.
+        try:
+            return pickle.load(stream)
+        except (EOFError, pickle.UnpicklingError):  # what a stream cut short gives
+            return None
+
+    with Children() as children:
         for span in spans[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: decode the rest here
-                os.close(r)
-                os.close(w)
-                break
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(r)
-                    for _pid, other in children.values():
-                        os.close(other)
-                    with open(w, "wb") as out:
-                        pickler = pickle.Pickler(out, pickle.HIGHEST_PROTOCOL)
-                        pickler.fast = True  # no memo: the records share no objects
-                        pickler.dump(_decode_lines(path, span, keys, trace))
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(w)
-            children[span] = (pid, r)
+            if not children.fork(span, lambda out, span=span: dump(span, out)):
+                break  # no process to spare: decode the rest here
         parts = []
         for span in spans:
-            part = _receive(children[span][1]) if span in children else None
+            part = children.result(span, load)
             parts.append(part if part is not None else _decode_lines(path, span, keys, trace))
         return parts
-    finally:
-        for pid, r in children.values():
-            os.close(r)
-            os.waitpid(pid, 0)
-
-
-def _receive(r: int) -> list | None:
-    """The list a child pickled into the pipe ``r``, or None if the child died first."""
-    import pickle
-
-    try:
-        with os.fdopen(r, "rb", closefd=False) as stream:
-            return pickle.load(stream)
-    except (EOFError, pickle.UnpicklingError):  # what a stream cut short gives
-        return None

@@ -51,6 +51,20 @@ def trace_bytes(trace):
     return ("\n".join(trace_to_lines(trace)) + "\n").encode()
 
 
+def trace_from_lines(lines):
+    """A trace from any iterable of lines in one pass, each record checked as it arrives.
+
+    ``read_trace`` decodes byte ranges of a file, each in any process, and
+    folds them in order; this folds each line as soon as it is decoded.
+    """
+    numbered = enumerate(lines, 1)
+    trace, _lineno = trace_module._read_header(numbered)
+    keys = trace_module._node_keys(trace)
+    for lineno, line in numbered:
+        trace_module._fold(trace, lineno, trace_module._decode(line, keys, trace))
+    return trace_module._finished(trace)
+
+
 def reference_trace_lines(trace):
     """``trace_to_lines``'s lines from ``json.dumps`` with sorted keys, one record at a time."""
     def by_id(values):

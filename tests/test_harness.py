@@ -59,12 +59,13 @@ from agreesim.trace import (
     RoundRecord,
     Trace,
     read_trace,
-    trace_from_lines,
     trace_to_lines,
     write_trace,
 )
 from agreesim.vectors import read_vectors, replay_vectors, vectors_from_trace, write_vectors
-from reference import reference_sweep, reference_trace_lines, split_reads, trace_bytes
+from reference import (
+    reference_sweep, reference_trace_lines, split_reads, trace_bytes, trace_from_lines,
+)
 from test_acceptance import random_scenario
 
 

@@ -19,9 +19,9 @@ from agreesim import trace as trace_module
 from agreesim.cli import main
 from agreesim.harness import simulate
 from agreesim.scenarios import LIBRARY, builtin_scenario
-from agreesim.trace import read_trace, trace_from_lines, trace_to_lines, write_trace
+from agreesim.trace import read_trace, trace_to_lines, write_trace
 
-from reference import split_reads
+from reference import split_reads, trace_from_lines
 from test_acceptance import random_scenario
 from test_harness import golden_waypoint_n40
 
@@ -153,3 +153,41 @@ def test_a_killed_child_leaves_its_range_to_the_parent(baseline_trace, monkeypat
     with split_reads(3):
         assert read_trace(baseline_trace) == expected
     assert_no_child_left()
+
+
+def test_bad_utf8_after_a_malformed_record_reports_the_record(tmp_path):
+    # Line 2 is cut short and line 4 starts with a byte that is not UTF-8:
+    # line 2's malformed record is reported, on one CPU as on two.
+    lines = [line.encode() for line in
+             trace_to_lines(simulate(builtin_scenario("fully_connected_baseline")))]
+    lines[1] = lines[1][:100]
+    lines[3] = b"\xff" + lines[3]
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    outcomes = []
+    for workers in (1, 2):
+        with split_reads(workers):
+            outcomes.append(check_outcome(path))
+    assert outcomes[0] == outcomes[1]
+    code, _out, err = outcomes[0]
+    assert code == 2 and len(err) == 1
+    assert err[0].startswith("trace error: line 2: malformed record")
+    assert_no_child_left()
+
+
+def test_a_read_stops_at_the_first_malformed_record(baseline_trace, monkeypatch):
+    lines = baseline_trace.read_text().splitlines()
+    lines[1] = lines[1][:100]  # round 1, cut short
+    baseline_trace.write_text("".join(line + "\n" for line in lines))
+    decoded = []
+    real = trace_module._decode
+
+    def counting_decode(*args):
+        decoded.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(trace_module, "_decode", counting_decode)
+    with split_reads(1):
+        code, _out, err = check_outcome(baseline_trace)
+    assert code == 2 and err[0].startswith("trace error: line 2: malformed record")
+    assert len(decoded) == 1
