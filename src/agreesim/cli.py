@@ -95,11 +95,11 @@ def _parse_mode(raw: str) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    window = _parse_mode(args.mode)  # before the trace: a large one takes long to read
     try:
         trace = read_trace(args.trace)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read trace {args.trace}: {exc}") from None
-    window = _parse_mode(args.mode)
     report = build_report(trace, args.delta)
     flags = [v.satisfied for v in report.condition_per_phase]
     convergence = check_convergence(trace)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import BinaryIO
 
 
@@ -88,3 +88,36 @@ class Children:
         finally:
             _pid, status = os.waitpid(pid, 0)
         return value if status == 0 else None
+
+
+def split_map(work: Callable, parts: Sequence) -> list:
+    """``[work(p) for p in parts]``: the first part here, each other in a forked child.
+
+    A child pickles its result into its pipe. A part whose child cannot be
+    forked, dies or is cut short is redone here, so the result does not
+    depend on how many children ran. An error that ``work`` raises, here or
+    in a child, propagates, and no child outlives the call.
+    """
+    import pickle  # only a split pays for the import
+
+    def dump(part, out: BinaryIO) -> None:
+        pickler = pickle.Pickler(out, pickle.HIGHEST_PROTOCOL)
+        pickler.fast = True  # no memo: the results hold no cycles and few shared objects
+        pickler.dump(work(part))
+
+    def load(stream: BinaryIO) -> tuple | None:
+        # Streamed: a result read whole into bytes first would double its size in memory.
+        try:
+            return (pickle.load(stream),)  # boxed, so a result of None is not a dead child
+        except (EOFError, pickle.UnpicklingError):  # what a stream cut short gives
+            return None
+
+    with Children() as children:
+        for k in range(1, len(parts)):
+            if not children.fork(k, lambda out, part=parts[k]: dump(part, out)):
+                break  # no process to spare: do the rest here
+        results = []
+        for k, part in enumerate(parts):
+            got = children.result(k, load)
+            results.append(got[0] if got is not None else work(part))
+        return results

@@ -46,6 +46,19 @@ def malformed(error: type[AgreesimError], what: str):
         raise error(f"{what} ({describe(exc)})") from None
 
 
+def decimal_key(key, what: str) -> int:
+    """The integer a JSON object key names, which must be written as its canonical decimal.
+
+    ``int`` alone reads "00", "+0", " 0" and "0_0" as 0, and one of them
+    beside "0" would shadow the entry of 0. An int key, as a scenario built
+    in Python may hold, names itself.
+    """
+    number = int(key)
+    if str(number) != str(key):
+        raise ValueError(f"{what} {key!r} is not a canonical decimal")
+    return number
+
+
 def require_finite(what: str, *values: float) -> None:
     """Reject a scenario number that is NaN or infinite."""
     if not all(map(math.isfinite, values)):

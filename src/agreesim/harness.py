@@ -37,7 +37,7 @@ from .analysis import (
     spread_series,
     trace_phases,
 )
-from .cpus import worker_count
+from .cpus import split_map, worker_count
 from .dynamics import build_round_graph, deliver, move_step
 from .errors import AgreesimError, ConfigError
 from .protocol import NodeId, NodeState, ProtocolParams, is_common_new_start, step_round
@@ -312,10 +312,12 @@ def sweep(
     keeps the full horizon, since its trace bytes are the contract.
 
     Every cell's scenario is checked before any run starts. The runs are
-    independent and fully seeded, so they go to a pool of forked workers,
-    one per CPU in this process's affinity mask (``taskset`` limits them),
-    and are folded here in cell and seed order: the cells do not depend on
-    the worker count. With one worker they run in this process.
+    independent and fully seeded, so they are split over one worker per
+    CPU in this process's affinity mask (``taskset`` limits them): this
+    process and forked children, no pool. Worker ``w`` runs every
+    ``workers``-th run from the ``w``-th, so each cell's seeds spread over
+    all of them. The reports are folded here in cell and seed order: the
+    cells do not depend on the worker count.
     """
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
@@ -336,18 +338,11 @@ def sweep(
         configs.append(config)
     tasks = [(config, seed) for config in configs for seed in seeds]
     workers = worker_count(len(tasks))
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # About eight batches per worker: fewer messages than one run each
-        # (which also left the parent's peak memory about 1 MB higher), and
-        # no worker waits long for the last batch.
-        chunksize = max(1, len(tasks) // (8 * workers))
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            reports = list(pool.map(_sweep_run, tasks, chunksize=chunksize))
-    else:
-        reports = list(map(_sweep_run, tasks))
+    shares = split_map(lambda share: list(map(_sweep_run, share)),
+                       [tasks[w::workers] for w in range(workers)])
+    reports = [None] * len(tasks)
+    for w, share in enumerate(shares):
+        reports[w::workers] = share
     cells = []
     for c, assignment in enumerate(assignments):
         converged = 0
@@ -384,8 +379,8 @@ def sweep(
 def _sweep_run(task: tuple[ScenarioConfig, int]) -> RunReport | None:
     """One sweep run's report, or None if it raised an agreesim error.
 
-    ``run_scenario`` is looked up when the run starts, so a pool worker
-    forked from the caller runs whatever the caller's module holds.
+    ``run_scenario`` is looked up when the run starts, so a child forked
+    from the caller runs whatever the caller's module holds.
     """
     config, seed = task
     try:

@@ -25,7 +25,7 @@ from .adversary import (
 )
 from .analysis import check_delta
 from .dynamics import Arena, MobilityModel, RandomWaypoint, Scripted, Stationary, TeleportRandom
-from .errors import ConfigError, malformed, require_finite
+from .errors import ConfigError, decimal_key, malformed, require_finite
 from .protocol import ProtocolParams
 
 SCENARIO_SCHEMA = 1
@@ -111,6 +111,15 @@ class ScenarioConfig:
             return ScenarioConfig(**data)
 
 
+def _by_node(config: ScenarioConfig, what: str, raw: dict) -> dict:
+    """A JSON object keyed by node id, each key a canonical decimal in 0..n-1."""
+    entries = {decimal_key(k, "node id"): v for k, v in raw.items()}
+    unknown = sorted(i for i in entries if not 0 <= i < config.n)
+    if unknown:
+        raise ConfigError(f"{what} for unknown nodes {unknown}")
+    return entries
+
+
 def build_mobility(config: ScenarioConfig, arena: Arena):
     spec = config.mobility
     model = spec.get("model")
@@ -120,14 +129,9 @@ def build_mobility(config: ScenarioConfig, arena: Arena):
         speed = spec.get("speed", [0.5, 2.0])
         return RandomWaypoint(arena, float(speed[0]), float(speed[1]))
     if model == "scripted":
-        waypoints = {
-            int(i): [(float(x), float(y)) for x, y in path]
-            for i, path in spec.get("waypoints", {}).items()
-        }
-        unknown = sorted(set(waypoints) - set(range(config.n)))
-        if unknown:
-            raise ConfigError(f"scripted waypoints for unknown nodes {unknown}")
-        return Scripted(arena, waypoints)
+        waypoints = _by_node(config, "scripted waypoints", spec.get("waypoints", {}))
+        return Scripted(arena, {i: [(float(x), float(y)) for x, y in path]
+                                for i, path in waypoints.items()})
     if model == "teleport-random":
         return TeleportRandom(arena)
     raise ConfigError(f"unknown mobility model {model!r}")
@@ -156,8 +160,9 @@ def build_adversary(config: ScenarioConfig) -> AdversaryStrategy:
                 ) from None
         table = {}
         for key, row in (raw or {}).items():
-            round_key = "*" if key == "*" else int(key)
-            table[round_key] = {int(r): float(v) for r, v in row.items()}
+            round_key = "*" if key == "*" else decimal_key(key, "scripted table round")
+            receivers = _by_node(config, f"scripted table row {key!r}", row)
+            table[round_key] = {r: float(v) for r, v in receivers.items()}
         behavior = ScriptedTable(table)
     else:
         raise ConfigError(f"unknown adversary strategy {strategy!r}")
@@ -172,10 +177,10 @@ def _initial_positions(config: ScenarioConfig, arena: Arena, rng: random.Random)
         return {i: arena.random_point(rng) for i in range(config.n)}
     if spec.get("mode") != "explicit":
         raise ConfigError(f"unknown initial_positions mode {spec.get('mode')!r}")
-    coords = spec.get("coords", {})
+    coords = _by_node(config, "explicit positions", spec.get("coords", {}))
     positions = {}
     for i in range(config.n):
-        raw = coords.get(str(i), coords.get(i))
+        raw = coords.get(i)
         if raw is None:
             raise ConfigError(f"explicit positions miss node {i}")
         pos = (float(raw[0]), float(raw[1]))

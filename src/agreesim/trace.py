@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO
 
-from .cpus import Children, worker_count
-from .errors import MALFORMED, TraceError, describe, malformed
+from .cpus import Children, split_map, worker_count
+from .errors import MALFORMED, TraceError, decimal_key, describe, malformed
 from .protocol import Log, Message, NodeId, ProtocolParams, Value
 
 SCHEMA_VERSION = 1
@@ -115,17 +115,11 @@ def _require(types: set, field: str, values: Iterable) -> None:
 def _node_id(keys: dict[str, NodeId], key: str) -> NodeId:
     """The node id a JSON object key names: a listed node's from ``keys``, else its decimal.
 
-    Only canonical decimals name a node: ``int`` alone reads "00", "+0",
-    " 0" and "0_0" as 0, and one of them beside "0" would shadow node 0's
-    entry. A canonical id that is not listed is returned for the range and
-    id-set checks to reject.
+    A canonical id that is not listed is returned for the range and id-set
+    checks to reject.
     """
     node = keys.get(key)
-    if node is None:
-        node = int(key)
-        if str(node) != key:
-            raise ValueError(f"node id {key!r} is not a canonical decimal")
-    return node
+    return decimal_key(key, "node id") if node is None else node
 
 
 # Each reader below tries a bulk pass first. When the pass fails, the
@@ -532,7 +526,7 @@ def _read_split(path: str | Path, fh, workers: int) -> Trace:
         cuts.append(max(fh.tell(), cuts[-1]))
     cuts.append(size)
     spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-    for part in _decode_spans(path, spans, keys, trace):
+    for part in split_map(lambda span: _decode_lines(path, span, keys, trace), spans):
         for item in part:
             lineno += 1
             _fold(trace, lineno, item)
@@ -563,37 +557,3 @@ def _decode_lines(path: str | Path, span: tuple[int, int], keys: dict[str, NodeI
             if start >= stop or isinstance(item, (str, UnicodeDecodeError)):
                 break
     return decoded
-
-
-def _decode_spans(path: str | Path, spans: list[tuple[int, int]], keys: dict[str, NodeId],
-                  trace: Trace) -> list[list]:
-    """``_decode_lines`` of each byte range: the first here, each other in a forked child.
-
-    A plain fork shares the decoded header and needs no import, which a
-    spawned worker would repeat at a cost above what the split saves. A
-    child pickles its list into its pipe; a child that dies leaves its
-    range to be decoded here.
-    """
-    import pickle  # only a split read pays for the import
-
-    def dump(span: tuple[int, int], out: BinaryIO) -> None:
-        pickler = pickle.Pickler(out, pickle.HIGHEST_PROTOCOL)
-        pickler.fast = True  # no memo: the records share no objects
-        pickler.dump(_decode_lines(path, span, keys, trace))
-
-    def load(stream: BinaryIO) -> list | None:
-        # Streamed: a list read whole into bytes first would double its size in memory.
-        try:
-            return pickle.load(stream)
-        except (EOFError, pickle.UnpicklingError):  # what a stream cut short gives
-            return None
-
-    with Children() as children:
-        for span in spans[1:]:
-            if not children.fork(span, lambda out, span=span: dump(span, out)):
-                break  # no process to spare: decode the rest here
-        parts = []
-        for span in spans:
-            part = children.result(span, load)
-            parts.append(part if part is not None else _decode_lines(path, span, keys, trace))
-        return parts

@@ -19,6 +19,8 @@ oracle for the lean ``step_round``. ``trace_bytes`` gives the bytes
 ``write_trace`` would write, for tests that compare runs.
 ``split_reads`` makes ``read_trace`` decode any file in forked workers,
 with the one-pass serial reader, ``trace_from_lines``, as its oracle.
+``counting_forks``, ``DyingPickler`` and ``assert_no_child_left`` watch
+and break the children that ``cpus.Children`` forks.
 """
 
 import contextlib
@@ -27,6 +29,8 @@ import itertools
 import json
 import math
 import os
+import pickle
+import signal
 
 import pytest
 
@@ -358,3 +362,37 @@ def split_reads(workers: int):
         patch.setattr(trace_module, "SPLIT_READ_BYTES", 0)
         patch.setattr(os, "sched_getaffinity", lambda _pid: set(range(workers)), raising=False)
         yield
+
+
+def counting_forks(monkeypatch) -> list[int]:
+    """The pids of the children ``os.fork`` makes from now on, as they are forked."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class DyingPickler(pickle.Pickler):
+    """Writes the first half of its pickle, then kills its process."""
+
+    def __init__(self, file, *args, **kwargs):
+        super().__init__(file, *args, **kwargs)
+        self.out = file
+
+    def dump(self, obj):
+        data = pickle.dumps(obj)
+        self.out.write(data[: len(data) // 2])
+        self.out.flush()
+        os.kill(os.getpid(), signal.SIGKILL)

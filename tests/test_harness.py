@@ -1,13 +1,13 @@
 """End-to-end runs, scenario library verdicts, replay, files, CLI."""
 
-import concurrent.futures
 import dataclasses
 import gc
 import hashlib
 import json
-import multiprocessing
 import os
+import pickle
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -64,7 +64,8 @@ from agreesim.trace import (
 )
 from agreesim.vectors import read_vectors, replay_vectors, vectors_from_trace, write_vectors
 from reference import (
-    reference_sweep, reference_trace_lines, split_reads, trace_bytes, trace_from_lines,
+    DyingPickler, assert_no_child_left, counting_forks, reference_sweep, reference_trace_lines,
+    split_reads, trace_bytes, trace_from_lines,
 )
 from test_acceptance import random_scenario
 
@@ -573,59 +574,82 @@ class TestSweep:
             sweep(builtin_scenario("fully_connected_baseline"), grid, [1])
 
     @staticmethod
-    def sweep_on_one_and_two_cpus(monkeypatch, tmp_path, config, seeds):
-        """Each sweep's cells and sweep.csv bytes, and the pools' (workers, chunksize)."""
-        pools = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def map(self, fn, *iterables, chunksize=1, **kwargs):
-                pools.append((self._max_workers, chunksize))
-                return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def sweep_on_one_and_two_cpus(monkeypatch, tmp_path, config, grid, seeds):
+        """Each sweep's cells and sweep.csv bytes, on one CPU then two, and the pids forked."""
+        forks = counting_forks(monkeypatch)
         results = []
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, c=cpus: c, raising=False)
-            cells = sweep(config, SWEEP_GRID, seeds)
+            cells = sweep(config, grid, seeds)
             path = tmp_path / f"sweep-{len(cpus)}.csv"
             write_sweep_csv(cells, path)
             results.append((cells, path.read_bytes()))
-        return results, pools
+        assert_no_child_left()
+        return results, forks
 
     @pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
     def test_cells_do_not_depend_on_the_worker_count(self, name, monkeypatch, tmp_path):
         config = golden_config(name)
-        results, pools = self.sweep_on_one_and_two_cpus(monkeypatch, tmp_path, config, SWEEP_SEEDS)
-        assert pools == [(2, 1)]
+        results, forks = self.sweep_on_one_and_two_cpus(monkeypatch, tmp_path, config,
+                                                        SWEEP_GRID, SWEEP_SEEDS)
+        assert len(forks) == 1
         assert results[0] == results[1]
         assert hashlib.sha256(results[0][1]).hexdigest() == SWEEP_DIGESTS[name]
 
     def test_batched_runs_fold_in_order(self, monkeypatch, tmp_path):
+        # Nine runs over two workers: this process takes five, the child four.
         config = builtin_scenario("stale_log_overshoot")
-        results, pools = self.sweep_on_one_and_two_cpus(monkeypatch, tmp_path, config,
-                                                        list(range(1, 13)))
-        assert pools == [(2, 3)]
+        results, forks = self.sweep_on_one_and_two_cpus(monkeypatch, tmp_path, config,
+                                                        {"r_c": [1, 2, 3]}, [1, 2, 3])
+        assert len(forks) == 1
         assert results[0] == results[1]
 
     def test_error_in_a_worker_propagates_and_leaves_no_worker(self, monkeypatch):
+        # Worker 0, this process, runs tasks 0, 2 and 4; the child runs 1, 3 and 5.
+        # Task 0 is (r_c=1, seed 1) and task 1 is (r_c=1, seed 2).
         real = harness.run_scenario
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+        for where, bad_seed in (("parent", 1), ("child", 2)):
+            def broken(config, seed=None, **kwargs):
+                if config.r_c == 1 and seed == bad_seed:
+                    raise RuntimeError(f"raised by a run in the {where}")
+                return real(config, seed=seed, **kwargs)
 
-        def broken(config, seed=None, **kwargs):
-            if seed == 2:
-                raise RuntimeError("raised by a run")
-            return real(config, seed=seed, **kwargs)
+            monkeypatch.setattr(harness, "run_scenario", broken)
+            with pytest.raises(RuntimeError, match=f"in the {where}"):
+                sweep(builtin_scenario("fully_connected_baseline"), {"r_c": [1, 2]}, [1, 2, 3])
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("when", ["before_writing", "mid_stream"])
+    def test_a_killed_child_leaves_its_share_to_the_parent(self, monkeypatch, when):
+        config = builtin_scenario("stale_log_overshoot")
+        grid, seeds = {"r_c": [1, 2, 3]}, [1, 2, 3]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
+        expected = sweep(config, grid, seeds)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+        parent = os.getpid()
+        if when == "before_writing":
+            real = harness.run_scenario
+
+            def dying_run(config, seed=None, **kwargs):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real(config, seed=seed, **kwargs)
+
+            monkeypatch.setattr(harness, "run_scenario", dying_run)
+        else:
+            monkeypatch.setattr(pickle, "Pickler", DyingPickler)
+        forks = counting_forks(monkeypatch)
+        assert sweep(config, grid, seeds) == expected
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_no_fork_while_other_threads_run(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked while another thread ran")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
-        monkeypatch.setattr(harness, "run_scenario", broken)
-        with pytest.raises(RuntimeError, match="raised by a run"):
-            sweep(builtin_scenario("fully_connected_baseline"), {"r_c": [1, 2]}, [1, 2, 3])
-        assert multiprocessing.active_children() == []
-
-    def test_no_pool_while_other_threads_run(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
-        pools = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            lambda *args, **kwargs: pools.append(args))
+        monkeypatch.setattr(os, "fork", no_fork)
         release = threading.Event()
         waiter = threading.Thread(target=release.wait)
         waiter.start()
@@ -635,15 +659,24 @@ class TestSweep:
             release.set()
             waiter.join(timeout=10)
         assert not waiter.is_alive()
-        assert pools == [] and [c.runs for c in cells] == [2, 2]
+        assert [c.runs for c in cells] == [2, 2]
 
     def test_importing_the_cli_loads_no_pool_modules(self):
+        # Nor does a sweep on two CPUs, which forks and so imports pickle: its
+        # child is a plain fork.
         src = os.path.dirname(os.path.dirname(harness.__file__))
-        code = ("import sys, agreesim.cli; "
-                "print(sorted({'multiprocessing', 'concurrent.futures', 'pickle'} & set(sys.modules)))")
+        code = ("import os, sys, agreesim.cli\n"
+                "pool = {'multiprocessing', 'concurrent.futures'}\n"
+                "print(sorted((pool | {'pickle'}) & set(sys.modules)))\n"
+                "os.sched_getaffinity = lambda _pid: {0, 1}\n"
+                "from agreesim.harness import sweep\n"
+                "from agreesim.scenarios import builtin_scenario\n"
+                "config = builtin_scenario('fully_connected_baseline')\n"
+                "cells = sweep(config, {'r_c': [1, 2]}, [1, 2])\n"
+                "print(sorted(pool & set(sys.modules)), 'pickle' in sys.modules, len(cells))\n")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.splitlines() == ["[]", "[] True 2"]
 
     # The last two end in a top-level field's name under a nested key.
     @pytest.mark.parametrize("path", ["nonsense", "adversary.seed", "mobility.n"])
@@ -1150,7 +1183,9 @@ class TestCli:
          "huge_initial_value", "huge_speed", "huge_fixed_value", "float_seed", "zero_max_rounds",
          "schema_2", "unknown_mobility", "unknown_strategy", "position_outside_arena",
          "faulty_id_outside", "reversed_speed", "infinite_speed", "huge_and_infinite_speed",
-         "sweep_missing_grid", "sweep_list_grid", "sweep_zero_seeds", "export_unknown"],
+         "sweep_missing_grid", "sweep_list_grid", "sweep_zero_seeds", "export_unknown",
+         "waypoint_00", "position_00", "position_9", "table_round_01", "table_receiver_01",
+         "table_receiver_9"],
     )
     def test_malformed_scenario_exits_two(self, tmp_path, capsys, defect):
         # Each newer case names the reason it must be rejected for.
@@ -1170,7 +1205,13 @@ class TestCli:
                    "sweep_missing_grid": "cannot read grid",
                    "sweep_list_grid": "grid must map parameter paths to value lists",
                    "sweep_zero_seeds": "sweep needs at least one seed",
-                   "export_unknown": "unknown builtin scenario 'nope'"}
+                   "export_unknown": "unknown builtin scenario 'nope'",
+                   "waypoint_00": "node id '00' is not a canonical decimal",
+                   "position_00": "node id '00' is not a canonical decimal",
+                   "position_9": "explicit positions for unknown nodes [9]",
+                   "table_round_01": "scripted table round '01' is not a canonical decimal",
+                   "table_receiver_01": "node id '01' is not a canonical decimal",
+                   "table_receiver_9": "scripted table row '1' for unknown nodes [9]"}
         speeds = {"huge_speed": [10**400, 10**400], "reversed_speed": [2.0, 1.0],
                   "infinite_speed": [float("inf"), float("inf")],
                   "huge_and_infinite_speed": [1e308, float("inf")]}
@@ -1248,6 +1289,14 @@ class TestCli:
             doc["initial_positions"]["coords"]["0"] = [99.0, 99.0]
         elif defect == "faulty_id_outside":  # n is 5
             doc["adversary"]["byz_set"] = [7]
+        elif defect.startswith("position_"):  # beside the canonical keys 0..4
+            doc["initial_positions"]["coords"][defect.split("_")[1]] = [1.0, 1.0]
+        elif defect.startswith("table_"):
+            # Read with int alone, "01" would shadow the "1" before it; "9" names no node.
+            key = defect.split("_")[2]
+            table = ({"1": {"0": 5.0}, key: {"0": 7.0}} if defect.startswith("table_round")
+                     else {"1": {"0": 5.0, key: 7.0}})
+            doc["adversary"] = {"strategy": "scripted", "byz_set": [4], "table": table}
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "out")]
@@ -1279,6 +1328,17 @@ class TestCli:
         assert main(["check", "--trace", str(trace_path), "--mode", mode]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and reason in err[0]
+
+    def test_bad_check_mode_is_rejected_before_the_trace_is_read(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        def no_read(path):
+            raise AssertionError("read the trace")
+
+        monkeypatch.setattr(cli, "read_trace", no_read)
+        absent = tmp_path / "absent.jsonl"
+        assert main(["check", "--trace", str(absent), "--mode", "bogus"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "mode must be 'per-phase' or 'io:<W>'" in err[0]
 
     @pytest.mark.parametrize(
         "case", ["run_out_is_a_file", "run_vectors", "check_out", "export_out"]

@@ -21,14 +21,11 @@ from agreesim.harness import simulate
 from agreesim.scenarios import LIBRARY, builtin_scenario
 from agreesim.trace import read_trace, trace_to_lines, write_trace
 
-from reference import split_reads, trace_from_lines
+from reference import (
+    DyingPickler, assert_no_child_left, counting_forks, split_reads, trace_from_lines,
+)
 from test_acceptance import random_scenario
 from test_harness import golden_waypoint_n40
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def check_outcome(path) -> tuple[int, str, list[str]]:
@@ -78,16 +75,7 @@ def baseline_trace(tmp_path):
 
 
 def test_every_extra_worker_is_a_forked_child(baseline_trace, monkeypatch):
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
+    forks = counting_forks(monkeypatch)
     with split_reads(3):
         read_trace(baseline_trace)
     assert len(forks) == 2
@@ -119,20 +107,6 @@ def test_no_child_outlives_a_read_that_raises(baseline_trace):
         code, _out, err = check_outcome(baseline_trace)
     assert code == 2 and len(err) == 1
     assert_no_child_left()
-
-
-class DyingPickler(pickle.Pickler):
-    """Writes the first half of its pickle, then kills its process."""
-
-    def __init__(self, file, *args, **kwargs):
-        super().__init__(file, *args, **kwargs)
-        self.out = file
-
-    def dump(self, obj):
-        data = pickle.dumps(obj)
-        self.out.write(data[: len(data) // 2])
-        self.out.flush()
-        os.kill(os.getpid(), signal.SIGKILL)
 
 
 @pytest.mark.parametrize("when", ["before_writing", "mid_stream"])

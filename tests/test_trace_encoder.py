@@ -23,10 +23,9 @@ from agreesim.harness import simulate
 from agreesim.scenarios import builtin_scenario, save_scenario
 from agreesim.trace import TraceEncoder, write_trace
 
-from reference import reference_trace_lines, trace_bytes
+from reference import assert_no_child_left, counting_forks, reference_trace_lines, trace_bytes
 from test_acceptance import random_scenario
 from test_harness import GOLDEN_DIGESTS, golden_config
-from test_split_read import assert_no_child_left
 
 
 @contextlib.contextmanager
@@ -35,19 +34,9 @@ def encoder_cpus(count: int, monkeypatch):
 
     Yields the list of pids forked.
     """
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
     monkeypatch.setattr(trace_module, "ENCODE_MIN_MESSAGES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(count)), raising=False)
-    monkeypatch.setattr(os, "fork", counting_fork)
-    yield forks
+    yield counting_forks(monkeypatch)
 
 
 def run_cli(scenario: str, out) -> tuple[int, str]:
