@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .analysis import condition_report, check_convergence
-from .errors import AgreesimError, ConfigError, TraceError
+from .errors import AgreesimError, ConfigError, TraceError, read_json
 from .harness import (
     build_report,
     run_scenario,
@@ -98,7 +98,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     window = _parse_mode(args.mode)  # before the trace: a large one takes long to read
     try:
         trace = read_trace(args.trace)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise ConfigError(f"cannot read trace {args.trace}: {exc}") from None
     report = build_report(trace, args.delta)
     flags = [v.satisfied for v in report.condition_per_phase]
@@ -119,12 +119,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     template = _resolve_scenario(args.scenario)
-    try:
-        grid = json.loads(Path(args.grid).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read grid {args.grid}: {exc}") from None
-    if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
-        raise ConfigError("grid must map parameter paths to value lists")
+    grid = read_json(args.grid, "grid")
     seeds = [template.seed + i for i in range(args.seeds)]
     cells = sweep(template, grid, seeds)
     out = Path(args.out)

@@ -1,5 +1,6 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the input readers that raise them."""
 
+import json
 import math
 from contextlib import contextmanager
 
@@ -28,9 +29,10 @@ class AnalysisError(AgreesimError):
     """An analysis precondition failed or internal cross-checks disagreed."""
 
 
-# What reading a missing key, wrong type, short list or too-large integer raises.
+# What reading a missing key, wrong type, short list, too-large integer or
+# too deeply nested JSON raises.
 MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError,
-             ProtocolError)
+             RecursionError, ProtocolError)
 
 
 def describe(exc: Exception) -> str:
@@ -57,6 +59,15 @@ def decimal_key(key, what: str) -> int:
     if str(number) != str(key):
         raise ValueError(f"{what} {key!r} is not a canonical decimal")
     return number
+
+
+def read_json(path, what: str):
+    """The JSON document at ``path``, read as UTF-8 whatever the locale, or a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
 def require_finite(what: str, *values: float) -> None:

@@ -321,6 +321,10 @@ def sweep(
     """
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
+    if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
+        raise ConfigError("grid must map parameter paths to value lists")
+    if "seed" in grid:  # every run takes its seed from ``seeds``, whatever the cell's is
+        raise ConfigError("grid path 'seed' cannot be swept: each run's seed comes from --seeds")
     keys = sorted(grid)
     for key in keys:
         if not grid[key]:

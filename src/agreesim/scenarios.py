@@ -25,7 +25,7 @@ from .adversary import (
 )
 from .analysis import check_delta
 from .dynamics import Arena, MobilityModel, RandomWaypoint, Scripted, Stationary, TeleportRandom
-from .errors import ConfigError, decimal_key, malformed, require_finite
+from .errors import ConfigError, decimal_key, malformed, read_json, require_finite
 from .protocol import ProtocolParams
 
 SCENARIO_SCHEMA = 1
@@ -152,12 +152,7 @@ def build_adversary(config: ScenarioConfig) -> AdversaryStrategy:
     elif strategy == "scripted":
         raw = spec.get("table")
         if raw is None and "table_file" in spec:
-            try:
-                raw = json.loads(Path(spec["table_file"]).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ConfigError(
-                    f"cannot read scripted table {spec['table_file']}: {exc}"
-                ) from None
+            raw = read_json(spec["table_file"], "scripted table")
         table = {}
         for key, row in (raw or {}).items():
             round_key = "*" if key == "*" else decimal_key(key, "scripted table round")
@@ -214,17 +209,13 @@ def save_scenario(config: ScenarioConfig, path: str | Path) -> None:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read scenario {path}: {exc}") from None
-    config = ScenarioConfig.from_dict(obj)
-    with malformed(ConfigError, "malformed scenario"):
+    config = ScenarioConfig.from_dict(read_json(path, "scenario"))
+    with malformed(ConfigError, "malformed scenario"):  # also a table_file that is no path
         table_file = config.adversary.get("table_file")
-    if table_file is not None and not Path(table_file).is_absolute():
-        config.adversary = dict(
-            config.adversary, table_file=str(Path(path).parent / table_file)
-        )
+        if table_file is not None and not Path(table_file).is_absolute():
+            config.adversary = dict(
+                config.adversary, table_file=str(Path(path).parent / table_file)
+            )
     config.validate()
     return config
 

@@ -15,9 +15,9 @@ dedicated encoder that gives the same bytes as ``json.dumps`` would.
 simulation goes on, and writes their bytes in round order: the file does
 not depend on how many CPUs did the work.
 
-Reading decodes and checks each line on its own, then folds the lines in
-order, checking what spans records. A large file's lines are decoded in
-forked workers, with the same result as one pass.
+Reading decodes and checks each line on its own, bytes that are not UTF-8
+included, then folds the lines in order, checking what spans records. A
+large file's lines are decoded in forked workers, a stream's in one pass.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import math
 import operator
 import os
 import shutil
+import stat
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -351,11 +352,12 @@ def _header_from_json(obj: dict) -> Trace:
     return trace
 
 
-def _read_header(numbered: Iterator[tuple[int, str]]) -> tuple[Trace, int]:
+def _read_header(numbered: Iterator[tuple[int, bytes]]) -> tuple[Trace, int]:
     """The header record, from the first line that is not blank, and its line number."""
-    for lineno, line in numbered:
-        if line.strip():
-            with malformed(TraceError, f"line {lineno}: malformed record"):
+    for lineno, raw in numbered:
+        with malformed(TraceError, f"line {lineno}: malformed record"):
+            line = raw.decode()
+            if line.strip():
                 return _header_from_json(json.loads(line, parse_constant=_reject_constant)), lineno
     raise TraceError("trace does not start with a header record")
 
@@ -365,17 +367,18 @@ def _node_keys(trace: Trace) -> dict[str, NodeId]:
     return {str(i): i for i in trace.initial_values.keys() | trace.byz_set}
 
 
-def _decode(line: str, keys: dict[str, NodeId], trace: Trace):
-    """One record line after the header, read and checked on its own.
+def _decode(raw: bytes, keys: dict[str, NodeId], trace: Trace):
+    """One record line after the header, read from its bytes and checked on its own.
 
     Returns None for a blank line, a round record, the final values, or the
     text of what makes the record malformed. It depends on nothing but the
     line and the header, so lines can be decoded in any order and in any
     process; ``_fold`` checks what spans records.
     """
-    if not line.strip():
-        return None
     try:
+        line = raw.decode()
+        if not line.strip():
+            return None
         obj = json.loads(line, parse_constant=_reject_constant)
         kind = obj.get("type")
         if kind == "round":
@@ -397,8 +400,6 @@ def _fold(trace: Trace, lineno: int, item) -> None:
         raise TraceError(f"line {lineno}: a record follows the final record")
     if isinstance(item, str):
         raise TraceError(f"line {lineno}: {item}")
-    if isinstance(item, UnicodeDecodeError):
-        raise item
     if type(item) is RoundRecord:
         if item.round != trace.last_round + 1:
             raise TraceError(f"line {lineno}: round {item.round} is out of order")
@@ -502,35 +503,38 @@ SPLIT_READ_BYTES = 1 << 20
 
 
 def read_trace(path: str | Path) -> Trace:
-    """Read a trace file; a large one is decoded in forked workers, with the same result.
+    """Read a trace from a file or a stream; a large file is decoded in forked workers.
 
     JSON Lines splits on "\n" only, so every reader here does too.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+        info = os.fstat(fh.fileno())
         workers = 1
-        if size >= SPLIT_READ_BYTES:  # each worker decodes at least half the split size
-            workers = worker_count(2 * size // max(SPLIT_READ_BYTES, 1))
-        return _read_split(path, fh, workers)
+        if stat.S_ISREG(info.st_mode) and info.st_size >= SPLIT_READ_BYTES:
+            # each worker decodes at least half the split size
+            workers = worker_count(2 * info.st_size // max(SPLIT_READ_BYTES, 1))
+        trace, lineno = _read_header(enumerate(fh, 1))
+        keys = _node_keys(trace)
+        if workers == 1:  # one pass, from the stream that read the header
+            items = (_decode(raw, keys, trace) for raw in fh)
+        else:
+            items = _decode_split(fh, info.st_size, workers, keys, trace)
+        for lineno, item in enumerate(items, lineno + 1):
+            _fold(trace, lineno, item)
+    return _finished(trace)
 
 
-def _read_split(path: str | Path, fh, workers: int) -> Trace:
-    """Decode the lines after the header in ``workers`` byte ranges, then fold them in order."""
-    trace, lineno = _read_header(enumerate(map(bytes.decode, fh), 1))
-    keys = _node_keys(trace)
+def _decode_split(fh, size: int, workers: int, keys: dict[str, NodeId], trace: Trace) -> Iterator:
+    """``_decode`` of each line after the header, in ``workers`` byte ranges of the file."""
     cuts = [fh.tell()]
-    size = os.fstat(fh.fileno()).st_size
     for k in range(1, workers):
         fh.seek(cuts[0] + (size - cuts[0]) * k // workers)
         fh.readline()  # each cut follows a "\n"
         cuts.append(max(fh.tell(), cuts[-1]))
     cuts.append(size)
     spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-    for part in split_map(lambda span: _decode_lines(path, span, keys, trace), spans):
-        for item in part:
-            lineno += 1
-            _fold(trace, lineno, item)
-    return _finished(trace)
+    parts = split_map(lambda span: _decode_lines(fh.name, span, keys, trace), spans)
+    return itertools.chain.from_iterable(parts)
 
 
 def _decode_lines(path: str | Path, span: tuple[int, int], keys: dict[str, NodeId],
@@ -540,20 +544,17 @@ def _decode_lines(path: str | Path, span: tuple[int, int], keys: dict[str, NodeI
     The range starts a line and ends one or the file. It is read one line
     at a time through a file of its own, so no process moves another's
     offset and no copy of the whole range is held. It stops after the first
-    line that is not UTF-8 or is malformed: ``_fold`` raises there at the
-    latest, so a bad record early in a large file is reported at once.
+    malformed line: ``_fold`` raises there at the latest, so a bad record
+    early in a large file is reported at once.
     """
     start, stop = span
     decoded = []
     with open(path, "rb") as fh:
         fh.seek(start)
         for raw in fh:  # lines keep their b"\n"
-            try:
-                item = _decode(raw.decode(), keys, trace)
-            except UnicodeDecodeError as exc:
-                item = exc
+            item = _decode(raw, keys, trace)
             decoded.append(item)
             start += len(raw)
-            if start >= stop or isinstance(item, (str, UnicodeDecodeError)):
+            if start >= stop or isinstance(item, str):
                 break
     return decoded

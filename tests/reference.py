@@ -56,12 +56,12 @@ def trace_bytes(trace):
 
 
 def trace_from_lines(lines):
-    """A trace from any iterable of lines in one pass, each record checked as it arrives.
+    """A trace from any iterable of text lines in one pass, each record checked as it arrives.
 
     ``read_trace`` decodes byte ranges of a file, each in any process, and
     folds them in order; this folds each line as soon as it is decoded.
     """
-    numbered = enumerate(lines, 1)
+    numbered = enumerate(map(str.encode, lines), 1)
     trace, _lineno = trace_module._read_header(numbered)
     keys = trace_module._node_keys(trace)
     for lineno, line in numbered:
@@ -356,8 +356,8 @@ def reference_sweep(template, grid, seeds):
 
 @contextlib.contextmanager
 def split_reads(workers: int):
-    """``read_trace`` splits every file over ``workers`` processes, whatever the
-    affinity mask; with one worker it reads serially."""
+    """``read_trace`` splits every regular file over ``workers`` processes,
+    whatever the affinity mask; with one worker it reads in one pass."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trace_module, "SPLIT_READ_BYTES", 0)
         patch.setattr(os, "sched_getaffinity", lambda _pid: set(range(workers)), raising=False)

@@ -3,9 +3,11 @@
 Each example takes the trace of one builtin scenario and edits one or two
 of its records the way a faulty writer would: a dict key dropped, a value
 swapped for one of another type, a list entry repeated, or a number moved
-beyond float range. Whatever the edit, ``check`` must end with an exit
-code of the contract (0 ok, 1 violated, 2 usage) and never raise; on exit
-2 it prints exactly one line to stderr. Read in forked workers, every
+beyond float range. Byte edits break its lines instead: a line cut short,
+a byte that is not UTF-8 put into one, the header included, or two lines
+joined. Whatever the edit, ``check`` must end with an exit code of the
+contract (0 ok, 1 violated, 2 usage) and never raise; on exit 2 it prints
+exactly one line to stderr, a trace error. Read in forked workers, every
 trace gives the same exit code and output as read in one pass.
 """
 
@@ -29,6 +31,9 @@ from reference import split_reads
 OTHER_TYPES = [None, True, "x", [], {}, 1.5, -0.0, 7]
 E400 = "1e400"
 OUT_OF_RANGE = [10**400, -(10**400), E400]
+# A lone high byte, a lead byte with no continuation, a stray continuation
+# byte, and a UTF-16 surrogate encoded as UTF-8: none of them decodes.
+NOT_UTF8 = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"]
 
 
 @functools.cache
@@ -71,7 +76,25 @@ def mutated_traces(draw):
             others = [v for v in OTHER_TYPES if type(v) is not type(container[key])]
             container[key] = draw(st.sampled_from(others))
         lines[at] = json.dumps(record).replace(f'"{E400}"', E400)
-    return lines
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@st.composite
+def byte_edited_traces(draw):
+    lines = [line.encode() for line in builtin_lines(draw(st.sampled_from(sorted(LIBRARY))))]
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.sampled_from([0, len(lines) - 1]) | st.integers(0, len(lines) - 1))
+        line = lines[at]
+        kind = draw(st.sampled_from(["cut", "not_utf8", "join"]))
+        if kind == "cut" and line:  # an earlier edit may have cut it to nothing
+            lines[at] = line[:draw(st.integers(0, len(line) - 1))]
+        elif kind == "not_utf8":
+            cut = draw(st.integers(0, len(line)))
+            lines[at] = line[:cut] + draw(st.sampled_from(NOT_UTF8)) + line[cut:]
+        elif kind == "join" and len(lines) > 1:  # this line and the next, or the last two
+            at = min(at, len(lines) - 2)
+            lines[at:at + 2] = [lines[at] + lines[at + 1]]
+    return b"".join(line + b"\n" for line in lines)
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +103,19 @@ def trace_path(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(lines=mutated_traces())
-def test_check_never_crashes_on_a_mutated_trace(trace_path, lines):
-    trace_path.write_text("".join(line + "\n" for line in lines))
+@given(data=mutated_traces())
+def test_check_never_crashes_on_a_mutated_trace(trace_path, data):
+    assert_check_keeps_the_contract(trace_path, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=byte_edited_traces())
+def test_check_never_crashes_on_a_byte_edited_trace(trace_path, data):
+    assert_check_keeps_the_contract(trace_path, data)
+
+
+def assert_check_keeps_the_contract(trace_path, data: bytes) -> None:
+    trace_path.write_bytes(data)
     outcomes = []
     for workers in (1, 3):
         out, err = io.StringIO(), io.StringIO()
@@ -91,6 +124,6 @@ def test_check_never_crashes_on_a_mutated_trace(trace_path, lines):
         outcomes.append((code, out.getvalue(), err.getvalue()))
     code, _out, err = outcomes[0]
     assert code in (0, 1, 2)
-    if code == 2:
-        assert len(err.splitlines()) == 1, err
+    if code == 2:  # the file is readable: whatever is wrong is in a record
+        assert len(err.splitlines()) == 1 and err.startswith("trace error: "), err
     assert outcomes[1] == outcomes[0]

@@ -679,10 +679,16 @@ class TestSweep:
         assert done.stdout.splitlines() == ["[]", "[] True 2"]
 
     # The last two end in a top-level field's name under a nested key.
-    @pytest.mark.parametrize("path", ["nonsense", "adversary.seed", "mobility.n"])
+    # "seed" names a field, but every run takes its seed from the seed list.
+    @pytest.mark.parametrize("path", ["nonsense", "adversary.seed", "mobility.n", "seed"])
     def test_bad_grid_path_rejected(self, path):
         with pytest.raises(ConfigError):
             sweep(builtin_scenario("partition_never"), {path: [1, 2]}, seeds=[1])
+
+    @pytest.mark.parametrize("grid", [[{"r_c": [1]}], {"r_c": 1}])
+    def test_grid_must_map_paths_to_value_lists(self, grid):
+        with pytest.raises(ConfigError, match="grid must map parameter paths to value lists"):
+            sweep(builtin_scenario("fully_connected_baseline"), grid, seeds=[1])
 
 
 def assert_early_stop_matches_full_run(config: ScenarioConfig) -> int:
@@ -954,6 +960,7 @@ class TestCli:
             "e400_delivered_value", "e400_final", "empty_file", "header_without_values",
             "unknown_record_type", "round_2_ids_differ", "final_ids_differ",
             "non_canonical_key", "shadowed_node_key", "header_n_long", "unlisted_node",
+            "deep_nesting",
         ],
     )
     def test_check_rejects_malformed_trace_with_usage_exit(self, tmp_path, capsys, defect):
@@ -970,7 +977,8 @@ class TestCli:
                    "non_canonical_key": "node id ' 0' is not a canonical decimal",
                    "shadowed_node_key": "node id '00' is not a canonical decimal",
                    "header_n_long": "n is 1000000000, but the header lists 4 nodes",
-                   "unlisted_node": "n is 5, but the header lists 4 nodes"}
+                   "unlisted_node": "n is 5, but the header lists 4 nodes",
+                   "deep_nesting": "line 3: malformed record (RecursionError"}
         trace_path = tmp_path / "trace.jsonl"
         # The baseline has no faulty nodes; node 4 of the improper mix is one.
         faulty = defect in ("repeated_byz_sent", "unlinked_byz_sent", "repeated_edge",
@@ -1068,6 +1076,8 @@ class TestCli:
             lines.insert(-1, json.dumps(final))
         elif defect == "final_before_last_round":
             lines[-2], lines[-1] = lines[-1], lines[-2]
+        elif defect == "deep_nesting":  # deeper than the JSON decoder recurses
+            lines[2] = "[" * 100_000 + "]" * 100_000
         elif defect == "repeated_edge":
             first_round["edges"].insert(1, first_round["edges"][0])
             lines[1] = json.dumps(first_round)
@@ -1134,11 +1144,13 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == err
 
     @pytest.mark.parametrize(
-        "edit,code", [("line_separator", 0), ("bad_utf8_line_11", 2), ("blank_lines", 0)]
+        "edit,code", [("line_separator", 0), ("bad_utf8_line_11", 2), ("bad_utf8_line_1", 2),
+                      ("blank_lines", 0)]
     )
     def test_check_reads_utf8_records_split_on_newline(self, tmp_path, capsys, edit, code):
         # JSON Lines ends a record at "\n" only, so a raw U+2028 inside a string
-        # is no line break; a byte that is not UTF-8 is reported, not raised.
+        # is no line break; a byte that is not UTF-8 makes its line a malformed
+        # record, the header's included.
         trace_path = tmp_path / "trace.jsonl"
         lines = trace_to_lines(simulate(builtin_scenario("fully_connected_baseline")))
         if edit == "line_separator":
@@ -1147,14 +1159,19 @@ class TestCli:
             lines[0] = json.dumps(header, ensure_ascii=False)
         # Blank lines between records hold no record, so they are skipped.
         data = (("\n \n" if edit == "blank_lines" else "\n").join(lines) + "\n").encode("utf-8")
-        if edit == "bad_utf8_line_11":
-            data = b"\n".join(b"\xff" + line if i == 10 else line
+        if edit.startswith("bad_utf8_line_"):
+            bad = int(edit.rsplit("_", 1)[1])
+            data = b"\n".join(b"\xff" + line if i == bad - 1 else line
                               for i, line in enumerate(data.split(b"\n")))
         trace_path.write_bytes(data)
         for workers in (1, 3):  # read in one pass, then in forked workers
             with split_reads(workers):
                 assert main(["check", "--trace", str(trace_path)]) == code
-            assert len(capsys.readouterr().err.splitlines()) == (1 if code else 0)
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == (1 if code else 0)
+            if code:
+                assert err[0].startswith(f"trace error: line {bad}: malformed record (Unicode"
+                                         "DecodeError: 'utf-8' codec can't decode byte 0xff")
         if edit == "line_separator":
             assert read_trace(trace_path).scenario_name == "split\u2028here"
 
@@ -1185,7 +1202,8 @@ class TestCli:
          "faulty_id_outside", "reversed_speed", "infinite_speed", "huge_and_infinite_speed",
          "sweep_missing_grid", "sweep_list_grid", "sweep_zero_seeds", "export_unknown",
          "waypoint_00", "position_00", "position_9", "table_round_01", "table_receiver_01",
-         "table_receiver_9"],
+         "table_receiver_9", "sweep_seed_grid", "non_utf8_scenario", "non_utf8_grid",
+         "non_utf8_table", "deep_scenario", "numeric_table_file"],
     )
     def test_malformed_scenario_exits_two(self, tmp_path, capsys, defect):
         # Each newer case names the reason it must be rejected for.
@@ -1211,7 +1229,13 @@ class TestCli:
                    "position_9": "explicit positions for unknown nodes [9]",
                    "table_round_01": "scripted table round '01' is not a canonical decimal",
                    "table_receiver_01": "node id '01' is not a canonical decimal",
-                   "table_receiver_9": "scripted table row '1' for unknown nodes [9]"}
+                   "table_receiver_9": "scripted table row '1' for unknown nodes [9]",
+                   "sweep_seed_grid": "grid path 'seed' cannot be swept",
+                   "non_utf8_scenario": "config error: cannot read scenario",
+                   "non_utf8_grid": "config error: cannot read grid",
+                   "non_utf8_table": "config error: cannot read scripted table",
+                   "deep_scenario": "config error: cannot read scenario",
+                   "numeric_table_file": "malformed scenario (TypeError: expected str"}
         speeds = {"huge_speed": [10**400, 10**400], "reversed_speed": [2.0, 1.0],
                   "infinite_speed": [float("inf"), float("inf")],
                   "huge_and_infinite_speed": [1e308, float("inf")]}
@@ -1297,16 +1321,26 @@ class TestCli:
             table = ({"1": {"0": 5.0}, key: {"0": 7.0}} if defect.startswith("table_round")
                      else {"1": {"0": 5.0, key: 7.0}})
             doc["adversary"] = {"strategy": "scripted", "byz_set": [4], "table": table}
+        elif defect == "numeric_table_file":
+            doc["adversary"] = {"strategy": "scripted", "byz_set": [4], "table_file": 5}
+        elif defect == "non_utf8_table":  # a relative table_file is found beside the scenario
+            doc["adversary"] = {"strategy": "scripted", "byz_set": [4], "table_file": "table.json"}
+            (tmp_path / "table.json").write_bytes(b'{"1": {"0": 5.0}, "\xff": {}}')
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(doc))
+        path.write_bytes((b"\xff" if defect == "non_utf8_scenario" else b"")
+                         + json.dumps(doc).encode())
+        if defect == "deep_scenario":  # deeper than the JSON decoder recurses
+            path.write_text("[" * 100_000 + "]" * 100_000)
         argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "out")]
-        if defect.startswith("sweep_"):  # the template is fine; the grid or the seeds are not
+        if defect.startswith("sweep_") or defect == "non_utf8_grid":
+            # The template is fine; the grid or the seeds are not.
             grid = tmp_path / "grid.json"
-            grid.write_text(json.dumps({
+            grid.write_bytes(json.dumps({
                 "sweep_range": {"adversary.range": [[1.0, 0.0]]},  # a reversed range
                 "sweep_no_values": {"adversary.range": []},
                 "sweep_list_grid": [{"r_c": [1]}],
-            }.get(defect, {"r_c": [1]})))
+                "sweep_seed_grid": {"seed": [1, 2, 3]},  # every run's seed comes from --seeds
+            }.get(defect, {"r_c": [1]})).encode() + (b"\xff" if defect == "non_utf8_grid" else b""))
             if defect == "sweep_missing_grid":
                 grid = tmp_path / "absent.json"
             seeds = "0" if defect == "sweep_zero_seeds" else "2"
@@ -1318,6 +1352,8 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert reasons.get(defect, "") in err[0]
+        if defect.startswith("non_utf8"):
+            assert "'utf-8' codec can't decode byte 0xff" in err[0]
 
     @pytest.mark.parametrize("mode,reason", [("io:x", "bad io window in mode 'io:x'"),
                                              ("io:0", "io window must be >= 1"),

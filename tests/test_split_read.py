@@ -10,6 +10,7 @@ import io
 import os
 import pickle
 import signal
+import subprocess
 import threading
 
 import pytest
@@ -28,10 +29,10 @@ from test_acceptance import random_scenario
 from test_harness import golden_waypoint_n40
 
 
-def check_outcome(path) -> tuple[int, str, list[str]]:
+def check_outcome(path, *options: str) -> tuple[int, str, list[str]]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["check", "--trace", str(path)])
+        code = main(["check", "--trace", str(path), *options])
     return code, out.getvalue(), err.getvalue().splitlines()
 
 
@@ -127,6 +128,36 @@ def test_a_killed_child_leaves_its_range_to_the_parent(baseline_trace, monkeypat
     with split_reads(3):
         assert read_trace(baseline_trace) == expected
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("stream", ["fifo", "dev_fd"])
+def test_a_stream_is_read_in_one_pass_like_the_file(baseline_trace, tmp_path, monkeypatch,
+                                                    stream):
+    # A stream cannot seek, so it is read in one pass where the file is split.
+    # A child process writes it: no fork may happen while another thread runs.
+    with split_reads(3):
+        expected = check_outcome(baseline_trace, "--out", str(tmp_path / "file.json"))
+    forks = counting_forks(monkeypatch)
+    if stream == "fifo":
+        path = tmp_path / "trace.fifo"
+        os.mkfifo(path)
+        writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(baseline_trace), str(path)])
+    else:
+        r, w = os.pipe()
+        writer = subprocess.Popen(["cat", str(baseline_trace)], stdout=w)
+        os.close(w)
+        path = f"/dev/fd/{r}"
+    try:
+        with split_reads(3):
+            outcome = check_outcome(path, "--out", str(tmp_path / "stream.json"))
+    finally:
+        writer.kill()  # one left blocked by a read that failed
+        writer.wait(timeout=10)
+        if stream == "dev_fd":
+            os.close(r)
+    assert outcome == expected and expected[0] == 0
+    assert (tmp_path / "stream.json").read_bytes() == (tmp_path / "file.json").read_bytes()
+    assert forks == []
 
 
 def test_bad_utf8_after_a_malformed_record_reports_the_record(tmp_path):
