@@ -7,36 +7,22 @@ implementations too. The checks come in three families: range guarantees
 that must hold in every run (validity, legality, safety), descriptive
 classification of nodes into value groups per phase, and the progress
 condition whose presence or absence separates converging runs from stuck
-ones.
+ones. One in-order pass over the rounds, a ``Walk``, decides every check
+of a report; each ``check_*`` function finishes one from what it kept.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
-import itertools
 import math
 from collections import Counter
-from collections.abc import Collection, Iterable
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .errors import AnalysisError, ConfigError, TraceError
-from .protocol import Message, NodeId, Value, is_common_new_start
-from .trace import Trace
-
-
-def legal_reference_round(r: int, r_c: int) -> int:
-    """Phase-start round whose extrema bound values at round r.
-
-    Values computed mid-phase may use retained values from earlier in the
-    phase, so the binding envelope is the previous phase start: rounds
-    inside a phase answer to their own phase start, while a phase-opening
-    round (computed during the last round of the previous phase) answers
-    to the start of that previous phase. Both cases are the phase start of
-    round r-1, the round during which round r's values were computed.
-    """
-    if r < 1:
-        raise AnalysisError(f"round must be >= 1, got {r}")
-    return max(1, (r - 2) // r_c * r_c + 1)
+from .protocol import NodeId, Value, is_common_new_start
+from .trace import RoundRecord, Trace
 
 
 @dataclass(frozen=True)
@@ -52,50 +38,6 @@ class Violation:
 class RangeCheck:
     ok: bool
     violations: list[Violation] = field(default_factory=list)
-
-
-def _range_check(trace: Trace, envelopes: Iterable[tuple[Value, Value]]) -> RangeCheck:
-    """Test every correct value against its round's ``(lo, hi)``.
-
-    ``envelopes`` yields one bound pair per round, round 1 first.
-    """
-    violations = []
-    # Round-start values exist for rounds 1..T and for the post-run point T+1.
-    for r, (lo, hi) in zip(range(1, trace.last_round + 2), envelopes):
-        for i, v in sorted(trace.values_at(r).items()):
-            if not lo <= v <= hi:
-                violations.append(Violation(i, r, v, lo, hi))
-    return RangeCheck(ok=not violations, violations=violations)
-
-
-def check_validity(trace: Trace) -> RangeCheck:
-    """Every correct value stays inside the initial correct range forever."""
-    lo = min(trace.initial_values.values())
-    hi = max(trace.initial_values.values())
-    return _range_check(trace, itertools.repeat((lo, hi)))
-
-
-def check_legality(trace: Trace) -> RangeCheck:
-    """Every correct value is bounded by its reference phase-start extrema."""
-    refs = (legal_reference_round(r, trace.params.r_c) for r in itertools.count(1))
-    return _range_check(trace, ((trace.v_min(d), trace.v_max(d)) for d in refs))
-
-
-def check_safety(trace: Trace) -> RangeCheck:
-    """From each phase start on, values never leave that start's envelope.
-
-    A value lies inside every earlier start's envelope exactly when it lies
-    inside their intersection, so each round is checked once against the
-    running intersection (an empty one flags every value).
-    """
-    def envelopes():
-        lo, hi = -math.inf, math.inf
-        for r in itertools.count(1):
-            if is_common_new_start(r, trace.params.r_c):
-                lo, hi = max(lo, trace.v_min(r)), min(hi, trace.v_max(r))
-            yield lo, hi
-
-    return _range_check(trace, envelopes())
 
 
 class Group(enum.Enum):
@@ -137,19 +79,6 @@ def check_delta(delta: float | None, epsilon: float) -> float:
     if not 0.0 < delta <= half:
         raise ConfigError(f"delta must lie in (0, epsilon/2] = (0, {half}], got {delta}")
     return delta
-
-
-def phase_bounds(trace: Trace, k: int, delta: float) -> PhaseBounds:
-    start = k * trace.params.r_c + 1
-    if not 1 <= start <= trace.last_round + 1:
-        raise AnalysisError(f"phase {k} starts beyond the trace")
-    return PhaseBounds(
-        phase=k,
-        start_round=start,
-        v_min=trace.v_min(start),
-        v_max=trace.v_max(start),
-        delta=delta,
-    )
 
 
 def classify_value(v: Value, bounds: PhaseBounds) -> Group:
@@ -200,19 +129,6 @@ class ConvergenceResult:
     at_round: int | None
 
 
-def check_convergence(trace: Trace) -> ConvergenceResult:
-    """First phase start whose correct spread is below epsilon.
-
-    Mid-phase dips do not count: retained old values can push the spread
-    back up before the next phase start, so only phase starts are tested.
-    """
-    eps = trace.params.epsilon
-    for r in trace.common_starts():
-        if agreed(trace.values_at(r).values(), eps):
-            return ConvergenceResult(reached=True, at_round=r)
-    return ConvergenceResult(reached=False, at_round=None)
-
-
 @dataclass(frozen=True)
 class ConditionWitness:
     node: NodeId
@@ -228,37 +144,47 @@ class ConditionVerdict:
     witness: ConditionWitness | None = None
 
 
-def _windows(trace: Trace, nodes: list[NodeId], first: int, last: int):
-    """Walk rounds ``first..last`` once, yielding ``(r, windows)`` after each round.
+@dataclass(frozen=True)
+class ProgressViolation:
+    phase: int
+    kind: str
+    detail: str
 
-    ``windows[i]`` is ``(start, senders, retained)`` for each node i of
-    ``nodes``: its retention-window start in effect at round r, the senders
-    delivered to it from there through round r, and the most recent finite
-    value of each. A window carries over while its start stays put and is
-    rebuilt from the new start when it moves; in a well-formed trace a
-    start only moves to the current round, so a rebuild reads no earlier one.
-    """
-    windows: dict[NodeId, tuple[int, set[NodeId], dict[NodeId, Value]]] = {}
 
-    def deliver(into: dict, delivered: list[Message]) -> None:
-        for sender, receiver, value in delivered:
-            if receiver in into:
-                into[receiver][1].add(sender)
-                if math.isfinite(value):
-                    into[receiver][2][sender] = value
+@dataclass
+class ProgressReport:
+    ok: bool
+    violations: list[ProgressViolation]
+    max_stagnant_streak: int
 
-    for r in range(first, last + 1):
-        record = trace.record(r)
-        for i in nodes:
-            if i not in record.local_start:
-                raise TraceError(f"node {i} is not a correct node of this trace")
-            start = record.local_start[i]
-            if i not in windows or windows[i][0] != start:
-                windows[i] = (start, set(), {})
-                for earlier in range(start, r):
-                    deliver({i: windows[i]}, trace.record(earlier).delivered)
-        deliver(windows, record.delivered)
-        yield r, windows
+
+# The retention-window rule, shared by the walk and the per-node views: a
+# node's window at round r holds what was delivered to it from its latest
+# start through r, and retains the most recent finite value of each sender.
+# Messages are (round, sender, value) triples delivered to one node, oldest
+# first.
+
+def _window(messages: list[tuple[int, NodeId, Value]], start: int) -> list:
+    return messages[bisect.bisect_left(messages, (start,)):]  # (start,) sorts before (start, ...)
+
+
+def _retain(retained: dict[NodeId, Value], messages) -> dict[NodeId, Value]:
+    for _r, sender, value in messages:
+        if math.isfinite(value):
+            retained[sender] = value
+    return retained
+
+
+def _messages_to(trace: Trace, i: NodeId, r: int) -> list[tuple[int, NodeId, Value]]:
+    """The messages of node i's window at round r, from the whole trace."""
+    if not 1 <= r <= trace.last_round:
+        raise TraceError(f"round {r} outside trace range 1..{trace.last_round}")
+    starts = trace.rounds[r - 1].local_start
+    if i not in starts:
+        raise TraceError(f"node {i} is not a correct node of this trace")
+    return _window([(rec.round, sender, value)
+                    for rec in trace.rounds[starts[i] - 1:r]
+                    for sender, receiver, value in rec.delivered if receiver == i], starts[i])
 
 
 def joint_neighbor_set(trace: Trace, i: NodeId, r: int) -> set[NodeId]:
@@ -267,8 +193,7 @@ def joint_neighbor_set(trace: Trace, i: NodeId, r: int) -> set[NodeId]:
     Only delivered messages count: an edge over which every message was
     lost communicates nothing.
     """
-    [(_r, windows)] = _windows(trace, [i], r, r)
-    return windows[i][1] - {i}
+    return {sender for _r, sender, _v in _messages_to(trace, i, r)} - {i}
 
 
 def retained_values(trace: Trace, i: NodeId, r: int) -> dict[NodeId, Value]:
@@ -277,47 +202,184 @@ def retained_values(trace: Trace, i: NodeId, r: int) -> dict[NodeId, Value]:
     Most recent finite value per sender, delivered in i's current retention
     window. Equals the post-merge log the node itself acted on.
     """
-    [(_r, windows)] = _windows(trace, [i], r, r)
-    return windows[i][2]
+    return _retain({}, _messages_to(trace, i, r))
 
 
-def check_condition(trace: Trace, k: int, delta: float) -> ConditionVerdict:
-    """Quantity-and-quality test for one phase, in one walk over its rounds.
+class Walk:
+    """Every check of a report, decided in one pass over a trace's rounds.
+
+    ``add`` takes each round record in order, ``finish`` the final values.
+    Each check needs only the values at hand and what earlier phase starts
+    fixed, so the walk keeps each phase start's extrema, the running safety
+    envelope, and, for the open phase only, its extreme holders' retention
+    windows and the deliveries to them. A retention-window start never lies
+    before its round's phase start (the trace reader rejects one that does,
+    and every run resets each start at the phase start), so no window
+    reaches back into an earlier phase.
+    """
+
+    def __init__(self, header: Trace, delta: float | None) -> None:
+        self.params = header.params
+        self.delta = check_delta(delta, header.params.epsilon)
+        self.validity, self.legality, self.safety = RangeCheck(True), RangeCheck(True), RangeCheck(True)
+        initial = header.initial_values.values()
+        self._initial = (min(initial), max(initial))
+        self._safe = (-math.inf, math.inf)  # the intersection of every phase start's envelope
+        self._start = None  # (v_min, v_max, extreme holder count) of the latest phase start
+        self.phase_starts: list[dict] = []
+        self.converged_at: int | None = None
+        self.verdicts: list[ConditionVerdict] = []
+        self.progress: list[ProgressViolation] = []
+        self.max_stagnant_streak = self._streak = self.last_round = 0
+        self.final_spread: Value | None = None
+        # Until the open phase's verdict is decided: its bounds, and each
+        # extreme holder's group, deliveries, and window (start, retained
+        # values, how many of its deliveries the window has taken).
+        self._bounds: PhaseBounds | None = None
+        self._holders: dict[NodeId, Group] = {}
+        self._inbox: dict[NodeId, list] = {}
+        self._windows: dict[NodeId, tuple[int, dict, int]] = {}
+
+    def add(self, rec: RoundRecord) -> None:
+        r = self.last_round = rec.round
+        lo, hi = self._values(r, rec.values_start)
+        if is_common_new_start(r, self.params.r_c):
+            k = (r - 1) // self.params.r_c
+            vacuous = agreed((lo, hi), self.params.epsilon)
+            self.verdicts.append(ConditionVerdict(phase=k, satisfied=vacuous, vacuous=vacuous))
+            self._bounds = PhaseBounds(phase=k, start_round=r, v_min=lo, v_max=hi, delta=self.delta)
+            self._holders = {} if vacuous else {
+                i: Group.MIN if v == lo else Group.MAX
+                for i, v in sorted(rec.values_start.items()) if v == lo or v == hi
+            }
+            self._inbox, self._windows = {i: [] for i in self._holders}, {}
+        if self._holders:
+            self._condition(rec)
+
+    def finish(self, final_values: dict[NodeId, Value]) -> None:
+        lo, hi = self._values(self.last_round + 1, final_values)
+        self.final_spread = hi - lo
+
+    def _values(self, r: int, values: dict[NodeId, Value]) -> tuple[Value, Value]:
+        """Test the values at round r against each envelope; return their extrema."""
+        lo, hi = min(values.values()), max(values.values())
+        legal = self._start[:2] if self._start else (lo, hi)  # see check_legality
+        if is_common_new_start(r, self.params.r_c):
+            self._phase_start(r, values, lo, hi)
+        for check, (a, b) in ((self.validity, self._initial), (self.legality, legal),
+                              (self.safety, self._safe)):
+            if not a <= lo <= hi <= b:
+                check.ok = False
+                check.violations.extend(Violation(i, r, v, a, b)
+                                        for i, v in sorted(values.items()) if not a <= v <= b)
+        return lo, hi
+
+    def _phase_start(self, r: int, values: dict[NodeId, Value], lo: Value, hi: Value) -> None:
+        """Safety's envelope, convergence, and progress over the phase that ends here.
+
+        Where the condition held in that phase, agreement was not yet
+        reached, and neither extremum moved, the combined number of minimum
+        and maximum holders must shrink; and no stagnant stretch may last n
+        phases.
+        """
+        holders = sum(v == lo for v in values.values()) + sum(v == hi for v in values.values())
+        if self._start is not None:
+            verdict, (before_lo, before_hi, before) = self.verdicts[-1], self._start
+            k, n = verdict.phase, self.params.n
+            if verdict.vacuous or not verdict.satisfied or (lo, hi) != (before_lo, before_hi):
+                self._streak = 0
+            else:
+                self._streak += 1
+                self.max_stagnant_streak = max(self.max_stagnant_streak, self._streak)
+                if holders >= before:
+                    self.progress.append(ProgressViolation(k, "no-attrition", (
+                        f"extrema unchanged over phase {k} but extreme holders "
+                        f"went {before} -> {holders}")))
+                if self._streak >= n:
+                    self.progress.append(ProgressViolation(k, "stagnation", (
+                        f"extrema unchanged for {self._streak} phases (n={n})")))
+        self._start = (lo, hi, holders)
+        self._safe = (max(self._safe[0], lo), min(self._safe[1], hi))
+        self.phase_starts.append({"round": r, "v_min": lo, "v_max": hi, "spread": hi - lo})
+        if self.converged_at is None and agreed((lo, hi), self.params.epsilon):
+            self.converged_at = r
+
+    def _condition(self, rec: RoundRecord) -> None:
+        """The open phase's progress condition at one of its rounds: see check_condition."""
+        r, inbox, windows, bounds = rec.round, self._inbox, self._windows, self._bounds
+        for sender, receiver, value in rec.delivered:
+            if receiver in inbox:
+                inbox[receiver].append((r, sender, value))
+        for i, group in self._holders.items():
+            start, messages = rec.local_start[i], inbox[i]
+            if i in windows and windows[i][0] == start:  # the window carries over
+                _start, log, taken = windows[i]
+                _retain(log, messages[taken:])
+            else:  # rebuilt from its new start
+                log = _retain({}, _window(messages, start))
+            windows[i] = (start, log, len(messages))
+            # A sender in i's log is in its joint neighbor set unless it is i itself.
+            proper = [j for j in sorted(log) if j != i and is_proper(log[j], group, bounds)]
+            if len(proper) > self.params.f:
+                self.verdicts[-1] = ConditionVerdict(
+                    phase=bounds.phase, satisfied=True, witness=ConditionWitness(i, r, proper)
+                )
+                self._holders = {}  # decided
+                return
+
+
+def check_validity(walk: Walk) -> RangeCheck:
+    """Every correct value stays inside the initial correct range forever."""
+    return walk.validity
+
+
+def check_legality(walk: Walk) -> RangeCheck:
+    """Every correct value is bounded by its reference phase-start extrema.
+
+    Values at round r were computed during round r-1, possibly from values
+    retained earlier in that phase, so they answer to the phase start of
+    round r-1: rounds inside a phase to their own start, a phase-opening
+    round to the previous start, and round 1 to itself.
+    """
+    return walk.legality
+
+
+def check_safety(walk: Walk) -> RangeCheck:
+    """From each phase start on, values never leave that start's envelope.
+
+    A value lies inside every earlier start's envelope exactly when it lies
+    inside their intersection, so each round is checked once against the
+    running intersection (an empty one flags every value).
+    """
+    return walk.safety
+
+
+def check_convergence(walk: Walk) -> ConvergenceResult:
+    """First phase start whose correct spread is below epsilon.
+
+    Mid-phase dips do not count: retained old values can push the spread
+    back up before the next phase start, so only phase starts are tested.
+    """
+    return ConvergenceResult(reached=walk.converged_at is not None, at_round=walk.converged_at)
+
+
+def check_condition(walk: Walk) -> list[ConditionVerdict]:
+    """The quantity-and-quality verdict of each phase the trace's rounds open.
 
     Satisfied when some correct node holding an extreme value at the phase
     start gathers, at some round of the phase, proper values from at least
     f+1 distinct senders of its joint neighbor set. A sender's value is the
-    one the holder retained (the most recent in its window). Phases that begin
-    already inside the agreement band are vacuously satisfied. The witness is
-    the first such holder by round, then by id.
+    one the holder retained (the most recent in its window). Phases that
+    begin already inside the agreement band are vacuously satisfied. The
+    witness is the first such holder by round, then by id.
     """
-    bounds = phase_bounds(trace, k, delta)
-    start = bounds.start_round
-    values = trace.values_at(start)
-    if agreed(values.values(), trace.params.epsilon):
-        return ConditionVerdict(phase=k, satisfied=True, vacuous=True)
-    extremes = [
-        (i, Group.MIN if values[i] == bounds.v_min else Group.MAX)
-        for i in sorted(values)
-        if values[i] in (bounds.v_min, bounds.v_max)
-    ]
-    f = trace.params.f
-    last_phase_round = min(start + trace.params.r_c - 1, trace.last_round)
-    walk = _windows(trace, [i for i, _group in extremes], start, last_phase_round)
-    for r_prime, windows in walk:
-        for i, group in extremes:
-            # A sender in i's log is in its joint neighbor set unless it is i itself.
-            log = windows[i][2]
-            proper = [j for j in sorted(log) if j != i and is_proper(log[j], group, bounds)]
-            if len(proper) >= f + 1:
-                witness = ConditionWitness(i, r_prime, proper)
-                return ConditionVerdict(phase=k, satisfied=True, witness=witness)
-    return ConditionVerdict(phase=k, satisfied=False)
+    return walk.verdicts
 
 
-def trace_phases(trace: Trace) -> list[int]:
-    """Phases whose rounds are (at least partly) covered by the trace."""
-    return [trace.phase_of(r) for r in trace.common_starts() if r <= trace.last_round]
+def check_phase_progress(walk: Walk) -> ProgressReport:
+    """Extremum-holder attrition across stagnant phases."""
+    return ProgressReport(ok=not walk.progress, violations=walk.progress,
+                          max_stagnant_streak=walk.max_stagnant_streak)
 
 
 def condition_report(flags: list[bool], window: int) -> bool:
@@ -335,101 +397,27 @@ def condition_report(flags: list[bool], window: int) -> bool:
     return all(any(flags[i:i + window]) for i in range(len(flags) - window + 1))
 
 
-@dataclass(frozen=True)
-class ProgressViolation:
-    phase: int
-    kind: str
-    detail: str
-
-
-@dataclass
-class ProgressReport:
-    ok: bool
-    violations: list[ProgressViolation]
-    max_stagnant_streak: int
-
-
-def check_phase_progress(trace: Trace, verdicts: list[ConditionVerdict]) -> ProgressReport:
-    """Extremum-holder attrition across stagnant phases.
-
-    For consecutive phase starts where the condition held, agreement was
-    not yet reached, and neither extremum moved, the combined number of
-    minimum and maximum holders must shrink; and no stagnant stretch may
-    last n phases. ``verdicts`` holds the condition verdict of every phase.
-    """
-    n = trace.params.n
-    starts = trace.common_starts()
-    by_phase = {v.phase: v for v in verdicts}
-    violations: list[ProgressViolation] = []
-    streak = 0
-    max_streak = 0
-    for idx in range(len(starts) - 1):
-        r, r_next = starts[idx], starts[idx + 1]
-        k = trace.phase_of(r)
-        if by_phase[k].vacuous or not by_phase[k].satisfied:
-            streak = 0
-            continue
-        lo, hi = trace.v_min(r), trace.v_max(r)
-        lo2, hi2 = trace.v_min(r_next), trace.v_max(r_next)
-        if lo2 != lo or hi2 != hi:
-            streak = 0
-            continue
-        streak += 1
-        max_streak = max(max_streak, streak)
-        before = _extreme_holder_count(trace, r)
-        after = _extreme_holder_count(trace, r_next)
-        if after >= before:
-            violations.append(
-                ProgressViolation(
-                    phase=k,
-                    kind="no-attrition",
-                    detail=(
-                        f"extrema unchanged over phase {k} but extreme holders "
-                        f"went {before} -> {after}"
-                    ),
-                )
-            )
-        if streak >= n:
-            violations.append(
-                ProgressViolation(
-                    phase=k,
-                    kind="stagnation",
-                    detail=f"extrema unchanged for {streak} phases (n={n})",
-                )
-            )
-    return ProgressReport(
-        ok=not violations,
-        violations=violations,
-        max_stagnant_streak=max_streak,
-    )
-
-
-def _extreme_holder_count(trace: Trace, r: int) -> int:
-    values = trace.values_at(r)
-    lo = min(values.values())
-    hi = max(values.values())
-    return sum(1 for v in values.values() if v == lo) + sum(
-        1 for v in values.values() if v == hi
-    )
-
-
 def spread_series(trace: Trace, delta: float) -> list[dict]:
     """Per-round extrema, spread, and group cardinalities for plotting."""
     delta = check_delta(delta, trace.params.epsilon)
-    rows = []
     r_c = trace.params.r_c
+    rows = []
     for r in range(1, trace.last_round + 2):
-        k = trace.phase_of(r)
-        bounds = phase_bounds(trace, k, delta)
-        counts = Counter(classify_value(v, bounds) for v in trace.values_at(r).values())
+        values = trace.values_at(r).values()
+        lo, hi = min(values), max(values)
+        start = is_common_new_start(r, r_c)
+        if start:
+            bounds = PhaseBounds(phase=(r - 1) // r_c, start_round=r, v_min=lo, v_max=hi,
+                                 delta=delta)
+        counts = Counter(classify_value(v, bounds) for v in values)
         rows.append(
             {
                 "round": r,
-                "phase": k,
-                "common_start": is_common_new_start(r, r_c),
-                "v_min": trace.v_min(r),
-                "v_max": trace.v_max(r),
-                "spread": trace.spread(r),
+                "phase": bounds.phase,
+                "common_start": start,
+                "v_min": lo,
+                "v_max": hi,
+                "spread": hi - lo,
                 "c_min": counts[Group.MIN],
                 "c_nin": counts[Group.NIN],
                 "c_mid": counts[Group.MID],

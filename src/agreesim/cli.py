@@ -15,7 +15,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .analysis import condition_report, check_convergence
+from .analysis import Walk, check_convergence, condition_report
 from .errors import AgreesimError, ConfigError, TraceError, read_json
 from .harness import (
     build_report,
@@ -96,13 +96,13 @@ def _parse_mode(raw: str) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     window = _parse_mode(args.mode)  # before the trace: a large one takes long to read
-    try:
-        trace = read_trace(args.trace)
+    try:  # a bad --delta is rejected before any round is read
+        trace, walk = read_trace(args.trace, lambda header: Walk(header, args.delta))
     except OSError as exc:
         raise ConfigError(f"cannot read trace {args.trace}: {exc}") from None
-    report = build_report(trace, args.delta)
+    report = build_report(trace, walk)
     flags = [v.satisfied for v in report.condition_per_phase]
-    convergence = check_convergence(trace)
+    convergence = check_convergence(walk)
     print(f"validity:  {'ok' if report.validity_ok else 'VIOLATED'}")
     print(f"legality:  {'ok' if report.legality_ok else 'VIOLATED'}")
     print(f"safety:    {'ok' if report.safety_ok else 'VIOLATED'}")

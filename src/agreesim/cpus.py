@@ -90,13 +90,14 @@ class Children:
         return value if status == 0 else None
 
 
-def split_map(work: Callable, parts: Sequence) -> list:
-    """``[work(p) for p in parts]``: the first part here, each other in a forked child.
+def split_map(work: Callable, parts: Sequence, take: Callable) -> None:
+    """``take(work(p))`` for each part p in order: the first part here, each other in a forked child.
 
-    A child pickles its result into its pipe. A part whose child cannot be
-    forked, dies or is cut short is redone here, so the result does not
-    depend on how many children ran. An error that ``work`` raises, here or
-    in a child, propagates, and no child outlives the call.
+    A child pickles its result into its pipe; here one result is held at a
+    time. A part whose child cannot be forked, dies or is cut short is
+    redone here, so what ``take`` gets does not depend on how many children
+    ran. An error that ``work`` or ``take`` raises, here or in a child,
+    propagates, and no child outlives the call.
     """
     import pickle  # only a split pays for the import
 
@@ -112,12 +113,13 @@ def split_map(work: Callable, parts: Sequence) -> list:
         except (EOFError, pickle.UnpicklingError):  # what a stream cut short gives
             return None
 
+    def result(k: int):
+        got = children.result(k, load)
+        return got[0] if got is not None else work(parts[k])
+
     with Children() as children:
         for k in range(1, len(parts)):
             if not children.fork(k, lambda out, part=parts[k]: dump(part, out)):
                 break  # no process to spare: do the rest here
-        results = []
-        for k, part in enumerate(parts):
-            got = children.result(k, load)
-            results.append(got[0] if got is not None else work(part))
-        return results
+        for k in range(len(parts)):
+            take(result(k))  # no name here holds a result while the next one loads

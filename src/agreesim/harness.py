@@ -18,24 +18,23 @@ import itertools
 import json
 import random
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 
 from .adversary import RoundView, byzantine_outbox
 from .analysis import (
     ConditionVerdict,
+    Walk,
     agreed,
     check_condition,
     check_convergence,
-    check_delta,
     check_legality,
     check_phase_progress,
     check_safety,
     check_validity,
     condition_report,
     spread_series,
-    trace_phases,
 )
 from .cpus import split_map, worker_count
 from .dynamics import build_round_graph, deliver, move_step
@@ -61,7 +60,7 @@ def run_scenario(
 ) -> tuple[Trace, "RunReport"]:
     """Execute a scenario end to end and analyze the resulting trace."""
     trace = simulate(config, seed=seed, stop_at_agreement=stop_at_agreement, on_round=on_round)
-    report = build_report(trace, config.effective_delta)
+    report = build_report(trace, Walk(trace, config.effective_delta))
     return trace, report
 
 
@@ -214,33 +213,26 @@ class RunReport:
         return self.validity_ok and self.legality_ok and self.safety_ok
 
 
-def build_report(trace: Trace, delta: float | None) -> RunReport:
-    """Run every checker over ``trace``; a None ``delta`` means epsilon/2."""
-    delta = check_delta(delta, trace.params.epsilon)
-    validity = check_validity(trace)
-    legality = check_legality(trace)
-    safety = check_safety(trace)
-    convergence = check_convergence(trace)
-    verdicts = [check_condition(trace, k, delta) for k in trace_phases(trace)]
+def build_report(trace: Trace, walk: Walk) -> RunReport:
+    """Finish ``walk`` with the rounds ``trace`` holds and its final values.
+
+    ``check`` holds no round in ``trace``: it fed each to ``walk`` as it read it.
+    """
+    for rec in trace.rounds:
+        walk.add(rec)
+    walk.finish(trace.final_values)
+    verdicts = check_condition(walk)
     flags = [v.satisfied for v in verdicts]
-    progress = check_phase_progress(trace, verdicts)
-    phase_starts = [
-        {
-            "round": r,
-            "v_min": trace.v_min(r),
-            "v_max": trace.v_max(r),
-            "spread": trace.spread(r),
-        }
-        for r in trace.common_starts()
-    ]
+    convergence = check_convergence(walk)
+    progress = check_phase_progress(walk)
     return RunReport(
         scenario=trace.scenario_name,
         seed=trace.seed,
         converged=convergence.reached,
         converged_at=convergence.at_round,
-        validity_ok=validity.ok,
-        legality_ok=legality.ok,
-        safety_ok=safety.ok,
+        validity_ok=check_validity(walk).ok,
+        legality_ok=check_legality(walk).ok,
+        safety_ok=check_safety(walk).ok,
         cardinality_ok=trace.params.meets_cardinality_bound,
         condition_per_phase=verdicts,
         condition_ok_all_phases=condition_report(flags, 1),
@@ -249,17 +241,27 @@ def build_report(trace: Trace, delta: float | None) -> RunReport:
         progress_ok=progress.ok,
         progress_violations=[f"{v.kind}@phase{v.phase}: {v.detail}" for v in progress.violations],
         max_stagnant_streak=progress.max_stagnant_streak,
-        phase_starts=phase_starts,
-        final_spread=trace.spread(trace.last_round + 1),
+        phase_starts=walk.phase_starts,
+        final_spread=walk.final_spread,
     )
 
 
+def _report_chunks(report: RunReport):
+    """The report's JSON text in pieces: a long run's report is never copied or joined whole.
+
+    Each dataclass is encoded as its instance dict, which holds its fields only.
+    """
+    yield from json.JSONEncoder(sort_keys=True, indent=2, default=vars).iterencode(report)
+    yield "\n"
+
+
 def report_to_json(report: RunReport) -> str:
-    return json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
+    return "".join(_report_chunks(report))
 
 
 def write_report(report: RunReport, path: str | Path) -> None:
-    Path(path).write_text(report_to_json(report))
+    with open(path, "w") as fh:
+        fh.writelines(_report_chunks(report))
 
 
 def write_series_csv(trace: Trace, delta: float, path: str | Path) -> None:
@@ -342,8 +344,9 @@ def sweep(
         configs.append(config)
     tasks = [(config, seed) for config in configs for seed in seeds]
     workers = worker_count(len(tasks))
-    shares = split_map(lambda share: list(map(_sweep_run, share)),
-                       [tasks[w::workers] for w in range(workers)])
+    shares = []
+    split_map(lambda share: list(map(_sweep_run, share)),
+              [tasks[w::workers] for w in range(workers)], shares.append)
     reports = [None] * len(tasks)
     for w, share in enumerate(shares):
         reports[w::workers] = share

@@ -16,8 +16,9 @@ simulation goes on, and writes their bytes in round order: the file does
 not depend on how many CPUs did the work.
 
 Reading decodes and checks each line on its own, bytes that are not UTF-8
-included, then folds the lines in order, checking what spans records. A
-large file's lines are decoded in forked workers, a stream's in one pass.
+included, then folds the lines in order, checking what spans records, and
+hands each round record on as it comes: no round list is kept. A large
+file's lines are decoded in forked workers, a stream's in one pass.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ import os
 import shutil
 import stat
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, TypeVar
 
 from .cpus import Children, split_map, worker_count
 from .errors import MALFORMED, TraceError, decimal_key, describe, malformed
@@ -41,6 +42,7 @@ from .protocol import Log, Message, NodeId, ProtocolParams, Value
 
 SCHEMA_VERSION = 1
 _FLOAT_MAX = sys.float_info.max
+T = TypeVar("T")
 
 
 @dataclass
@@ -70,34 +72,13 @@ class Trace:
     def last_round(self) -> int:
         return len(self.rounds)
 
-    def record(self, r: int) -> RoundRecord:
-        if not 1 <= r <= self.last_round:
-            raise TraceError(f"round {r} outside trace range 1..{self.last_round}")
-        return self.rounds[r - 1]
-
     def values_at(self, r: int) -> dict[NodeId, Value]:
         """Correct values at the beginning of round r (r may be last+1)."""
         if r == self.last_round + 1:
             return self.final_values
-        return self.record(r).values_start
-
-    def v_min(self, r: int) -> Value:
-        return min(self.values_at(r).values())
-
-    def v_max(self, r: int) -> Value:
-        return max(self.values_at(r).values())
-
-    def spread(self, r: int) -> Value:
-        values = self.values_at(r).values()
-        return max(values) - min(values)
-
-    def common_starts(self) -> list[int]:
-        """Phase-opening rounds covered by the trace, including last+1."""
-        r_c = self.params.r_c
-        return list(range(1, self.last_round + 2, r_c))
-
-    def phase_of(self, r: int) -> int:
-        return (r - 1) // self.params.r_c
+        if not 1 <= r <= self.last_round:
+            raise TraceError(f"round {r} outside trace range 1..{self.last_round + 1}")
+        return self.rounds[r - 1].values_start
 
 
 def _require(types: set, field: str, values: Iterable) -> None:
@@ -164,7 +145,7 @@ def _columns(rows: list[tuple], width: int) -> list[tuple]:
     return list(zip(*rows)) or [()] * width
 
 
-def _round_from_json(obj: dict, keys: dict[str, NodeId], n: int, byz_set: set[NodeId]) -> RoundRecord:
+def _round_from_json(obj: dict, keys: dict[str, NodeId], header: Trace) -> RoundRecord:
     rec = RoundRecord(
         round=obj["round"],
         positions=_pairs_by_node(keys, obj["positions"]),
@@ -176,6 +157,7 @@ def _round_from_json(obj: dict, keys: dict[str, NodeId], n: int, byz_set: set[No
         logs={_node_id(keys, i): _pairs_by_node(keys, log) for i, log in obj["logs"].items()},
         computed=_by_node(keys, obj["computed"]),
     )
+    n, byz_set = header.params.n, header.byz_set
     chain = itertools.chain.from_iterable
     edge_from, edge_to = _columns(rec.edges, 2)
     byz_from, byz_to, byz_values = _columns(rec.byz_sent, 3)
@@ -213,9 +195,10 @@ def _round_from_json(obj: dict, keys: dict[str, NodeId], n: int, byz_set: set[No
             raise ValueError("two messages in one list share a (sender, receiver) pair")
         if not pairs <= edges:
             raise ValueError("a message's (sender, receiver) pair is not an edge of its round")
+    first = (rec.round - 1) // header.params.r_c * header.params.r_c + 1
     starts = rec.local_start.values()
-    if starts and not 1 <= min(starts) <= max(starts) <= rec.round:
-        raise ValueError(f"local_start must lie in 1..{rec.round}")
+    if starts and not first <= min(starts) <= max(starts) <= rec.round:
+        raise ValueError(f"local_start must lie in {first}..{rec.round}")
     return rec
 
 
@@ -382,7 +365,7 @@ def _decode(raw: bytes, keys: dict[str, NodeId], trace: Trace):
         obj = json.loads(line, parse_constant=_reject_constant)
         kind = obj.get("type")
         if kind == "round":
-            return _round_from_json(obj, keys, trace.params.n, trace.byz_set)
+            return _round_from_json(obj, keys, trace)
         if kind == "final":
             values = _by_node(keys, obj["values"])
             _require({int, float}, "final values", values.values())
@@ -392,26 +375,39 @@ def _decode(raw: bytes, keys: dict[str, NodeId], trace: Trace):
     return f"unknown trace record type {kind!r}"
 
 
-def _fold(trace: Trace, lineno: int, item) -> None:
-    """Add one decoded line to ``trace``: round numbering, round 1, node ids, one final record."""
-    if item is None:
-        return
-    if trace.final_values:
-        raise TraceError(f"line {lineno}: a record follows the final record")
-    if isinstance(item, str):
-        raise TraceError(f"line {lineno}: {item}")
-    if type(item) is RoundRecord:
-        if item.round != trace.last_round + 1:
-            raise TraceError(f"line {lineno}: round {item.round} is out of order")
-        if item.round == 1 and item.values_start != trace.initial_values:
-            raise TraceError("round 1 values_start differs from the header's initial values")
-        trace.rounds.append(item)
-        by_node = [item.values_start, item.local_start, item.logs, item.computed]
-    else:
-        trace.final_values = item
-        by_node = [item]
-    if any(per_node.keys() != trace.initial_values.keys() for per_node in by_node):
-        raise TraceError(f"line {lineno}: node ids differ from the header's initial values")
+def _fold(trace: Trace, lineno: int, on_round: Callable[[RoundRecord], object]):
+    """What takes the decoded lines after line ``lineno``, in order, over one or more calls.
+
+    It checks what spans records: round numbering, round 1 against the
+    header, node ids, one final record. Each round record then goes to
+    ``on_round``, the final values into ``trace``.
+    """
+    lines, rounds = itertools.count(lineno + 1), itertools.count(1)
+
+    def fold(items: Iterable) -> None:
+        for item, lineno in zip(items, lines):
+            if item is None:
+                continue
+            if trace.final_values:
+                raise TraceError(f"line {lineno}: a record follows the final record")
+            if isinstance(item, str):
+                raise TraceError(f"line {lineno}: {item}")
+            is_round = type(item) is RoundRecord
+            if is_round:
+                if item.round != next(rounds):
+                    raise TraceError(f"line {lineno}: round {item.round} is out of order")
+                if item.round == 1 and item.values_start != trace.initial_values:
+                    raise TraceError("round 1 values_start differs from the header's initial values")
+                by_node = [item.values_start, item.local_start, item.logs, item.computed]
+            else:
+                trace.final_values = item
+                by_node = [item]
+            if any(per_node.keys() != trace.initial_values.keys() for per_node in by_node):
+                raise TraceError(f"line {lineno}: node ids differ from the header's initial values")
+            if is_round:
+                on_round(item)
+
+    return fold
 
 
 def _finished(trace: Trace) -> Trace:
@@ -502,10 +498,13 @@ def write_trace(trace: Trace, path: str | Path, encoder: TraceEncoder | None = N
 SPLIT_READ_BYTES = 1 << 20
 
 
-def read_trace(path: str | Path) -> Trace:
+def read_trace(path: str | Path, start: Callable[[Trace], T]) -> tuple[Trace, T]:
     """Read a trace from a file or a stream; a large file is decoded in forked workers.
 
-    JSON Lines splits on "\n" only, so every reader here does too.
+    ``start(header)`` is called before any round is read; its ``add`` takes
+    each round record in order. The trace returned with it holds no round,
+    so memory does not grow with the trace's length. JSON Lines splits on
+    "\n" only, so every reader here does too.
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
@@ -514,18 +513,23 @@ def read_trace(path: str | Path) -> Trace:
             # each worker decodes at least half the split size
             workers = worker_count(2 * info.st_size // max(SPLIT_READ_BYTES, 1))
         trace, lineno = _read_header(enumerate(fh, 1))
+        consumer = start(trace)
+        fold = _fold(trace, lineno, consumer.add)
         keys = _node_keys(trace)
         if workers == 1:  # one pass, from the stream that read the header
-            items = (_decode(raw, keys, trace) for raw in fh)
+            fold(_decode(raw, keys, trace) for raw in fh)
         else:
-            items = _decode_split(fh, info.st_size, workers, keys, trace)
-        for lineno, item in enumerate(items, lineno + 1):
-            _fold(trace, lineno, item)
-    return _finished(trace)
+            _decode_split(fh, info.st_size, workers, keys, trace, fold)
+    return _finished(trace), consumer
 
 
-def _decode_split(fh, size: int, workers: int, keys: dict[str, NodeId], trace: Trace) -> Iterator:
-    """``_decode`` of each line after the header, in ``workers`` byte ranges of the file."""
+def _decode_split(fh, size: int, workers: int, keys: dict[str, NodeId], trace: Trace,
+                  fold: Callable[[Iterable], None]) -> None:
+    """``fold`` the ``_decode`` of each line after the header, in ``workers`` byte ranges of the file.
+
+    Each range's lines are folded as soon as those before them are, so one
+    decoded range is held here at a time.
+    """
     cuts = [fh.tell()]
     for k in range(1, workers):
         fh.seek(cuts[0] + (size - cuts[0]) * k // workers)
@@ -533,8 +537,7 @@ def _decode_split(fh, size: int, workers: int, keys: dict[str, NodeId], trace: T
         cuts.append(max(fh.tell(), cuts[-1]))
     cuts.append(size)
     spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-    parts = split_map(lambda span: _decode_lines(fh.name, span, keys, trace), spans)
-    return itertools.chain.from_iterable(parts)
+    split_map(lambda span: _decode_lines(fh.name, span, keys, trace), spans, fold)
 
 
 def _decode_lines(path: str | Path, span: tuple[int, int], keys: dict[str, NodeId],

@@ -2,21 +2,25 @@
 
 The trim-and-average reference works on plain sorted value lists with
 explicit index sets, recomputing the side counts itself, so it shares no
-code path with the package's log-based implementation. The safety
+code path with the package's log-based implementation. The whole-trace
+checkers index a ``Trace`` by round and rescan it once per check, the
+oracles for the one in-order ``Walk`` that ``build_report`` finishes:
+``reference_build_report`` assembles a report from them. The safety
 reference rescans every later round once per phase start. The group-based
 convergence detector and the witness re-check decide, by a second route,
 what ``check_convergence`` and ``check_condition`` decide. The sweep
 reference runs every seed to its full horizon. The window references
 rescan every round of a node's retention window at each query, the
-oracles for the one walk behind ``joint_neighbor_set``,
-``retained_values`` and ``check_condition``. ``reference_trace_lines``
+oracles for the window rule behind ``joint_neighbor_set``,
+``retained_values`` and the walk's condition. ``reference_trace_lines``
 encodes a trace with the generic JSON encoder, the oracle for the
 dedicated round-line encoder. ``reference_deliver`` checks each message
 against its sender's receiver list as it draws its loss, the oracle for
 ``deliver``'s set checks. ``reference_step_round`` is the node step as
 first written, each new state a ``dataclasses.replace`` of the old, the
 oracle for the lean ``step_round``. ``trace_bytes`` gives the bytes
-``write_trace`` would write, for tests that compare runs.
+``write_trace`` would write, for tests that compare runs. ``load_trace``
+reads a whole trace, every round kept, and ``walked`` walks one.
 ``split_reads`` makes ``read_trace`` decode any file in forked workers,
 with the one-pass serial reader, ``trace_from_lines``, as its oracle.
 ``counting_forks``, ``DyingPickler`` and ``assert_no_child_left`` watch
@@ -38,17 +42,23 @@ from agreesim import trace as trace_module
 from agreesim.analysis import (
     ConditionVerdict,
     ConditionWitness,
+    ConvergenceResult,
     Group,
+    PhaseBounds,
+    ProgressReport,
+    ProgressViolation,
     RangeCheck,
     Violation,
+    Walk,
     agreed,
+    check_delta,
+    condition_report,
     is_proper,
-    phase_bounds,
 )
-from agreesim.errors import AgreesimError, ProtocolError, TopologyError, TraceError
-from agreesim.harness import SweepCell, run_scenario
+from agreesim.errors import AgreesimError, AnalysisError, ProtocolError, TopologyError, TraceError
+from agreesim.harness import IO_WINDOW_DEFAULT, RunReport, SweepCell, build_report, run_scenario
 from agreesim.protocol import StepResult
-from agreesim.trace import SCHEMA_VERSION, trace_to_lines
+from agreesim.trace import SCHEMA_VERSION, read_trace, trace_to_lines
 
 
 def trace_bytes(trace):
@@ -62,11 +72,32 @@ def trace_from_lines(lines):
     folds them in order; this folds each line as soon as it is decoded.
     """
     numbered = enumerate(map(str.encode, lines), 1)
-    trace, _lineno = trace_module._read_header(numbered)
+    trace, lineno = trace_module._read_header(numbered)
     keys = trace_module._node_keys(trace)
-    for lineno, line in numbered:
-        trace_module._fold(trace, lineno, trace_module._decode(line, keys, trace))
+    fold = trace_module._fold(trace, lineno, trace.rounds.append)
+    for _lineno, line in numbered:
+        fold([trace_module._decode(line, keys, trace)])
     return trace_module._finished(trace)
+
+
+class _Rounds:
+    """Keeps each round ``read_trace`` reads in its trace's list."""
+
+    def __init__(self, trace):
+        self.add = trace.rounds.append
+
+
+def load_trace(path):
+    """The trace at ``path`` with every round record kept."""
+    trace, _rounds = read_trace(path, _Rounds)
+    return trace
+
+
+def walked(trace, delta=None):
+    """A ``Walk`` that ``build_report`` finished over ``trace``."""
+    walk = Walk(trace, delta)
+    build_report(trace, walk)
+    return walk
 
 
 def reference_trace_lines(trace):
@@ -208,17 +239,162 @@ def reference_deliver(graph, outbox, loss_rate, rng):
     return inboxes
 
 
+# Whole-trace queries by round number, for the oracles below and for tests.
+
+def v_min(trace, r):
+    return min(trace.values_at(r).values())
+
+
+def v_max(trace, r):
+    return max(trace.values_at(r).values())
+
+
+def spread(trace, r):
+    return v_max(trace, r) - v_min(trace, r)
+
+
+def common_starts(trace):
+    """Phase-opening rounds covered by the trace, including last+1."""
+    return list(range(1, trace.last_round + 2, trace.params.r_c))
+
+
+def phase_of(trace, r):
+    return (r - 1) // trace.params.r_c
+
+
+def trace_phases(trace):
+    """Phases whose rounds are (at least partly) covered by the trace."""
+    return [phase_of(trace, r) for r in common_starts(trace) if r <= trace.last_round]
+
+
+def phase_bounds(trace, k, delta):
+    start = k * trace.params.r_c + 1
+    if not 1 <= start <= trace.last_round + 1:
+        raise AnalysisError(f"phase {k} starts beyond the trace")
+    return PhaseBounds(phase=k, start_round=start, v_min=v_min(trace, start),
+                       v_max=v_max(trace, start), delta=delta)
+
+
+def legal_reference_round(r, r_c):
+    """Phase-start round whose extrema bound values at round r.
+
+    Values computed mid-phase may use retained values from earlier in the
+    phase, so the binding envelope is the previous phase start: rounds
+    inside a phase answer to their own phase start, while a phase-opening
+    round (computed during the last round of the previous phase) answers
+    to the start of that previous phase. Both cases are the phase start of
+    round r-1, the round during which round r's values were computed.
+    """
+    if r < 1:
+        raise AnalysisError(f"round must be >= 1, got {r}")
+    return max(1, (r - 2) // r_c * r_c + 1)
+
+
+def reference_range_check(trace, envelope):
+    """Test every correct value at each round r against ``envelope(r)``'s (lo, hi)."""
+    violations = []
+    for r in range(1, trace.last_round + 2):
+        lo, hi = envelope(r)
+        for i, v in sorted(trace.values_at(r).items()):
+            if not lo <= v <= hi:
+                violations.append(Violation(i, r, v, lo, hi))
+    return RangeCheck(ok=not violations, violations=violations)
+
+
+def reference_check_validity(trace):
+    lo, hi = min(trace.initial_values.values()), max(trace.initial_values.values())
+    return reference_range_check(trace, lambda r: (lo, hi))
+
+
+def reference_check_legality(trace):
+    def envelope(r):
+        d = legal_reference_round(r, trace.params.r_c)
+        return v_min(trace, d), v_max(trace, d)
+
+    return reference_range_check(trace, envelope)
+
+
 def reference_check_safety(trace):
     """From each phase start on, values never leave that start's envelope."""
     violations = []
     last = trace.last_round + 1
-    for r in trace.common_starts():
-        lo, hi = trace.v_min(r), trace.v_max(r)
+    for r in common_starts(trace):
+        lo, hi = v_min(trace, r), v_max(trace, r)
         for rr in range(r, last + 1):
             for i, v in sorted(trace.values_at(rr).items()):
                 if not lo <= v <= hi:
                     violations.append(Violation(i, rr, v, lo, hi))
     return RangeCheck(ok=not violations, violations=violations)
+
+
+def reference_check_convergence(trace):
+    for r in common_starts(trace):
+        if agreed(trace.values_at(r).values(), trace.params.epsilon):
+            return ConvergenceResult(reached=True, at_round=r)
+    return ConvergenceResult(reached=False, at_round=None)
+
+
+def extreme_holder_count(trace, r):
+    values = trace.values_at(r).values()
+    lo, hi = min(values), max(values)
+    return sum(1 for v in values if v == lo) + sum(1 for v in values if v == hi)
+
+
+def reference_check_phase_progress(trace, verdicts):
+    """Extremum-holder attrition over each pair of consecutive phase starts, rescanned."""
+    n = trace.params.n
+    starts = common_starts(trace)
+    by_phase = {v.phase: v for v in verdicts}
+    violations = []
+    streak = max_streak = 0
+    for r, r_next in zip(starts, starts[1:]):
+        k = phase_of(trace, r)
+        stagnant = (v_min(trace, r), v_max(trace, r)) == (v_min(trace, r_next), v_max(trace, r_next))
+        if by_phase[k].vacuous or not by_phase[k].satisfied or not stagnant:
+            streak = 0
+            continue
+        streak += 1
+        max_streak = max(max_streak, streak)
+        before, after = extreme_holder_count(trace, r), extreme_holder_count(trace, r_next)
+        if after >= before:
+            violations.append(ProgressViolation(
+                k, "no-attrition",
+                f"extrema unchanged over phase {k} but extreme holders went {before} -> {after}",
+            ))
+        if streak >= n:
+            violations.append(ProgressViolation(
+                k, "stagnation", f"extrema unchanged for {streak} phases (n={n})",
+            ))
+    return ProgressReport(ok=not violations, violations=violations, max_stagnant_streak=max_streak)
+
+
+def reference_build_report(trace, delta):
+    """``build_report``'s report, each check a rescan of the whole trace."""
+    delta = check_delta(delta, trace.params.epsilon)
+    convergence = reference_check_convergence(trace)
+    verdicts = [reference_check_condition(trace, k, delta) for k in trace_phases(trace)]
+    flags = [v.satisfied for v in verdicts]
+    progress = reference_check_phase_progress(trace, verdicts)
+    return RunReport(
+        scenario=trace.scenario_name,
+        seed=trace.seed,
+        converged=convergence.reached,
+        converged_at=convergence.at_round,
+        validity_ok=reference_check_validity(trace).ok,
+        legality_ok=reference_check_legality(trace).ok,
+        safety_ok=reference_check_safety(trace).ok,
+        cardinality_ok=trace.params.meets_cardinality_bound,
+        condition_per_phase=verdicts,
+        condition_ok_all_phases=condition_report(flags, 1),
+        condition_ok_io=condition_report(flags, IO_WINDOW_DEFAULT),
+        io_window=IO_WINDOW_DEFAULT,
+        progress_ok=progress.ok,
+        progress_violations=[f"{v.kind}@phase{v.phase}: {v.detail}" for v in progress.violations],
+        max_stagnant_streak=progress.max_stagnant_streak,
+        phase_starts=[{"round": r, "v_min": v_min(trace, r), "v_max": v_max(trace, r),
+                       "spread": spread(trace, r)} for r in common_starts(trace)],
+        final_spread=spread(trace, trace.last_round + 1),
+    )
 
 
 def reference_window_deliveries(trace, i, r):
@@ -227,13 +403,13 @@ def reference_window_deliveries(trace, i, r):
     The window runs from i's local new starting round in effect at round r
     through round r itself; deliveries come oldest first.
     """
-    record = trace.record(r)
+    record = trace.rounds[r - 1]
     if i not in record.local_start:
         raise TraceError(f"node {i} is not a correct node of this trace")
     return [
         (sender, value)
         for rr in range(record.local_start[i], r + 1)
-        for sender, receiver, value in trace.record(rr).delivered
+        for sender, receiver, value in trace.rounds[rr - 1].delivered
         if receiver == i
     ]
 

@@ -18,13 +18,15 @@ from agreesim.analysis import (
     check_phase_progress,
     check_safety,
     check_validity,
-    trace_phases,
 )
 from agreesim.harness import report_to_json, run_scenario, simulate
 from agreesim.protocol import admission_test, average, count_relative, reduce_log
 from agreesim.scenarios import ScenarioConfig, builtin_scenario
 
-from reference import groups_converged, reference_average, reference_reduce, trace_bytes
+from reference import (
+    common_starts, groups_converged, reference_average, reference_reduce, spread, trace_bytes,
+    v_max, v_min, walked,
+)
 
 STRATEGIES = ["silent", "fixed-value", "extreme-split", "random-legal", "scripted"]
 MOBILITY = ["stationary", "random-waypoint", "teleport-random"]
@@ -115,8 +117,9 @@ def randomized_pool():
 def test_criterion_1_validity_suite(randomized_pool):
     traces, elapsed = randomized_pool
     for trace in traces:
-        validity = check_validity(trace)
-        legality = check_legality(trace)
+        walk = walked(trace)
+        validity = check_validity(walk)
+        legality = check_legality(walk)
         assert validity.ok, f"{trace.scenario_name}: {validity.violations[0]}"
         assert legality.ok, f"{trace.scenario_name}: {legality.violations[0]}"
     assert elapsed < 60.0, f"suite took {elapsed:.1f}s, target is under a minute"
@@ -127,13 +130,13 @@ def test_criterion_2_safety_suite(randomized_pool):
     traces, _elapsed = randomized_pool
     monotone_checked = 0
     for trace in traces:
-        safety = check_safety(trace)
+        safety = check_safety(walked(trace))
         assert safety.ok, f"{trace.scenario_name}: {safety.violations[0]}"
         if trace.params.r_c == 1:
             monotone_checked += 1
             for r in range(1, trace.last_round + 1):
-                assert trace.v_max(r + 1) <= trace.v_max(r), trace.scenario_name
-                assert trace.v_min(r + 1) >= trace.v_min(r), trace.scenario_name
+                assert v_max(trace, r + 1) <= v_max(trace, r), trace.scenario_name
+                assert v_min(trace, r + 1) >= v_min(trace, r), trace.scenario_name
     assert monotone_checked > 0
     print(f"\nACCEPTANCE 2 safety suite ({monotone_checked} monotone runs): PASS")
 
@@ -170,11 +173,11 @@ def test_criterion_4_convergence_positive():
     spreads = [row["spread"] for row in report.phase_starts]
     assert all(b <= a for a, b in zip(spreads, spreads[1:])), spreads
     assert report.final_spread < eps
-    for r in trace.common_starts():
-        spread_says = trace.spread(r) < eps
+    for r in common_starts(trace):
+        spread_says = spread(trace, r) < eps
         groups_say = groups_converged(trace.values_at(r), eps / 2.0)
         assert spread_says == groups_say, f"detectors disagree at round {r}"
-    assert check_convergence(trace).at_round == report.converged_at
+    assert check_convergence(walked(trace)).at_round == report.converged_at
     print(f"\nACCEPTANCE 4 convergence positive (round {report.converged_at}): PASS")
 
 
@@ -223,21 +226,21 @@ def test_criterion_8_phase_progress():
         index += 1
         trace = simulate(config)
         delta = config.effective_delta
-        verdicts = [check_condition(trace, k, delta) for k in trace_phases(trace)]
-        if not all(v.satisfied for v in verdicts):
+        walk = walked(trace, delta)
+        if not all(v.satisfied for v in check_condition(walk)):
             continue
         qualifying += 1
-        report = check_phase_progress(trace, verdicts)
+        report = check_phase_progress(walk)
         assert report.ok, (config.name, report.violations)
         assert report.max_stagnant_streak < trace.params.n
-        starts = trace.common_starts()
+        starts = common_starts(trace)
         for idx in range(len(starts) - 1):
             r, r_next = starts[idx], starts[idx + 1]
-            if trace.spread(r) < trace.params.epsilon:
+            if spread(trace, r) < trace.params.epsilon:
                 continue
             if (
-                trace.v_min(r) == trace.v_min(r_next)
-                and trace.v_max(r) == trace.v_max(r_next)
+                v_min(trace, r) == v_min(trace, r_next)
+                and v_max(trace, r) == v_max(trace, r_next)
             ):
                 stagnant_pairs += 1
     assert stagnant_pairs > 0, "expected at least one stagnant-extrema phase pair"

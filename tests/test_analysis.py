@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from agreesim.analysis import (
     Group,
     PhaseBounds,
+    Walk,
     check_condition,
     check_convergence,
     check_legality,
@@ -19,24 +20,33 @@ from agreesim.analysis import (
     condition_report,
     is_proper,
     joint_neighbor_set,
-    legal_reference_round,
-    phase_bounds,
     retained_values,
     spread_series,
-    trace_phases,
 )
 from agreesim.errors import AnalysisError, ConfigError
-from agreesim.harness import simulate, sweep
+from agreesim.harness import build_report, report_to_json, simulate, sweep
 from agreesim.protocol import NodeState, ProtocolParams, step_round
 from agreesim.scenarios import LIBRARY, ScenarioConfig, builtin_scenario
 from agreesim.trace import RoundRecord, Trace
 from reference import (
+    common_starts,
     groups_converged,
+    legal_reference_round,
+    phase_bounds,
+    phase_of,
+    reference_build_report,
     reference_check_condition,
+    reference_check_legality,
     reference_check_safety,
+    reference_check_validity,
     reference_joint_neighbor_set,
     reference_retained_values,
+    spread,
+    trace_phases,
+    v_max,
+    v_min,
     validate_witness,
+    walked,
 )
 from test_acceptance import random_scenario
 from test_harness import golden_waypoint_n40
@@ -84,18 +94,18 @@ class TestRangeChecks:
     def test_honest_runs_have_no_violations(self):
         for name in ("fully_connected_baseline", "lemma2_3f_impossible",
                      "stale_log_overshoot"):
-            trace = simulate(builtin_scenario(name))
-            assert check_validity(trace).ok
-            assert check_legality(trace).ok
-            assert check_safety(trace).ok
+            walk = walked(simulate(builtin_scenario(name)))
+            assert check_validity(walk).ok
+            assert check_legality(walk).ok
+            assert check_safety(walk).ok
 
     def test_single_node_trivially_legal(self):
         config = ScenarioConfig(
             name="solo", n=1, f=0, r_c=1, epsilon=0.1, max_rounds=5,
             initial_values={"mode": "explicit", "values": [3.0]}, seed=1,
         )
-        trace = simulate(config)
-        assert check_validity(trace).ok and check_legality(trace).ok
+        walk = walked(simulate(config))
+        assert check_validity(walk).ok and check_legality(walk).ok
 
     def test_over_budget_fakes_defeat_the_protocol_and_are_detected(self):
         # Two fake senders against f=1: the trim cannot protect the victim,
@@ -122,26 +132,28 @@ class TestRangeChecks:
             ],
             final_values={0: result.state.value, 1: 5.0},
         )
-        validity = check_validity(trace)
-        legality = check_legality(trace)
+        walk = walked(trace)
+        validity = check_validity(walk)
+        legality = check_legality(walk)
         assert not validity.ok and not legality.ok
         assert validity.violations[0].node == 0 and validity.violations[0].round == 2
-        assert not check_safety(trace).ok
+        assert not check_safety(walk).ok
 
     def test_mid_phase_overshoot_keeps_safety(self):
         # Retained old values can push a node above the current maximum, so
         # per-round envelopes fail mid-phase while phase-start envelopes hold.
         trace = simulate(builtin_scenario("stale_log_overshoot"))
-        assert trace.v_max(4) > trace.v_max(3)
-        assert check_safety(trace).ok
-        assert check_legality(trace).ok
+        assert v_max(trace, 4) > v_max(trace, 3)
+        walk = walked(trace)
+        assert check_safety(walk).ok
+        assert check_legality(walk).ok
 
     def test_per_round_envelopes_monotone_when_window_is_one(self):
         trace = simulate(builtin_scenario("fully_connected_baseline"))
         assert trace.params.r_c == 1
         for r in range(1, trace.last_round + 1):
-            assert trace.v_max(r + 1) <= trace.v_max(r)
-            assert trace.v_min(r + 1) >= trace.v_min(r)
+            assert v_max(trace, r + 1) <= v_max(trace, r)
+            assert v_min(trace, r + 1) >= v_min(trace, r)
 
 
 def values_trace(vectors, r_c):
@@ -152,7 +164,7 @@ def values_trace(vectors, r_c):
         byz_set=set(),
         initial_values=dict(vectors[0]),
         rounds=[
-            make_round(r, vectors[r - 1], [], {i: 1 for i in vectors[0]})
+            make_round(r, vectors[r - 1], [], {i: (r - 1) // r_c * r_c + 1 for i in vectors[0]})
             for r in range(1, len(vectors))
         ],
         final_values=dict(vectors[-1]),
@@ -173,7 +185,7 @@ def small_value_traces(draw):
 class TestSafetyOracle:
     @given(trace=small_value_traces())
     def test_matches_quadratic_reference(self, trace):
-        got, want = check_safety(trace), reference_check_safety(trace)
+        got, want = check_safety(walked(trace)), reference_check_safety(trace)
         pairs = [(v.node, v.round) for v in got.violations]
         assert got.ok == want.ok
         assert set(pairs) == {(v.node, v.round) for v in want.violations}
@@ -183,7 +195,7 @@ class TestSafetyOracle:
         # Round 2 opens a phase whose envelope [0, 3] contains its own
         # values, but 3 lies outside round 1's envelope [0, 2].
         trace = values_trace([{0: 0.0, 1: 2.0}, {0: 0.0, 1: 3.0}, {0: 1.0, 1: 1.0}], r_c=1)
-        result = check_safety(trace)
+        result = check_safety(walked(trace))
         assert not result.ok
         assert {(v.node, v.round) for v in result.violations} == {(1, 2)}
 
@@ -305,7 +317,7 @@ class TestConvergence:
             name="flat", n=3, f=0, r_c=2, epsilon=0.5, max_rounds=4, radius=20.0,
             initial_values={"mode": "explicit", "values": [1.0, 1.0, 1.0]}, seed=1,
         )
-        result = check_convergence(simulate(config))
+        result = check_convergence(walked(simulate(config)))
         assert result.reached and result.at_round == 1
 
     def test_sub_epsilon_gap_counts_as_converged(self):
@@ -313,7 +325,7 @@ class TestConvergence:
             name="close", n=2, f=0, r_c=1, epsilon=1.0, max_rounds=3, radius=20.0,
             initial_values={"mode": "explicit", "values": [0.0, 0.5]}, seed=1,
         )
-        result = check_convergence(simulate(config))
+        result = check_convergence(walked(simulate(config)))
         assert result.reached and result.at_round == 1
 
     def test_mid_phase_dip_is_not_convergence(self):
@@ -321,10 +333,10 @@ class TestConvergence:
         # only phase starts count, so no convergence is reported.
         trace = simulate(builtin_scenario("stale_log_overshoot"))
         eps = trace.params.epsilon
-        assert trace.spread(3) < eps
-        assert trace.spread(4) >= eps
-        assert 3 not in trace.common_starts()
-        assert not check_convergence(trace).reached
+        assert spread(trace, 3) < eps
+        assert spread(trace, 4) >= eps
+        assert 3 not in common_starts(trace)
+        assert not check_convergence(walked(trace)).reached
 
     def test_spread_within_an_ulp_of_epsilon_converges_in_run_and_sweep(self):
         # spread = 0.0004999999999997229 < epsilon, but rounding makes
@@ -337,22 +349,22 @@ class TestConvergence:
             initial_positions={"mode": "explicit", "coords": {"0": [1, 1], "1": [8, 8]}},
             seed=1,
         )
-        result = check_convergence(simulate(config))
+        result = check_convergence(walked(simulate(config)))
         assert result.reached and result.at_round == 1
         [cell] = sweep(config, {}, [1])
         assert cell.failures == 0 and cell.converged_rate == 1.0
 
     def test_convergence_is_stable_once_reached(self):
         trace = simulate(builtin_scenario("fully_connected_baseline"))
-        result = check_convergence(trace)
+        result = check_convergence(walked(trace))
         assert result.reached
         eps = trace.params.epsilon
         for r in range(result.at_round, trace.last_round + 2):
-            assert trace.spread(r) < eps
+            assert spread(trace, r) < eps
 
 
 def all_verdicts(trace, delta):
-    return [check_condition(trace, k, delta) for k in trace_phases(trace)]
+    return check_condition(walked(trace, delta))
 
 
 class TestCondition:
@@ -383,7 +395,7 @@ class TestCondition:
         )
         trace = simulate(config)
         assert condition_report([v.satisfied for v in all_verdicts(trace, 0.05)], 1)
-        assert check_convergence(trace).reached
+        assert check_convergence(walked(trace)).reached
 
     def test_short_population_never_satisfies(self):
         trace = simulate(builtin_scenario("lemma2_3f_impossible"))
@@ -394,34 +406,44 @@ class TestCondition:
 
     def test_witness_names_the_proper_senders(self):
         trace = simulate(builtin_scenario("fully_connected_baseline"))
-        verdict = check_condition(trace, 0, 0.05)
+        verdict = all_verdicts(trace, 0.05)[0]
         assert verdict.satisfied and not verdict.vacuous
         w = verdict.witness
         assert w.node == 0  # the minimum holder
         assert len(w.senders) >= trace.params.f + 1
-        retained = trace.record(w.round).logs[w.node]
+        retained = trace.rounds[w.round - 1].logs[w.node]
         for sender in w.senders:
-            assert retained[sender][0] >= trace.v_min(1) + 0.05
+            assert retained[sender][0] >= v_min(trace, 1) + 0.05
 
     def test_vacuous_once_spread_closes(self):
         trace = simulate(builtin_scenario("fully_connected_baseline"))
-        converged_at = check_convergence(trace).at_round
-        k = trace.phase_of(converged_at)
-        verdict = check_condition(trace, k, 0.05)
-        assert verdict.satisfied and verdict.vacuous
+        converged_at = check_convergence(walked(trace)).at_round
+        k = phase_of(trace, converged_at)
+        verdict = all_verdicts(trace, 0.05)[k]
+        assert verdict.phase == k and verdict.satisfied and verdict.vacuous
 
     def test_phase_beyond_trace_rejected(self):
+        # The walk gives a verdict for each phase the rounds open and none
+        # beyond; the rescan oracle rejects a phase beyond the trace.
         trace = simulate(builtin_scenario("fully_connected_baseline"))
+        assert [v.phase for v in all_verdicts(trace, 0.05)] == trace_phases(trace)
         with pytest.raises(AnalysisError):
-            check_condition(trace, 100, 0.05)
+            reference_check_condition(trace, 100, 0.05)
 
 
 def with_moved_local_starts(trace, seed):
-    """A copy of ``trace`` with about 30% of its local_start entries moved within 1..round."""
+    """A copy of ``trace`` with about 30% of its local_start entries moved within their phase.
+
+    A start may lie anywhere from its round's phase start through the round:
+    the reader rejects an earlier one, as every run resets starts at the
+    phase start.
+    """
     rng = random.Random(seed)
+    r_c = trace.params.r_c
     rounds = [
         dataclasses.replace(rec, local_start={
-            i: rng.randint(1, rec.round) if rng.random() < 0.3 else start
+            i: rng.randint((rec.round - 1) // r_c * r_c + 1, rec.round)
+            if rng.random() < 0.3 else start
             for i, start in rec.local_start.items()
         })
         for rec in trace.rounds
@@ -430,24 +452,32 @@ def with_moved_local_starts(trace, seed):
 
 
 def assert_walk_matches_rescan(trace, delta):
-    """The window walk gives the rescan oracle's views at every (node, round), and its verdicts."""
+    """The walk gives every rescan oracle's answer: window views, range checks, report."""
     for rec in trace.rounds:
         for i in rec.local_start:
             r = rec.round
             assert joint_neighbor_set(trace, i, r) == reference_joint_neighbor_set(trace, i, r)
             assert retained_values(trace, i, r) == reference_retained_values(trace, i, r)
-    for k in trace_phases(trace):
-        assert check_condition(trace, k, delta) == reference_check_condition(trace, k, delta)
+    walk = Walk(trace, delta)
+    report = build_report(trace, walk)
+    assert check_validity(walk) == reference_check_validity(trace)
+    assert check_legality(walk) == reference_check_legality(trace)
+    assert check_safety(walk) == reference_check_safety(trace)
+    want = reference_build_report(trace, delta)
+    assert report == want
+    assert report_to_json(report) == report_to_json(want)
 
 
 class TestWindowWalk:
     @settings(max_examples=100, deadline=None)
-    @given(i=st.integers(0, 199), seed=st.integers(0, 2**32 - 1))
-    def test_random_runs_match_the_rescan(self, i, seed):
+    @given(i=st.integers(0, 199), seed=st.integers(0, 2**32 - 1),
+           quarter=st.booleans())
+    def test_random_runs_match_the_rescan(self, i, seed, quarter):
         config = random_scenario(i)
+        delta = config.epsilon / 4 if quarter else config.effective_delta
         trace = simulate(config)
-        assert_walk_matches_rescan(trace, config.effective_delta)
-        assert_walk_matches_rescan(with_moved_local_starts(trace, seed), config.effective_delta)
+        assert_walk_matches_rescan(trace, delta)
+        assert_walk_matches_rescan(with_moved_local_starts(trace, seed), delta)
 
     @pytest.mark.parametrize("name", sorted(LIBRARY))
     def test_builtins_match_the_rescan_at_several_windows(self, name):
@@ -466,13 +496,12 @@ class TestPhaseProgress:
             name="solo", n=1, f=0, r_c=1, epsilon=0.1, max_rounds=5,
             initial_values={"mode": "explicit", "values": [3.0]}, seed=1,
         )
-        trace = simulate(config)
-        report = check_phase_progress(trace, all_verdicts(trace, 0.05))
+        report = check_phase_progress(walked(simulate(config), 0.05))
         assert report.ok and report.max_stagnant_streak == 0
 
     def test_baseline_makes_progress(self):
         trace = simulate(builtin_scenario("fully_connected_baseline"))
-        report = check_phase_progress(trace, all_verdicts(trace, 0.05))
+        report = check_phase_progress(walked(trace, 0.05))
         assert report.ok
 
     def test_stagnant_trace_is_flagged(self):
@@ -497,7 +526,7 @@ class TestPhaseProgress:
             rounds=rounds,
             final_values=dict(values),
         )
-        report = check_phase_progress(trace, all_verdicts(trace, 0.5))
+        report = check_phase_progress(walked(trace, 0.5))
         assert not report.ok
         kinds = {v.kind for v in report.violations}
         assert kinds == {"no-attrition", "stagnation"}

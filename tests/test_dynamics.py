@@ -209,7 +209,7 @@ class TestJointNeighborSet:
     def test_reset_after_compute_narrows_window(self):
         trace = simulate(builtin_scenario("fig1_scripted_path"))
         # Node 0 computes during round 3; at round 4 only round-4 deliveries count.
-        assert trace.record(3).computed[0]
+        assert trace.rounds[2].computed[0]
         assert joint_neighbor_set(trace, 0, 4) == {3}
 
     def test_out_of_range_round_raises(self):
@@ -231,6 +231,6 @@ class TestJointNeighborSet:
         # node actually held (post-merge) at every round.
         trace = simulate(builtin_scenario(name))
         for r in range(1, trace.last_round + 1):
-            record = trace.record(r)
+            record = trace.rounds[r - 1]
             for i in record.values_start:
                 assert joint_neighbor_set(trace, i, r) == set(record.logs[i])

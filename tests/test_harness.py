@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from agreesim import cli, harness
+from agreesim import trace as trace_module
 from agreesim.adversary import (
     ExtremeSplit,
     FixedValue,
@@ -26,7 +27,7 @@ from agreesim.adversary import (
     Silent,
     Strategy,
 )
-from agreesim.analysis import check_convergence
+from agreesim.analysis import Walk, check_convergence
 from agreesim.cli import main
 from agreesim.dynamics import (
     Arena,
@@ -58,14 +59,13 @@ from agreesim.protocol import ProtocolParams
 from agreesim.trace import (
     RoundRecord,
     Trace,
-    read_trace,
     trace_to_lines,
     write_trace,
 )
 from agreesim.vectors import read_vectors, replay_vectors, vectors_from_trace, write_vectors
 from reference import (
-    DyingPickler, assert_no_child_left, counting_forks, reference_sweep, reference_trace_lines,
-    split_reads, trace_bytes, trace_from_lines,
+    DyingPickler, assert_no_child_left, counting_forks, load_trace, phase_of, reference_sweep,
+    reference_trace_lines, split_reads, spread, trace_bytes, trace_from_lines, v_max, walked,
 )
 from test_acceptance import random_scenario
 
@@ -98,7 +98,7 @@ class TestScenarioLibrary:
         trace, report = run_scenario(builtin_scenario("fully_connected_baseline"))
         assert report.converged
         spreads = [row["spread"] for row in report.phase_starts]
-        until = trace.phase_of(report.converged_at) + 1
+        until = phase_of(trace, report.converged_at) + 1
         open_spreads = spreads[:until]
         assert all(b < a for a, b in zip(open_spreads, open_spreads[1:]))
         assert report.final_spread < trace.params.epsilon
@@ -134,13 +134,13 @@ class TestScenarioLibrary:
     def test_scripted_walk_composes_log_across_neighborhoods(self):
         trace, _report = run_scenario(builtin_scenario("fig1_scripted_path"))
         stops = [(3.0, 5.0), (3.0, 5.0), (5.0, 5.0), (7.0, 5.0)]
-        assert [trace.record(r).positions[0] for r in range(1, 5)] == stops
-        assert trace.record(3).computed[0]
-        assert set(trace.record(3).logs[0]) == {1, 2}
+        assert [trace.rounds[r - 1].positions[0] for r in range(1, 5)] == stops
+        assert trace.rounds[2].computed[0]
+        assert set(trace.rounds[2].logs[0]) == {1, 2}
 
     def test_overshoot_scenario_breaches_round_envelope_only(self):
         trace, report = run_scenario(builtin_scenario("stale_log_overshoot"))
-        assert trace.v_max(4) > trace.v_max(3)
+        assert v_max(trace, 4) > v_max(trace, 3)
         assert report.safety_ok and report.legality_ok and report.validity_ok
         assert not report.converged
 
@@ -434,7 +434,7 @@ class TestFiles:
         trace = simulate(builtin_scenario("stale_log_overshoot"))
         path = tmp_path / "trace.jsonl"
         write_trace(trace, path)
-        loaded = read_trace(path)
+        loaded = load_trace(path)
         assert trace_to_lines(loaded) == trace_to_lines(trace)
         reloaded = trace_from_lines(trace_to_lines(loaded))
         assert trace_bytes(reloaded) == trace_bytes(trace)
@@ -698,8 +698,8 @@ def assert_early_stop_matches_full_run(config: ScenarioConfig) -> int:
     last = early.last_round
     assert early.rounds == full.rounds[:last]
     assert early.final_values == full.values_at(last + 1)
-    converged = check_convergence(full)
-    assert check_convergence(early) == converged
+    converged = check_convergence(walked(full))
+    assert check_convergence(walked(early)) == converged
     if last < full.last_round:
         assert converged.at_round == last + 1
     seeds = [config.seed, config.seed + 1]
@@ -741,13 +741,13 @@ class TestSweepEarlyStop:
 
     def test_agreement_first_seen_after_the_last_round(self):
         config = dataclasses.replace(builtin_scenario("fully_connected_baseline"), max_rounds=4)
-        assert check_convergence(simulate(config)).at_round == 5
+        assert check_convergence(walked(simulate(config))).at_round == 5
         assert assert_early_stop_matches_full_run(config) == 4
 
     def test_run_keeps_the_full_horizon(self, tmp_path):
         out = tmp_path / "run"
         assert main(["run", "--scenario", "fully_connected_baseline", "--out", str(out)]) == 0
-        assert read_trace(out / "trace.jsonl").last_round == 40
+        assert load_trace(out / "trace.jsonl").last_round == 40
 
 
 class TestVectors:
@@ -784,7 +784,7 @@ def assert_replay_rebuilds(trace: Trace) -> None:
     final = trace.initial_values
     replayed = 0
     for rec, _states, _inboxes, (results, fields) in replay(inputs):
-        assert fields == {name: getattr(trace.record(rec.round), name) for name in blank}
+        assert fields == {name: getattr(trace.rounds[rec.round - 1], name) for name in blank}
         final = {i: res.state.value for i, res in results.items()}
         replayed += 1
     assert replayed == trace.last_round
@@ -960,7 +960,7 @@ class TestCli:
             "e400_delivered_value", "e400_final", "empty_file", "header_without_values",
             "unknown_record_type", "round_2_ids_differ", "final_ids_differ",
             "non_canonical_key", "shadowed_node_key", "header_n_long", "unlisted_node",
-            "deep_nesting",
+            "deep_nesting", "local_start_before_phase",
         ],
     )
     def test_check_rejects_malformed_trace_with_usage_exit(self, tmp_path, capsys, defect):
@@ -978,7 +978,9 @@ class TestCli:
                    "shadowed_node_key": "node id '00' is not a canonical decimal",
                    "header_n_long": "n is 1000000000, but the header lists 4 nodes",
                    "unlisted_node": "n is 5, but the header lists 4 nodes",
-                   "deep_nesting": "line 3: malformed record (RecursionError"}
+                   "deep_nesting": "line 3: malformed record (RecursionError",
+                   "local_start_before_phase": "line 3: malformed record (ValueError: "
+                                               "local_start must lie in 2..2"}
         trace_path = tmp_path / "trace.jsonl"
         # The baseline has no faulty nodes; node 4 of the improper mix is one.
         faulty = defect in ("repeated_byz_sent", "unlinked_byz_sent", "repeated_edge",
@@ -1029,6 +1031,11 @@ class TestCli:
         elif defect in ("late_local_start", "zero_local_start"):
             first_round["local_start"]["0"] = 5 if defect == "late_local_start" else 0
             lines[1] = json.dumps(first_round)
+        elif defect == "local_start_before_phase":
+            # r_c is 1, so round 2 opens a phase: no start there lies before round 2.
+            second_round = json.loads(lines[2])
+            second_round["local_start"]["0"] = 1
+            lines[2] = json.dumps(second_round)
         elif defect == "string_computed":
             first_round["computed"]["0"] = "yes"
             lines[1] = json.dumps(first_round)
@@ -1173,7 +1180,7 @@ class TestCli:
                 assert err[0].startswith(f"trace error: line {bad}: malformed record (Unicode"
                                          "DecodeError: 'utf-8' codec can't decode byte 0xff")
         if edit == "line_separator":
-            assert read_trace(trace_path).scenario_name == "split\u2028here"
+            assert load_trace(trace_path).scenario_name == "split\u2028here"
 
     def test_check_cost_does_not_grow_with_header_n(self, tmp_path, capsys):
         # The header's n must count its listed nodes, and is compared with
@@ -1367,7 +1374,7 @@ class TestCli:
 
     def test_bad_check_mode_is_rejected_before_the_trace_is_read(self, tmp_path, monkeypatch,
                                                                  capsys):
-        def no_read(path):
+        def no_read(*_args):
             raise AssertionError("read the trace")
 
         monkeypatch.setattr(cli, "read_trace", no_read)
@@ -1455,8 +1462,8 @@ class TestCli:
                                             ("0.05", 0), ("0.01", 0)])
     @pytest.mark.parametrize("rounds", ["all", "none"])
     def test_check_delta_must_lie_in_the_group_margin(self, tmp_path, capsys, delta, code, rounds):
-        # epsilon is 0.1. With no rounds no phase reaches check_condition,
-        # so only the check on entry to build_report can reject the delta.
+        # epsilon is 0.1. With no rounds, only the check made as the header
+        # is read can reject the delta.
         trace_path = tmp_path / "trace.jsonl"
         write_trace(simulate(builtin_scenario("fully_connected_baseline")), trace_path)
         if rounds == "none":
@@ -1464,6 +1471,22 @@ class TestCli:
             trace_path.write_text(lines[0] + "\n" + lines[-1] + "\n")
         assert main(["check", "--trace", str(trace_path), "--delta", delta]) == code
         assert len(capsys.readouterr().err.splitlines()) == (1 if code else 0)
+
+    def test_bad_delta_is_rejected_before_any_round_is_read(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # The walk needs the group margin from the first round on.
+        trace_path = tmp_path / "trace.jsonl"
+        write_trace(simulate(builtin_scenario("fully_connected_baseline")), trace_path)
+
+        def no_decode(*_args):
+            raise AssertionError("decoded a line after the header")
+
+        monkeypatch.setattr(trace_module, "_decode", no_decode)
+        for workers in (1, 3):
+            with split_reads(workers):
+                assert main(["check", "--trace", str(trace_path), "--delta", "0.06"]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "delta must lie in (0, epsilon/2]" in err[0]
 
     def test_scenarios_list_and_export(self, tmp_path, capsys):
         assert main(["scenarios", "list"]) == 0
@@ -1582,7 +1605,7 @@ def test_baseline_matches_independent_replay_exactly():
     expected = baseline_reference_replay(rounds=8)
     for r, snapshot in enumerate(expected, start=1):
         assert trace.values_at(r) == dict(enumerate(snapshot))
-    assert [trace.spread(r) for r in range(1, 6)] == BASELINE_GOLDEN_SPREADS
+    assert [spread(trace, r) for r in range(1, 6)] == BASELINE_GOLDEN_SPREADS
     replay_spreads = [max(snap) - min(snap) for snap in expected[:5]]
     assert replay_spreads == BASELINE_GOLDEN_SPREADS
 
@@ -1597,5 +1620,6 @@ def test_build_report_is_rederivable_from_trace_file(tmp_path):
     trace, report = run_scenario(config)
     path = tmp_path / "trace.jsonl"
     write_trace(trace, path)
-    again = build_report(read_trace(path), config.effective_delta)
+    loaded = load_trace(path)
+    again = build_report(loaded, Walk(loaded, config.effective_delta))
     assert report_to_json(again) == report_to_json(report)

@@ -3,27 +3,34 @@
 ``read_trace`` must give what the one-pass reader ``trace_from_lines``
 gives, for any worker count, on good traces and bad: the same trace, or
 the same error line from ``check``. No worker may outlive the read.
+``check`` keeps no round: its report equals the whole trace's, and its
+memory does not grow with the trace's length.
 """
 
 import contextlib
 import io
+import math
 import os
 import pickle
 import signal
 import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import agreesim
 from agreesim import trace as trace_module
+from agreesim.analysis import Walk
 from agreesim.cli import main
-from agreesim.harness import simulate
-from agreesim.scenarios import LIBRARY, builtin_scenario
-from agreesim.trace import read_trace, trace_to_lines, write_trace
+from agreesim.harness import build_report, report_to_json, simulate
+from agreesim.scenarios import LIBRARY, ScenarioConfig, builtin_scenario
+from agreesim.trace import trace_to_lines, write_trace
 
 from reference import (
-    DyingPickler, assert_no_child_left, counting_forks, split_reads, trace_from_lines,
+    DyingPickler, assert_no_child_left, counting_forks, load_trace, split_reads, trace_from_lines,
 )
 from test_acceptance import random_scenario
 from test_harness import golden_waypoint_n40
@@ -41,7 +48,7 @@ def assert_split_reads_like_serial(path) -> None:
         expected = trace_from_lines(lines)
     for workers in (2, 3):
         with split_reads(workers):
-            assert read_trace(path) == expected
+            assert load_trace(path) == expected
     assert_no_child_left()
 
 
@@ -78,7 +85,7 @@ def baseline_trace(tmp_path):
 def test_every_extra_worker_is_a_forked_child(baseline_trace, monkeypatch):
     forks = counting_forks(monkeypatch)
     with split_reads(3):
-        read_trace(baseline_trace)
+        load_trace(baseline_trace)
     assert len(forks) == 2
     assert_no_child_left()
 
@@ -87,14 +94,14 @@ def test_no_fork_while_other_threads_run(baseline_trace, monkeypatch):
     def no_fork():
         raise AssertionError("forked while another thread ran")
 
-    expected = read_trace(baseline_trace)
+    expected = load_trace(baseline_trace)
     monkeypatch.setattr(os, "fork", no_fork)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
         with split_reads(3):
-            assert read_trace(baseline_trace) == expected
+            assert load_trace(baseline_trace) == expected
     finally:
         release.set()
         waiter.join(timeout=10)
@@ -112,7 +119,7 @@ def test_no_child_outlives_a_read_that_raises(baseline_trace):
 
 @pytest.mark.parametrize("when", ["before_writing", "mid_stream"])
 def test_a_killed_child_leaves_its_range_to_the_parent(baseline_trace, monkeypatch, when):
-    expected = read_trace(baseline_trace)
+    expected = load_trace(baseline_trace)
     parent = os.getpid()
     if when == "before_writing":
         real = trace_module._decode_lines
@@ -126,7 +133,7 @@ def test_a_killed_child_leaves_its_range_to_the_parent(baseline_trace, monkeypat
     else:
         monkeypatch.setattr(pickle, "Pickler", DyingPickler)
     with split_reads(3):
-        assert read_trace(baseline_trace) == expected
+        assert load_trace(baseline_trace) == expected
     assert_no_child_left()
 
 
@@ -196,3 +203,78 @@ def test_a_read_stops_at_the_first_malformed_record(baseline_trace, monkeypatch)
         code, _out, err = check_outcome(baseline_trace)
     assert code == 2 and err[0].startswith("trace error: line 2: malformed record")
     assert len(decoded) == 1
+
+
+def stuck_partition(max_rounds: int) -> ScenarioConfig:
+    """Six clusters of five nodes, out of each other's range, whose value bands never meet.
+
+    No run of it converges, so every phase is audited, and each round
+    delivers about a hundred messages.
+    """
+    centres = [(x, y) for y in (2.5, 7.5) for x in (2.0, 5.0, 8.0)]
+    coords = {
+        str(5 * k + j): [cx + 0.5 * math.cos(2 * math.pi * j / 5),
+                         cy + 0.5 * math.sin(2 * math.pi * j / 5)]
+        for k, (cx, cy) in enumerate(centres) for j in range(5)
+    }
+    return ScenarioConfig(
+        name="stuck_partition", n=30, f=0, r_c=1, epsilon=0.01, max_rounds=max_rounds,
+        arena=(10.0, 10.0), radius=1.5, loss_rate=0.2,
+        initial_values={"mode": "explicit",
+                        "values": [0.18 * (i // 5) + 0.016 * (i % 5) for i in range(30)]},
+        initial_positions={"mode": "explicit", "coords": coords},
+        seed=5,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY) + ["golden_waypoint_n40", "stuck_partition"])
+def test_split_and_one_pass_checks_report_what_the_whole_trace_gives(name, tmp_path):
+    extras = {"golden_waypoint_n40": golden_waypoint_n40,
+              "stuck_partition": lambda: stuck_partition(60)}
+    config = extras[name]() if name in extras else builtin_scenario(name)
+    path = tmp_path / "trace.jsonl"
+    write_trace(simulate(config), path)
+    trace = load_trace(path)
+    whole = report_to_json(build_report(trace, Walk(trace, None))).encode()
+    outcomes = []
+    for workers in (1, 3):
+        out = tmp_path / f"report-{workers}.json"
+        with split_reads(workers):
+            outcomes.append(check_outcome(path, "--out", str(out)))
+        assert out.read_bytes() == whole
+    assert outcomes[0] == outcomes[1]
+    assert_no_child_left()
+
+
+# Peak memory of ``check`` on one CPU, in a process of its own: the trace is
+# read in one pass, and memory held by forked workers is not the question.
+# VmHWM, not ru_maxrss: Linux carries the forking process's peak over into
+# the ru_maxrss of the program it executes.
+PEAK_RSS_OF_CHECK = """
+import contextlib, io, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from agreesim.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["check", "--trace", sys.argv[1], "--out", sys.argv[2]])
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, peak)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_check_memory_does_not_grow_with_the_horizon(tmp_path):
+    src = str(Path(agreesim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    peaks = []
+    for rounds in (200, 1000):  # 1.8 and 9 MB of trace
+        path = tmp_path / f"trace-{rounds}.jsonl"
+        write_trace(simulate(stuck_partition(rounds)), path)
+        done = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_OF_CHECK, str(path), str(tmp_path / "report.json")],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        code, peak = map(int, done.stdout.split())  # in KiB
+        assert code == 0
+        peaks.append(peak)
+    assert peaks[1] <= 1.1 * peaks[0], peaks
