@@ -63,13 +63,13 @@ class RoundGraph:
 
 
 class Stationary:
-    """Nodes never move."""
+    """Nodes never move: every round's map is the one the run started with."""
 
     draws = False
 
     def step(self, r: int, positions: dict[NodeId, Position],
              rng: random.Random | None) -> dict[NodeId, Position]:
-        return dict(positions)
+        return positions
 
 
 class RandomWaypoint:
@@ -152,7 +152,10 @@ class TeleportRandom:
 
 
 # Each model declares ``draws``: whether ``step`` reads its rng. A model
-# that does not is handed None, and the run seeds no stream for it.
+# that does not is handed None, and the run seeds no stream for it. A model
+# never changes the map it is handed; a node that stays put keeps its very
+# position object (a model may hand the map back unchanged), which is how a
+# run tells that no node moved and reuses the last round graph.
 MobilityModel = Stationary | RandomWaypoint | Scripted | TeleportRandom
 
 

@@ -19,7 +19,7 @@ import json
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import is_, itemgetter
 from pathlib import Path
 
 from .adversary import RoundView, byzantine_outbox
@@ -37,7 +37,7 @@ from .analysis import (
     spread_series,
 )
 from .cpus import split_map, worker_count
-from .dynamics import build_round_graph, deliver, move_step
+from .dynamics import Position, RoundGraph, build_round_graph, deliver, move_step
 from .errors import AgreesimError, ConfigError
 from .protocol import NodeId, NodeState, ProtocolParams, is_common_new_start, step_round
 from .scenarios import ScenarioConfig, _initial_positions, _initial_values
@@ -79,6 +79,12 @@ def simulate(
     is ``r - 1`` and its final values are those at round ``r``.
     ``on_round``, if given, is called with the trace after each round's
     record is appended to it.
+
+    The round graph is built only when a node has moved: when every node
+    holds the very position object it held the round before, the round
+    reuses the last graph's receiver lists, and its record holds the last
+    record's ``positions`` and ``edges``, the same objects. Identity, not
+    equality, decides, since ``-0.0 == 0.0`` but the two encode apart.
     """
     params, arena, model, adversary = config.validate()
     run_seed = config.seed if seed is None else seed
@@ -98,13 +104,20 @@ def simulate(
     def stream(draws: bool, *parts) -> random.Random | None:
         return substream(run_seed, *parts) if draws else None
 
+    graph = edges = None
+
     for r in range(1, config.effective_max_rounds + 1):
         if is_common_new_start(r, config.r_c):
             phase_start_values = {i: s.value for i, s in states.items()}
             if stop_at_agreement and agreed(phase_start_values.values(), params.epsilon):
                 break
-        positions = move_step(positions, model, stream(model.draws, "move", r), r)
-        graph = build_round_graph(positions, config.radius, r)
+        moved = move_step(positions, model, stream(model.draws, "move", r), r)
+        if graph is None or not _held(positions, moved):
+            positions = moved
+            graph = build_round_graph(positions, config.radius, r)
+            edges = graph.edges
+        else:  # no node moved: the round is the last one's, renumbered
+            graph = RoundGraph(round=r, receivers=graph.receivers)
         outbox = []
         for i in sorted(states):
             for j in graph.out_neighbors(i):
@@ -122,8 +135,8 @@ def simulate(
         trace.rounds.append(
             RoundRecord(
                 round=r,
-                positions=dict(positions),
-                edges=graph.edges,
+                positions=positions,
+                edges=edges,
                 byz_sent=sorted(byz_sent),
                 delivered=_delivered(inboxes),
                 **fields,
@@ -135,6 +148,11 @@ def simulate(
 
     trace.final_values = {i: s.value for i, s in states.items()}
     return trace
+
+
+def _held(before: dict[NodeId, Position], after: dict[NodeId, Position]) -> bool:
+    """Whether every node in ``after`` holds the very position object it held ``before``."""
+    return len(after) == len(before) and all(map(is_, map(after.get, before), before.values()))
 
 
 def _delivered(inboxes: dict[NodeId, list]) -> list:

@@ -47,6 +47,13 @@ T = TypeVar("T")
 
 @dataclass
 class RoundRecord:
+    """One round of a run, as its trace line holds it. Read-only.
+
+    ``simulate`` gives a round in which no node moved the ``positions``
+    map and ``edges`` list of the record before, the very objects, so a
+    change to one record's would show in every record that shares them.
+    """
+
     round: int
     positions: dict[NodeId, tuple[float, float]]
     edges: list[tuple[NodeId, NodeId]]
@@ -236,8 +243,12 @@ def _messages(sent: list[Message], num: _FloatText) -> str:
     )
 
 
-def _round_line(rec: RoundRecord, num: _FloatText) -> str:
+def _round_line(rec: RoundRecord, num: _FloatText, last: dict[str, tuple[object, str]]) -> str:
     """``rec`` as the text ``_dumps`` gives, written directly: keys in sort_keys order.
+
+    ``last`` holds the text of the ``edges`` and ``positions`` of the record
+    encoded before, with those objects: a record that holds the very same
+    object, as one where no node moved does, reuses the text.
 
     The line is joined once from its parts: a chain of ``+`` would copy each
     long prefix again, and the freed copies inflate the process's memory.
@@ -247,6 +258,12 @@ def _round_line(rec: RoundRecord, num: _FloatText) -> str:
     def value(v) -> str:
         return num[v] if type(v) is float else json.dumps(v)
 
+    def shared(name: str, obj, encode: Callable[[], str]) -> str:
+        hit = last.get(name)
+        if hit is None or hit[0] is not obj:
+            hit = last[name] = (obj, encode())
+        return hit[1]
+
     logs = _by_id(
         f'"{i}":{{' + _by_id([
             f'"{j}":[{num[v] if type(v) is float else json.dumps(v)},{r}]'
@@ -255,12 +272,15 @@ def _round_line(rec: RoundRecord, num: _FloatText) -> str:
         for i, log in rec.logs.items()
     )
     computed = _by_id(f'"{i}":{"true" if c else "false"}' for i, c in rec.computed.items())
-    positions = _by_id(f'"{i}":[{value(x)},{value(y)}]' for i, (x, y) in rec.positions.items())
+    positions = shared("positions", rec.positions, lambda: _by_id(
+        f'"{i}":[{value(x)},{value(y)}]' for i, (x, y) in rec.positions.items()
+    ))
+    edges = shared("edges", rec.edges, lambda: ",".join([f"[{j},{k}]" for j, k in rec.edges]))
     return "".join([
         '{"byz_sent":[', _messages(rec.byz_sent, num),
         '],"computed":{', computed,
         '},"delivered":[', _messages(rec.delivered, num),
-        '],"edges":[', ",".join([f"[{j},{k}]" for j, k in rec.edges]),
+        '],"edges":[', edges,
         '],"local_start":{', _by_id(f'"{i}":{r}' for i, r in rec.local_start.items()),
         '},"logs":{', logs,
         '},"positions":{', positions,
@@ -286,9 +306,9 @@ def trace_to_lines(trace: Trace, encoded: int = 0) -> list[str]:
         "byz_set": sorted(trace.byz_set),
         "initial_values": {str(k): v for k, v in trace.initial_values.items()},
     }
-    num = _FloatText()
+    num, last = _FloatText(), {}
     lines = [_dumps(header)]
-    lines.extend(_round_line(rec, num) for rec in trace.rounds[encoded:])
+    lines.extend(_round_line(rec, num, last) for rec in trace.rounds[encoded:])
     lines.append(
         _dumps(
             {
@@ -418,8 +438,8 @@ def _finished(trace: Trace) -> Trace:
 
 def _encode_rounds(records: list[RoundRecord]) -> bytes:
     """The lines of ``records`` as a trace file holds them, each ended by a newline."""
-    num = _FloatText()
-    return "".join([_round_line(rec, num) + "\n" for rec in records]).encode()
+    num, last = _FloatText(), {}
+    return "".join([_round_line(rec, num, last) + "\n" for rec in records]).encode()
 
 
 # A run's horizon is encoded in ENCODE_BATCHES batches of rounds, each in a

@@ -16,7 +16,10 @@ oracles for the window rule behind ``joint_neighbor_set``,
 encodes a trace with the generic JSON encoder, the oracle for the
 dedicated round-line encoder. ``reference_deliver`` checks each message
 against its sender's receiver list as it draws its loss, the oracle for
-``deliver``'s set checks. ``reference_step_round`` is the node step as
+``deliver``'s set checks. ``reference_simulate`` builds every round's graph
+afresh with ``reference_receivers`` and gives every record its own
+``positions`` and ``edges``, the oracle for the run that reuses the last
+round graph while no node moves. ``reference_step_round`` is the node step as
 first written, each new state a ``dataclasses.replace`` of the old, the
 oracle for the lean ``step_round``. ``trace_bytes`` gives the bytes
 ``write_trace`` would write, for tests that compare runs. ``load_trace``
@@ -39,6 +42,7 @@ import signal
 import pytest
 
 from agreesim import trace as trace_module
+from agreesim.adversary import RoundView, byzantine_outbox
 from agreesim.analysis import (
     ConditionVerdict,
     ConditionWitness,
@@ -55,10 +59,14 @@ from agreesim.analysis import (
     condition_report,
     is_proper,
 )
+from agreesim.dynamics import RoundGraph, deliver, move_step
 from agreesim.errors import AgreesimError, AnalysisError, ProtocolError, TopologyError, TraceError
-from agreesim.harness import IO_WINDOW_DEFAULT, RunReport, SweepCell, build_report, run_scenario
-from agreesim.protocol import StepResult
-from agreesim.trace import SCHEMA_VERSION, read_trace, trace_to_lines
+from agreesim.harness import (
+    IO_WINDOW_DEFAULT, RunReport, SweepCell, build_report, run_scenario, step_nodes, substream,
+)
+from agreesim.protocol import NodeState, StepResult, is_common_new_start
+from agreesim.scenarios import _initial_positions, _initial_values
+from agreesim.trace import SCHEMA_VERSION, RoundRecord, Trace, read_trace, trace_to_lines
 
 
 def trace_bytes(trace):
@@ -216,6 +224,47 @@ def reference_receivers(positions, radius):
         )
         for j in positions
     }
+
+
+def reference_simulate(config):
+    """``simulate`` over the full horizon, with a fresh graph, edge list and position map each round."""
+    params, arena, model, adversary = config.validate()
+    seed = config.seed
+
+    def stream(draws, *parts):
+        return substream(seed, *parts) if draws else None
+
+    positions = _initial_positions(config, arena, substream(seed, "init-pos"))
+    values = _initial_values(config, substream(seed, "init-values"))
+    states = {i: NodeState(id=i, value=values[i]) for i in config.correct_ids}
+    trace = Trace(params=params, byz_set=adversary.byz_set, initial_values=dict(values),
+                  scenario_name=config.name, seed=seed)
+    phase_start_values = dict(values)
+    for r in range(1, config.effective_max_rounds + 1):
+        if is_common_new_start(r, config.r_c):
+            phase_start_values = {i: s.value for i, s in states.items()}
+        view = RoundView(round=r, phase_start_values=phase_start_values)
+        positions = move_step(positions, model, stream(model.draws, "move", r), r)
+        graph = RoundGraph(round=r, receivers=reference_receivers(positions, config.radius))
+        outbox = [(i, j, states[i].value) for i in sorted(states) for j in graph.out_neighbors(i)]
+        byz_sent = []
+        for b in sorted(adversary.byz_set):
+            byz_sent += byzantine_outbox(adversary, b, graph, view,
+                                         stream(adversary.behavior.draws, "adv", r, b))
+        inboxes = deliver(graph, outbox + byz_sent, config.loss_rate,
+                          stream(config.loss_rate > 0.0, "loss", r))
+        results, fields = step_nodes(states, inboxes, r, params)
+        trace.rounds.append(RoundRecord(
+            round=r,
+            positions=dict(positions),
+            edges=sorted((j, k) for j, ks in graph.receivers.items() for k in ks),
+            byz_sent=sorted(byz_sent),
+            delivered=sorted(itertools.chain.from_iterable(inboxes.values())),
+            **fields,
+        ))
+        states = {i: res.state for i, res in results.items()}
+    trace.final_values = {i: s.value for i, s in states.items()}
+    return trace
 
 
 def reference_deliver(graph, outbox, loss_rate, rng):

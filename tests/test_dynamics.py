@@ -1,11 +1,13 @@
-"""Mobility models, disk graphs, lossy delivery, joint neighbor sets."""
+"""Mobility models, disk graphs and their reuse while no node moves, lossy delivery, joint neighbor sets."""
 
+import dataclasses
 import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from agreesim import harness
 from agreesim.dynamics import (
     Arena,
     RandomWaypoint,
@@ -20,8 +22,10 @@ from agreesim.dynamics import (
 from agreesim.analysis import joint_neighbor_set
 from agreesim.errors import ConfigError, TopologyError, TraceError
 from agreesim.harness import _delivered, simulate, substream
-from agreesim.scenarios import builtin_scenario
-from reference import reference_deliver, reference_receivers
+from agreesim.scenarios import LIBRARY, ScenarioConfig, builtin_scenario
+from agreesim.trace import _encode_rounds
+from reference import reference_deliver, reference_receivers, reference_simulate, trace_bytes
+from test_acceptance import random_scenario
 
 ARENA = Arena(10.0, 10.0)
 
@@ -119,6 +123,131 @@ class TestRoundGraph:
 
 def full_graph(ids, r=1):
     return RoundGraph(round=r, receivers={i: [j for j in ids if j != i] for i in ids})
+
+
+def assert_matches_rebuilt_graphs(config):
+    """``simulate`` gives the records and bytes of a run that rebuilds every round graph.
+
+    A forked encoder batch may start at any round, so encoding the rounds
+    in two batches must give the same bytes too.
+    """
+    trace, expected = simulate(config), reference_simulate(config)
+    assert trace.rounds == expected.rounds
+    assert trace.final_values == expected.final_values
+    lines = trace_bytes(trace)
+    assert lines == trace_bytes(expected)
+    rounds = b"".join(lines.splitlines(keepends=True)[1:-1])
+    for cut in range(len(trace.rounds) + 1):
+        assert _encode_rounds(trace.rounds[:cut]) + _encode_rounds(trace.rounds[cut:]) == rounds
+    return trace
+
+
+def scripted(config, waypoints, **changes):
+    """``config`` with scripted mobility: ``waypoints`` maps node ids to lists of points."""
+    mobility = {"model": "scripted",
+                "waypoints": {str(i): [list(p) for p in path] for i, path in waypoints.items()}}
+    return dataclasses.replace(config, mobility=mobility, **changes)
+
+
+def counting_graphs(monkeypatch) -> list:
+    """Every round graph ``simulate`` builds from then on, in order."""
+    built = []
+    real = harness.build_round_graph
+
+    def build(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "build_round_graph", build)
+    return built
+
+
+# Each in the 6 x 6 arena of ``random_scenario``; the first two are equal
+# as numbers, yet they encode apart.
+POINTS = [(-0.0, 1.0), (0.0, 1.0), (1.0, 1.0), (2.5, 1.0), (4.0, 4.0), (6.0, 6.0)]
+
+LINE = ScenarioConfig(
+    name="line", n=4, f=0, r_c=2, epsilon=0.01, max_rounds=8, arena=(6.0, 6.0), radius=1.6,
+    initial_values={"mode": "explicit", "values": [0.0, 1.0, 2.0, 3.0]},
+    initial_positions={"mode": "explicit",
+                       "coords": {"0": [0.0, 1.0], "1": [1.5, 1.0], "2": [3.0, 1.0], "3": [4.5, 1.0]}},
+)
+
+
+class TestRoundGraphReuse:
+    """A round in which no node moved reuses the last round graph, edge list and position map."""
+
+    @pytest.mark.parametrize("name", sorted(LIBRARY))
+    def test_builtin_matches_rebuilt_graphs(self, name):
+        assert_matches_rebuilt_graphs(builtin_scenario(name))
+
+    @settings(max_examples=60, deadline=None)
+    @given(i=st.integers(0, 199), data=st.data())
+    def test_stationary_and_scripted_runs_match_rebuilt_graphs(self, i, data):
+        config = dataclasses.replace(random_scenario(i), mobility={"model": "stationary"})
+        if data.draw(st.booleans(), label="scripted"):
+            paths = st.lists(st.sampled_from(POINTS), max_size=config.max_rounds + 2)
+            nodes = st.sampled_from(range(config.n))
+            config = scripted(config, data.draw(st.dictionaries(nodes, paths), label="waypoints"))
+        assert_matches_rebuilt_graphs(config)
+
+    def test_script_that_ends_mid_run(self, monkeypatch):
+        built = counting_graphs(monkeypatch)
+        config = scripted(LINE, {0: [(0.0, 3.0), (1.5, 2.0), (3.0, 2.0)]})
+        rounds = assert_matches_rebuilt_graphs(config).rounds
+        assert [g.round for g in built] == [1, 2, 3]
+        assert rounds[2].edges != rounds[1].edges
+        for rec in rounds[3:]:
+            assert rec.edges is rounds[2].edges and rec.positions is rounds[2].positions
+
+    def test_one_node_moving_while_the_rest_hold(self, monkeypatch):
+        built = counting_graphs(monkeypatch)
+        path = [(x / 2.0, 2.0) for x in range(LINE.max_rounds)]
+        rounds = assert_matches_rebuilt_graphs(scripted(LINE, {3: path})).rounds
+        assert [g.round for g in built] == list(range(1, LINE.max_rounds + 1))
+        assert len({id(rec.positions) for rec in rounds}) == len(rounds)
+        assert all(rec.positions[1] is rounds[0].positions[1] for rec in rounds)
+
+    def test_negative_zero_to_zero_is_a_move(self):
+        config = scripted(LINE, {0: [(-0.0, 1.0), (0.0, 1.0)]}, max_rounds=3)
+        trace = assert_matches_rebuilt_graphs(config)
+        first, second, third = trace.rounds
+        assert second.positions is not first.positions and third.positions is second.positions
+        assert math.copysign(1.0, first.positions[0][0]) == -1.0
+        assert math.copysign(1.0, second.positions[0][0]) == 1.0
+        lines = trace_bytes(trace).decode().splitlines()
+        assert '"0":[-0.0,1.0]' in lines[1]
+        assert '"0":[0.0,1.0]' in lines[2] and '"0":[0.0,1.0]' in lines[3]
+
+    def test_stationary_run_builds_one_graph_and_shares_it(self, monkeypatch):
+        built = counting_graphs(monkeypatch)
+        trace = simulate(dataclasses.replace(random_scenario(0), max_rounds=30))
+        assert len(built) == 1
+        assert len({id(rec.edges) for rec in trace.rounds}) == 1
+        assert len({id(rec.positions) for rec in trace.rounds}) == 1
+        assert [rec.round for rec in trace.rounds] == list(range(1, 31))
+
+    def test_waypoint_run_builds_one_graph_per_round(self, monkeypatch):
+        built = counting_graphs(monkeypatch)
+        config = random_scenario(1)
+        assert config.mobility["model"] == "random-waypoint"
+        trace = simulate(config)
+        assert [g.round for g in built] == [rec.round for rec in trace.rounds]
+        assert len({id(rec.positions) for rec in trace.rounds}) == trace.last_round
+
+    def test_reused_graph_names_its_own_round(self, monkeypatch):
+        rounds = []
+
+        def deliver_off_edge(graph, outbox, *args):
+            rounds.append(graph.round)
+            if graph.round == 3:  # nodes 0 and 3 are out of range in LINE
+                outbox = outbox + [(0, 3, 1.0)]
+            return deliver(graph, outbox, *args)
+
+        monkeypatch.setattr(harness, "deliver", deliver_off_edge)
+        with pytest.raises(TopologyError, match=r"message 0->3 has no edge in round 3"):
+            simulate(LINE)
+        assert rounds == [1, 2, 3]
 
 
 class TestDeliver:
