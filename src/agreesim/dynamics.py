@@ -198,15 +198,20 @@ def deliver(
 
     Every message must match an edge of the round graph (faulty senders get
     no shortcut past topology) and each (sender, receiver) pair may carry at
-    most one message per round. Both rules are checked per sender with set
-    operations before any loss is drawn. Draws happen in sorted message
-    order so the loss pattern replays exactly; only a positive loss_rate
-    draws, so ``rng`` may otherwise be None.
+    most one message per round. Both rules are checked per sender before
+    any loss is drawn: a sender whose sorted receivers are exactly its
+    receiver list, as a correct node's are, passes with one list
+    comparison, and any other sender is checked with set operations.
+    Draws happen in sorted message order so the loss pattern replays
+    exactly; only a positive loss_rate draws, so ``rng`` may otherwise be
+    None.
     """
     msgs = sorted(outbox)
     receivers = graph.receivers
     for sender, group in itertools.groupby(msgs, itemgetter(0)):
         heard = list(map(itemgetter(1), group))
+        if heard == receivers.get(sender):  # a correct sender: one to each hearer
+            continue
         targets = set(heard)
         if len(targets) != len(heard) or not targets.issubset(receivers.get(sender, ())):
             _raise_first_offender(graph, msgs)

@@ -11,6 +11,7 @@ new value is computed or the retention window expires.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import ProtocolError
@@ -85,61 +86,25 @@ class StepResult:
     computed: bool
 
 
-def count_relative(log: Log, v_i: Value) -> tuple[int, int]:
-    """Counts of log entries >= v_i and <= v_i; ties count on both sides."""
-    values = [v for v, _ in log.values()]
-    return len([v for v in values if v >= v_i]), len([v for v in values if v <= v_i])
+def trim(values: list[Value], v_i: Value, f: int) -> list[Value] | None:
+    """The values that survive the trim, or None without admission.
 
-
-def admission_test(x: int, y: int, f: int) -> bool:
-    """True when enough values sit on one side of the node's own value."""
-    return x >= f + 1 or y >= f + 1
-
-
-def reduce_log(log: Log, f: int, x: int, y: int, v_i: Value) -> Log:
-    """Trim extreme values before averaging.
-
-    ``B`` is the top-f slice and ``S`` the bottom-f slice of the log sorted
-    by (value, sender) (slices may overlap when the log is short; removal
-    is per entry). When more values sit at or above v_i, all of B goes plus
-    any of S strictly below v_i; otherwise all of S goes plus any of B
-    strictly above v_i. Between f and 2f entries are removed and at least
-    one survives. Survivors keep the sorted order.
+    ``values`` is the log's values in ascending order. Admission needs f+1
+    of them at or above v_i (x) or at or below it (y); ties count on both
+    sides, and the two bisection points give both counts. When x > y the
+    top f go, plus any of the bottom f strictly below v_i; otherwise the
+    bottom f go, plus any of the top f strictly above v_i. An entry in
+    both slices goes once. Between f and 2f entries go, at least one
+    survives, and the survivors are one slice of ``values``.
     """
-    if not admission_test(x, y, f):
-        raise ProtocolError(
-            f"reduce_log called without admission (x={x}, y={y}, f={f})"
-        )
-    order = sorted([(v, s) for s, (v, _) in log.items()])
-    top = order[len(order) - f:] if f > 0 else []
-    bottom = order[:f]
-    if x > y:
-        removed = {s for _, s in top}.union(s for v, s in bottom if v < v_i)
-    else:
-        removed = {s for _, s in bottom}.union(s for v, s in top if v > v_i)
-    return {s: log[s] for _, s in order if s not in removed}
-
-
-def average(log: Log, v_i: Value) -> Value:
-    """Equal-weight mean of the surviving values and the node's own value.
-
-    The exact mean always lies within the range of its inputs, but the
-    rounded quotient can escape it by one ulp (e.g. (x+x+x)/3 < x), which
-    would break the protocol's range invariants; the result is therefore
-    pinned back into that range. A sum beyond float range, which finite
-    values near the float maximum can reach, is taken over the values
-    divided by their count instead: the mean itself is always in range.
-    """
-    values = [v for v, _ in log.values()]
-    count = len(values) + 1
-    try:
-        mean = (v_i + math.fsum(values)) / count
-    except OverflowError:  # fsum's partial sums left float range
-        mean = math.inf
-    values.append(v_i)
-    if math.isinf(mean):
-        mean = math.fsum([v / count for v in values])
-    return min(max(mean, min(values)), max(values))
+    size = len(values)
+    below = bisect_left(values, v_i)  # entries < v_i; x = size - below
+    above = bisect_right(values, v_i)  # entries <= v_i; y = above
+    if size - below <= f and above <= f:
+        return None
+    if size - below > above:
+        return values[min(f, below):size - f]
+    return values[f:max(size - f, above)]
 
 
 def is_common_new_start(r: int, r_c: int) -> bool:
@@ -156,8 +121,11 @@ def step_round(
     """Execute one protocol round for one node.
 
     The broadcast carries the pre-update value. Non-finite payloads are
-    dropped at ingestion so averages stay well-defined. Pure: inputs are
-    never mutated, and identical inputs give bit-identical outputs.
+    dropped at ingestion so averages stay well-defined. One sort of the
+    merged log's values decides admission and the trim, and the new value
+    is the exact mean of the survivors and the node's own value. Pure:
+    inputs are never mutated, and identical inputs give bit-identical
+    outputs.
     """
     broadcast = state.value
     merged = dict(state.log)
@@ -166,10 +134,28 @@ def step_round(
             raise ProtocolError(f"node {state.id} received its own broadcast")
         if math.isfinite(value):
             merged[sender] = (value, r)
-    x, y = count_relative(merged, broadcast)
-    if admission_test(x, y, params.f):
-        survivors = reduce_log(merged, params.f, x, y, broadcast)
-        new_state = NodeState(state.id, average(survivors, broadcast), {}, r + 1)
+    # Equal values that differ, -0.0 and 0.0 or an int payload and its equal
+    # float, may sit in either order here. No sum shows which of them
+    # survive, as fsum gives 0.0 for every zero sum; only a pinned end can.
+    kept = trim(sorted([entry[0] for entry in merged.values()]), broadcast, params.f)
+    if kept is not None:
+        count = len(kept) + 1
+        try:
+            mean = (broadcast + math.fsum(kept)) / count
+        except OverflowError:  # fsum's partial sums left float range
+            mean = math.inf
+        kept.append(broadcast)
+        if math.isinf(mean):  # the sum is beyond float range, the mean never is
+            mean = math.fsum([v / count for v in kept])
+        if not min(kept) <= mean <= max(kept):
+            # The exact mean lies in the range of its inputs, but the rounded
+            # quotient can leave it by one ulp ((x+x+x)/3 < x): pin it to the
+            # end it left, the first of the equal values there in the
+            # (value, sender) order the trim is defined on.
+            kept = trim(sorted([merged[s][0] for s in sorted(merged)]), broadcast, params.f)
+            kept.append(broadcast)
+            mean = min(max(mean, min(kept)), max(kept))
+        new_state = NodeState(state.id, mean, {}, r + 1)
         computed = True
     elif r % params.r_c == 0:
         new_state = NodeState(state.id, broadcast, {}, r + 1)

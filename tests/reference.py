@@ -2,7 +2,7 @@
 
 The trim-and-average reference works on plain sorted value lists with
 explicit index sets, recomputing the side counts itself, so it shares no
-code path with the package's log-based implementation. The whole-trace
+code path with the package's bisecting ``trim``. The whole-trace
 checkers index a ``Trace`` by round and rescan it once per check, the
 oracles for the one in-order ``Walk`` that ``build_report`` finishes:
 ``reference_build_report`` assembles a report from them. The safety
@@ -16,18 +16,21 @@ oracles for the window rule behind ``joint_neighbor_set``,
 encodes a trace with the generic JSON encoder, the oracle for the
 dedicated round-line encoder. ``reference_deliver`` checks each message
 against its sender's receiver list as it draws its loss, the oracle for
-``deliver``'s set checks. ``reference_simulate`` builds every round's graph
-afresh with ``reference_receivers`` and gives every record its own
-``positions`` and ``edges``, the oracle for the run that reuses the last
-round graph while no node moves. ``reference_step_round`` is the node step as
-first written, each new state a ``dataclasses.replace`` of the old, the
-oracle for the lean ``step_round``. ``trace_bytes`` gives the bytes
-``write_trace`` would write, for tests that compare runs. ``load_trace``
-reads a whole trace, every round kept, and ``walked`` walks one.
-``split_reads`` makes ``read_trace`` decode any file in forked workers,
-with the one-pass serial reader, ``trace_from_lines``, as its oracle.
-``counting_forks``, ``DyingPickler`` and ``assert_no_child_left`` watch
-and break the children that ``cpus.Children`` forks.
+``deliver``'s list and set checks. ``reference_simulate`` builds every
+round's graph afresh with ``reference_receivers``, gives every record
+its own ``positions`` and ``edges``, and routes and steps every round
+with ``reference_deliver`` and ``reference_step_round``: the oracle for
+the engine, which reuses the last round graph while no node moves.
+``reference_step_round`` is the node step as first written, each new
+state a ``dataclasses.replace`` of the old, the oracle for the lean
+``step_round``, which sorts the log's values once. ``trace_bytes`` gives
+the bytes ``write_trace`` would write, for tests that compare runs.
+``load_trace`` reads a whole trace, every round kept, and ``walked``
+walks one. ``split_reads`` makes ``read_trace`` decode any file in
+forked workers, with the one-pass serial reader, ``trace_from_lines``,
+as its oracle. ``counting_forks``, ``DyingPickler`` and
+``assert_no_child_left`` watch and break the children that
+``cpus.Children`` forks.
 """
 
 import contextlib
@@ -59,10 +62,10 @@ from agreesim.analysis import (
     condition_report,
     is_proper,
 )
-from agreesim.dynamics import RoundGraph, deliver, move_step
+from agreesim.dynamics import RoundGraph, move_step
 from agreesim.errors import AgreesimError, AnalysisError, ProtocolError, TopologyError, TraceError
 from agreesim.harness import (
-    IO_WINDOW_DEFAULT, RunReport, SweepCell, build_report, run_scenario, step_nodes, substream,
+    IO_WINDOW_DEFAULT, RunReport, SweepCell, build_report, run_scenario, substream,
 )
 from agreesim.protocol import NodeState, StepResult, is_common_new_start
 from agreesim.scenarios import _initial_positions, _initial_values
@@ -199,7 +202,13 @@ def reference_step_round(state, inbox, r, params):
         else:
             removed = set(bottom).union(s for s in top if merged[s][0] > state.value)
         values = [merged[s][0] for s in order if s not in removed]
-        mean = (state.value + math.fsum(values)) / (len(values) + 1)
+        count = len(values) + 1
+        try:
+            mean = (state.value + math.fsum(values)) / count
+        except OverflowError:
+            mean = math.inf
+        if math.isinf(mean):  # the sum left float range: add up each value over the count
+            mean = math.fsum([v / count for v in values + [state.value]])
         lo = min(values + [state.value])
         hi = max(values + [state.value])
         new_state = dataclasses.replace(
@@ -227,7 +236,11 @@ def reference_receivers(positions, radius):
 
 
 def reference_simulate(config):
-    """``simulate`` over the full horizon, with a fresh graph, edge list and position map each round."""
+    """``simulate`` over the full horizon, each round's graph, edge list and position map afresh.
+
+    Messages go through ``reference_deliver`` and nodes through
+    ``reference_step_round``, so no part of the engine's round is shared.
+    """
     params, arena, model, adversary = config.validate()
     seed = config.seed
 
@@ -251,16 +264,23 @@ def reference_simulate(config):
         for b in sorted(adversary.byz_set):
             byz_sent += byzantine_outbox(adversary, b, graph, view,
                                          stream(adversary.behavior.draws, "adv", r, b))
-        inboxes = deliver(graph, outbox + byz_sent, config.loss_rate,
-                          stream(config.loss_rate > 0.0, "loss", r))
-        results, fields = step_nodes(states, inboxes, r, params)
+        inboxes = reference_deliver(graph, outbox + byz_sent, config.loss_rate,
+                                    stream(config.loss_rate > 0.0, "loss", r))
+        results = {
+            i: reference_step_round(
+                states[i], [(sender, value) for sender, _, value in inboxes.get(i, [])], r, params)
+            for i in sorted(states)
+        }
         trace.rounds.append(RoundRecord(
             round=r,
             positions=dict(positions),
             edges=sorted((j, k) for j, ks in graph.receivers.items() for k in ks),
             byz_sent=sorted(byz_sent),
             delivered=sorted(itertools.chain.from_iterable(inboxes.values())),
-            **fields,
+            values_start={i: s.value for i, s in states.items()},
+            local_start={i: s.last_local_start for i, s in states.items()},
+            logs={i: res.merged_log for i, res in results.items()},
+            computed={i: res.computed for i, res in results.items()},
         ))
         states = {i: res.state for i, res in results.items()}
     trace.final_values = {i: s.value for i, s in states.items()}

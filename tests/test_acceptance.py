@@ -20,12 +20,12 @@ from agreesim.analysis import (
     check_validity,
 )
 from agreesim.harness import report_to_json, run_scenario, simulate
-from agreesim.protocol import admission_test, average, count_relative, reduce_log
+from agreesim.protocol import NodeState, ProtocolParams, step_round, trim
 from agreesim.scenarios import ScenarioConfig, builtin_scenario
 
 from reference import (
-    common_starts, groups_converged, reference_average, reference_reduce, spread, trace_bytes,
-    v_max, v_min, walked,
+    common_starts, groups_converged, reference_admitted, reference_average, reference_reduce,
+    spread, trace_bytes, v_max, v_min, walked,
 )
 
 STRATEGIES = ["silent", "fixed-value", "extreme-split", "random-legal", "scripted"]
@@ -148,18 +148,21 @@ def test_criterion_3_reduce_oracle():
     for size in range(0, 8):
         for values in itertools.combinations_with_replacement(grid, size):
             sorted_values = list(values)
+            inbox = list(enumerate(sorted_values, 1))
             for f in (0, 1, 2):
+                params = ProtocolParams(16, f, 1, 0.1)
                 for v_i in own_values:
-                    log = {s: (v, 1) for s, v in enumerate(sorted_values)}
-                    x, y = count_relative(log, v_i)
-                    if not admission_test(x, y, f):
+                    survivors = trim(sorted_values, v_i, f)
+                    admitted = reference_admitted(sorted_values, v_i, f)
+                    assert (survivors is not None) == admitted, (sorted_values, f, v_i)
+                    if not admitted:
                         continue
-                    survivors = reduce_log(log, f, x, y, v_i)
                     expected, removed = reference_reduce(sorted_values, f, v_i)
-                    assert sorted(v for v, _ in survivors.values()) == expected, (sorted_values, f, v_i)
+                    assert survivors == expected, (sorted_values, f, v_i)
                     assert f <= removed <= 2 * f, (sorted_values, f, v_i)
                     assert len(expected) >= 1
-                    assert average(survivors, v_i) == reference_average(expected, v_i)
+                    result = step_round(NodeState(0, v_i), inbox, 1, params)
+                    assert result.state.value == reference_average(expected, v_i)
                     cases += 1
     assert cases > 10_000
     print(f"\nACCEPTANCE 3 reduce oracle ({cases} exact-match cases): PASS")

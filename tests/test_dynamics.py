@@ -285,7 +285,9 @@ def delivery_rounds(draw):
     """A round graph on ids 0-5 and an outbox over ids 0-6 in any order.
 
     Correct messages follow edges. Faulty ones may repeat a pair, have no
-    edge or come from a node outside the graph.
+    edge or come from a node outside the graph. A faulty sender may also
+    send along its whole receiver list plus one message to a node it has
+    no edge to or already sent to, which its list comparison cannot pass.
     """
     ids = range(6)
     receivers = {
@@ -299,6 +301,9 @@ def delivery_rounds(draw):
     correct = [(j, k, draw(value)) for j, k in sent]
     node = st.integers(0, 6)
     faulty = draw(st.lists(st.tuples(node, node, value), max_size=6))
+    if receivers and draw(st.booleans()):
+        j = draw(st.sampled_from(sorted(receivers)))
+        faulty += [(j, k, draw(value)) for k in receivers[j] + [draw(node)]]
     outbox = draw(st.permutations(correct + faulty))
     return graph, outbox
 

@@ -64,8 +64,9 @@ from agreesim.trace import (
 )
 from agreesim.vectors import read_vectors, replay_vectors, vectors_from_trace, write_vectors
 from reference import (
-    DyingPickler, assert_no_child_left, counting_forks, load_trace, phase_of, reference_sweep,
-    reference_trace_lines, split_reads, spread, trace_bytes, trace_from_lines, v_max, walked,
+    DyingPickler, assert_no_child_left, counting_forks, load_trace, phase_of, reference_simulate,
+    reference_sweep, reference_trace_lines, split_reads, spread, trace_bytes, trace_from_lines,
+    v_max, walked,
 )
 from test_acceptance import random_scenario
 
@@ -881,6 +882,14 @@ class TestRoundEngine:
     @given(i=st.integers(0, 10**6), stop=st.booleans())
     def test_replay_rebuilds_random_runs(self, i, stop):
         assert_replay_rebuilds(simulate(random_scenario(i), stop_at_agreement=stop))
+
+    @settings(max_examples=100, deadline=None)
+    @given(i=st.integers(0, 10**6))
+    def test_simulate_matches_the_reference_engine(self, i):
+        # Every mobility model and strategy, loss 0 and 0.3: the oracle
+        # routes with reference_deliver and steps with reference_step_round.
+        config = random_scenario(i)
+        assert trace_bytes(simulate(config)) == trace_bytes(reference_simulate(config))
 
     def test_replay_of_a_zero_round_trace_keeps_the_initial_values(self):
         trace = simulate(ulp_scenario(), stop_at_agreement=True)

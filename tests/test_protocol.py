@@ -10,17 +10,15 @@ from agreesim.errors import ProtocolError
 from agreesim.protocol import (
     NodeState,
     ProtocolParams,
-    admission_test,
-    average,
-    count_relative,
     is_common_new_start,
-    reduce_log,
     step_round,
+    trim,
 )
 
 from reference import (
     reference_admitted,
     reference_average,
+    reference_counts,
     reference_reduce,
     reference_step_round,
 )
@@ -36,37 +34,51 @@ def log_values(log):
     return sorted(v for v, _ in log.values())
 
 
+def stepped_value(values, v_i, f):
+    """The value a node holding ``v_i`` computes from a first-round inbox of ``values``."""
+    inbox = [(s, v) for s, v in enumerate(values, 1)]
+    result = step_round(NodeState(0, v_i), inbox, 1, ProtocolParams(16, f, 1, 0.1))
+    return result.state.value
+
+
 PARAMS = ProtocolParams(n=8, f=1, r_c=4, epsilon=0.1)
 
 
 class TestCountRelative:
+    """The side counts x (>= v_i) and y (<= v_i) that decide ``trim``'s admission and case."""
+
     def test_ties_count_both_sides(self):
-        assert count_relative(make_log([3, 5, 5, 7]), 5.0) == (3, 3)
+        # Admission at f=2 needs three values on one side: each log has
+        # them only if the two ties count on its side.
+        assert trim([5.0, 5.0, 7.0], 5.0, 2) == [5.0]
+        assert trim([3.0, 5.0, 5.0], 5.0, 2) == [5.0]
 
     def test_empty_log(self):
-        assert count_relative({}, 0.0) == (0, 0)
+        assert trim([], 0.0, 0) is None
 
     def test_strict_sides(self):
-        assert count_relative(make_log([1, 4, 9]), 5.0) == (1, 2)
+        # x = 1 and y = 2: admitted at f = 1, not at f = 2.
+        assert trim([1.0, 4.0, 9.0], 5.0, 1) == [4.0]
+        assert trim([1.0, 4.0, 9.0], 5.0, 2) is None
 
     @given(
         values=st.lists(st.integers(-5, 5).map(float), max_size=8),
         v_i=st.integers(-5, 5).map(float),
     )
     def test_matches_direct_count(self, values, v_i):
-        log = make_log(values)
-        assert count_relative(log, v_i) == (
-            sum(1 for v in values if v >= v_i),
-            sum(1 for v in values if v <= v_i),
-        )
+        # Admission fires exactly from f = max(x, y) - 1 down.
+        most = max(sum(1 for v in values if v >= v_i), sum(1 for v in values if v <= v_i))
+        assert trim(sorted(values), v_i, most) is None
+        if most:
+            assert trim(sorted(values), v_i, most - 1) is not None
 
 
 class TestAdmission:
     def test_one_side_at_threshold(self):
-        assert admission_test(1, 2, 1) is True
+        assert trim([4.0, 5.0], 5.0, 1) is not None  # x = 1, y = 2
 
     def test_both_below(self):
-        assert admission_test(1, 1, 1) is False
+        assert trim([4.0, 6.0], 5.0, 1) is None  # x = 1, y = 1
 
     @pytest.mark.parametrize("f", [0, 1, 2])
     def test_pigeonhole_on_small_multisets(self, f):
@@ -75,58 +87,48 @@ class TestAdmission:
         for size in range(0, 2 * f + 3):
             for values in itertools.combinations_with_replacement(grid, size):
                 for v_i in grid:
-                    x, y = count_relative(make_log(values), v_i)
+                    admitted = trim(list(values), v_i, f) is not None
                     if size >= 2 * f + 1:
-                        assert admission_test(x, y, f)
+                        assert admitted
                     if size <= f:
-                        assert not admission_test(x, y, f)
+                        assert not admitted
 
 
 class TestReduce:
     def test_case_b_removes_low_and_high_outlier(self):
-        log = make_log([1, 4, 9])
-        x, y = count_relative(log, 5.0)
-        assert log_values(reduce_log(log, 1, x, y, 5.0)) == [4]
+        assert trim([1.0, 4.0, 9.0], 5.0, 1) == [4.0]
 
     def test_tie_x_equals_y_goes_to_case_b(self):
-        log = make_log([2, 3, 8, 9])
-        x, y = count_relative(log, 5.0)
-        assert (x, y) == (2, 2)
-        assert log_values(reduce_log(log, 1, x, y, 5.0)) == [3, 8]
+        values = [2.0, 3.0, 8.0, 9.0]
+        assert reference_counts(values, 5.0) == (2, 2)
+        assert trim(values, 5.0, 1) == [3.0, 8.0]
 
     def test_f_zero_removes_nothing(self):
-        log = make_log([1, 4, 9])
-        x, y = count_relative(log, 5.0)
-        assert log_values(reduce_log(log, 0, x, y, 5.0)) == [1, 4, 9]
+        assert trim([1.0, 4.0, 9.0], 5.0, 0) == [1.0, 4.0, 9.0]
 
     def test_rejects_unadmitted_call(self):
-        log = make_log([1, 9])
-        with pytest.raises(ProtocolError):
-            reduce_log(log, 1, 1, 1, 5.0)
+        assert trim([1.0, 9.0], 5.0, 1) is None
 
     def test_overlapping_slices_remove_each_entry_once(self):
         # Log of f+1 entries: top-f and bottom-f slices overlap.
-        log = make_log([10.0, 10.0])
-        x, y = count_relative(log, 0.0)
-        survivors = reduce_log(log, 1, x, y, 0.0)
-        assert log_values(survivors) == [10.0]
+        assert trim([10.0, 10.0], 0.0, 1) == [10.0]
+        assert trim([1.0, 2.0, 3.0], 5.0, 2) == [3.0]  # 2.0 sits in both
 
     @given(
         values=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0]), min_size=1, max_size=7),
         v_i=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]),
-        f=st.integers(0, 2),
+        f=st.integers(0, 4),
     )
     def test_matches_reference_and_cardinality(self, values, v_i, f):
-        log = make_log(sorted(values))
-        x, y = count_relative(log, v_i)
-        if not admission_test(x, y, f):
+        survivors = trim(sorted(values), v_i, f)
+        assert (survivors is not None) == reference_admitted(sorted(values), v_i, f)
+        if survivors is None:
             return
-        survivors = reduce_log(log, f, x, y, v_i)
         expected, removed = reference_reduce(sorted(values), f, v_i)
-        assert log_values(survivors) == expected
+        assert survivors == expected
         assert f <= removed <= 2 * f
         assert len(survivors) >= 1
-        assert average(survivors, v_i) == reference_average(expected, v_i)
+        assert stepped_value(values, v_i, f) == reference_average(expected, v_i)
 
     @given(
         corr=st.lists(st.integers(-4, 4).map(float), min_size=1, max_size=5),
@@ -139,16 +141,12 @@ class TestReduce:
         # spanned by the genuine values and the node's own value.
         if len(byz) > f:
             return
-        byz_senders = set(range(100, 100 + len(byz)))
-        log = make_log(corr)
-        log.update(make_log(byz, senders=sorted(byz_senders)))
-        x, y = count_relative(log, v_i)
-        if not admission_test(x, y, f):
+        survivors = trim(sorted(corr + byz), v_i, f)
+        if survivors is None:
             return
-        survivors = reduce_log(log, f, x, y, v_i)
         lo = min(corr + [v_i])
         hi = max(corr + [v_i])
-        for value in log_values(survivors):
+        for value in survivors:
             assert lo <= value <= hi
 
     @given(
@@ -161,30 +159,29 @@ class TestReduce:
         # guarantee one such entry survives the trim (dually for low ones).
         if len(high) < f + 1:
             return
-        v_i = 0.0
-        threshold = 5.0
-        log = make_log(sorted(low + high))
-        x, y = count_relative(log, v_i)
-        assert admission_test(x, y, f)
-        survivors = reduce_log(log, f, x, y, v_i)
-        assert any(v >= threshold for v in log_values(survivors))
+        survivors = trim(sorted(low + high), 0.0, f)
+        assert survivors is not None
+        assert any(v >= 5.0 for v in survivors)
 
 
 class TestAverage:
+    """The new value: the exact mean of the survivors and the node's own value."""
+
     def test_single_survivor(self):
-        assert average(make_log([4]), 5.0) == 4.5
+        assert stepped_value([4.0], 5.0, 0) == 4.5
 
     def test_empty_is_identity(self):
-        assert average({}, 7.0) == 7.0
+        # No value heard: no admission, and the node keeps its value.
+        result = step_round(NodeState(0, 7.0), [], 1, ProtocolParams(4, 0, 1, 0.1))
+        assert not result.computed and result.state.value == 7.0
 
     def test_two_survivors(self):
-        assert average(make_log([3, 8]), 5.0) == 16 / 3
+        assert stepped_value([3.0, 8.0], 5.0, 0) == 16 / 3
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_sum_beyond_float_range(self, sign):
         # Each value is finite, but their sum is not: the mean still is.
-        mean = average(make_log([sign * 1.7e308, 1.0, 0.0]), sign * 1.7e308)
-        assert mean == sign * 8.5e307
+        assert stepped_value([sign * 1.7e308, 1.0, 0.0], sign * 1.7e308, 0) == sign * 8.5e307
 
 
 class TestCommonNewStart:
@@ -271,29 +268,33 @@ class TestStepRound:
 
 
 # Values whose order or sign the step could get wrong: signed zeros that
-# compare equal, the smallest subnormal, and the non-finite payloads that
-# ingestion drops. Finite values stay far enough below the largest float
-# that no sum of a few of them overflows in fsum.
-FINITE = [-0.0, 0.0, 5e-324, -1.0, 1.0, 0.5, 2.0, 1e300]
-FLOATS = st.sampled_from(FINITE) | st.floats(-1e300, 1e300)
-PAYLOADS = FLOATS | st.sampled_from([math.nan, math.inf, -math.inf])
+# compare equal, the smallest subnormal, values whose sum leaves float
+# range, ints (a JSON vector carries them) that tie equal floats, and the
+# non-finite payloads that ingestion drops.
+FINITE = [-0.0, 0.0, 5e-324, -1.0, 1.0, 0.5, 2.0, 1e300, 1.7e308, -1.7e308]
+FLOATS = st.sampled_from(FINITE) | st.floats(-1.7e308, 1.7e308)
+INTS = st.sampled_from([0, 1, -1, 2]) | st.integers(-2**64, 2**64)
+PAYLOADS = FLOATS | INTS | st.sampled_from([math.nan, math.inf, -math.inf])
+# An integral float and the int equal to it.
+BIG = 0.40309273233720366 * 2.0**60
 
 
 @st.composite
 def step_inputs(draw):
-    f = draw(st.integers(0, 3))
-    params = ProtocolParams(n=3 * f + 4, f=f, r_c=draw(st.integers(1, 4)), epsilon=0.1)
-    senders = st.integers(0, params.n - 1)
+    senders = st.integers(0, 11)
     node = draw(senders)
-    # A carried log holds finite values from earlier rounds, often fewer than 2f.
+    # A carried log holds finite values from earlier rounds.
     log = draw(st.dictionaries(
         senders.filter(lambda s: s != node),
-        st.tuples(FLOATS, st.integers(1, 12)),
-        max_size=2 * f + 2,
+        st.tuples(FLOATS | INTS, st.integers(1, 12)),
+        max_size=8,
     ))
     r = draw(st.integers(1, 12))
-    state = NodeState(node, draw(st.sampled_from(FINITE)), log, draw(st.integers(1, r)))
-    inbox = draw(st.lists(st.tuples(senders, PAYLOADS), max_size=2 * f + 3))
+    state = NodeState(node, draw(st.sampled_from(FINITE) | INTS), log, draw(st.integers(1, r)))
+    inbox = draw(st.lists(st.tuples(senders, PAYLOADS), max_size=9))
+    # f may reach the merged log's size, so the trim's two slices overlap.
+    f = draw(st.integers(0, len(log) + len(inbox)))
+    params = ProtocolParams(n=3 * f + 4, f=f, r_c=draw(st.integers(1, 4)), epsilon=0.1)
     return state, inbox, r, params
 
 
@@ -307,6 +308,19 @@ def step_inputs(draw):
           [(1, 0.40309273233720366), (2, 0.40309273233720366)], 1, ProtocolParams(4, 0, 2, 0.1)))
 # Only an exact sum keeps the 1.0 between the two large values.
 @example((NodeState(0, 1.0, {}), [(1, 1e300), (2, 1.0), (3, -1e300)], 1, ProtocolParams(4, 0, 2, 0.1)))
+# A sum beyond float range: the mean is taken over the values divided by their count.
+@example((NodeState(0, 1.7e308, {}), [(1, 1.7e308), (2, 1.0)], 1, ProtocolParams(4, 0, 2, 0.1)))
+@example((NodeState(0, -1.7e308, {3: (-1.7e308, 1)}), [(1, -1.7e308), (2, 0)], 2,
+          ProtocolParams(7, 1, 2, 0.1)))
+# Signed zeros equal to the node's own value on both sides, the log holding
+# the later sender first.
+@example((NodeState(0, -0.0, {4: (0.0, 1), 2: (-0.0, 1)}), [(1, -1.0), (3, 1.0), (5, 0.0)], 2,
+          ProtocolParams(7, 1, 2, 0.1)))
+@example((NodeState(0, 0.0, {3: (-0.0, 1), 1: (0.0, 1)}), [(2, -0.0), (4, -0.0)], 2,
+          ProtocolParams(10, 2, 2, 0.1)))
+# The mean is pinned to an end where an int ties its equal float: the one
+# first by sender is the end, though the log holds the float first.
+@example((NodeState(0, BIG, {2: (BIG, 1)}), [(1, int(BIG))], 2, ProtocolParams(4, 0, 4, 0.1)))
 def test_step_matches_reference(inputs):
     state, inbox, r, params = inputs
     before = repr(state)
@@ -345,5 +359,5 @@ class TestParams:
     f=st.integers(0, 2),
 )
 def test_admission_agrees_with_reference(values, v_i, f):
-    x, y = count_relative(make_log(values), v_i)
-    assert admission_test(x, y, f) == reference_admitted(sorted(values), v_i, f)
+    admitted = trim(sorted(values), v_i, f) is not None
+    assert admitted == reference_admitted(sorted(values), v_i, f)
