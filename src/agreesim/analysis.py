@@ -123,6 +123,12 @@ def agreed(values: Collection[Value], epsilon: float) -> bool:
     return max(values) - min(values) < epsilon
 
 
+def _report_spread(lo: Value, hi: Value) -> Value | None:
+    """``hi - lo`` as a report holds it: None beyond float range, as JSON has no infinity."""
+    spread = hi - lo
+    return None if math.isinf(spread) else spread
+
+
 @dataclass
 class ConvergenceResult:
     reached: bool
@@ -258,7 +264,7 @@ class Walk:
 
     def finish(self, final_values: dict[NodeId, Value]) -> None:
         lo, hi = self._values(self.last_round + 1, final_values)
-        self.final_spread = hi - lo
+        self.final_spread = _report_spread(lo, hi)
 
     def _values(self, r: int, values: dict[NodeId, Value]) -> tuple[Value, Value]:
         """Test the values at round r against each envelope; return their extrema."""
@@ -300,7 +306,8 @@ class Walk:
                         f"extrema unchanged for {self._streak} phases (n={n})")))
         self._start = (lo, hi, holders)
         self._safe = (max(self._safe[0], lo), min(self._safe[1], hi))
-        self.phase_starts.append({"round": r, "v_min": lo, "v_max": hi, "spread": hi - lo})
+        self.phase_starts.append({"round": r, "v_min": lo, "v_max": hi,
+                                  "spread": _report_spread(lo, hi)})
         if self.converged_at is None and agreed((lo, hi), self.params.epsilon):
             self.converged_at = r
 

@@ -17,7 +17,7 @@ import csv
 import itertools
 import json
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from operator import is_, itemgetter
 from pathlib import Path
@@ -39,7 +39,7 @@ from .analysis import (
 from .cpus import split_map, worker_count
 from .dynamics import Position, RoundGraph, build_round_graph, deliver, move_step
 from .errors import AgreesimError, ConfigError
-from .protocol import NodeId, NodeState, ProtocolParams, is_common_new_start, step_round
+from .protocol import NodeId, NodeState, is_common_new_start, step_round
 from .scenarios import ScenarioConfig, _initial_positions, _initial_values
 from .trace import RoundRecord, Trace
 
@@ -89,65 +89,81 @@ def simulate(
     params, arena, model, adversary = config.validate()
     run_seed = config.seed if seed is None else seed
     positions = _initial_positions(config, arena, substream(run_seed, "init-pos"))
-    values = _initial_values(config, substream(run_seed, "init-values"))
-    states = {i: NodeState(id=i, value=values[i]) for i in config.correct_ids}
-    byz = adversary.byz_set
     trace = Trace(
         params=params,
-        byz_set=byz,
-        initial_values=dict(values),
+        byz_set=adversary.byz_set,
+        initial_values=_initial_values(config, substream(run_seed, "init-values")),
         scenario_name=config.name,
         seed=run_seed,
     )
-    phase_start_values = dict(values)
+    byz = sorted(trace.byz_set)
 
     def stream(draws: bool, *parts) -> random.Random | None:
         return substream(run_seed, *parts) if draws else None
 
-    graph = edges = None
+    def source(states: dict[NodeId, NodeState]):
+        """Each round's moves, round graph, faulty messages and losses, read off ``states``."""
+        placed, graph, edges = positions, None, None
+        for r in range(1, config.effective_max_rounds + 1):
+            if is_common_new_start(r, config.r_c):  # always at round 1
+                phase_start_values = {i: s.value for i, s in states.items()}
+                if stop_at_agreement and agreed(phase_start_values.values(), params.epsilon):
+                    return
+            moved = move_step(placed, model, stream(model.draws, "move", r), r)
+            if graph is None or not _held(placed, moved):
+                placed = moved
+                graph = build_round_graph(placed, config.radius, r)
+                edges = graph.edges
+            else:  # no node moved: the round is the last one's, renumbered
+                graph = RoundGraph(round=r, receivers=graph.receivers)
+            outbox = [(i, j, s.value) for i, s in states.items() for j in graph.out_neighbors(i)]
+            view = RoundView(round=r, phase_start_values=phase_start_values)
+            byz_sent = []
+            for b in byz:
+                byz_sent.extend(
+                    byzantine_outbox(adversary, b, graph, view,
+                                     stream(adversary.behavior.draws, "adv", r, b))
+                )
+            inboxes = deliver(graph, outbox + byz_sent, config.loss_rate,
+                              stream(config.loss_rate > 0.0, "loss", r))
+            yield r, placed, edges, sorted(byz_sent), _delivered(inboxes), inboxes
 
-    for r in range(1, config.effective_max_rounds + 1):
-        if is_common_new_start(r, config.r_c):
-            phase_start_values = {i: s.value for i, s in states.items()}
-            if stop_at_agreement and agreed(phase_start_values.values(), params.epsilon):
-                break
-        moved = move_step(positions, model, stream(model.draws, "move", r), r)
-        if graph is None or not _held(positions, moved):
-            positions = moved
-            graph = build_round_graph(positions, config.radius, r)
-            edges = graph.edges
-        else:  # no node moved: the round is the last one's, renumbered
-            graph = RoundGraph(round=r, receivers=graph.receivers)
-        outbox = []
-        for i in sorted(states):
-            for j in graph.out_neighbors(i):
-                outbox.append((i, j, states[i].value))
-        view = RoundView(round=r, phase_start_values=phase_start_values)
-        byz_sent = []
-        for b in sorted(byz):
-            byz_sent.extend(
-                byzantine_outbox(adversary, b, graph, view,
-                                 stream(adversary.behavior.draws, "adv", r, b))
-            )
-        inboxes = deliver(graph, outbox + byz_sent, config.loss_rate,
-                          stream(config.loss_rate > 0.0, "loss", r))
-        results, fields = step_nodes(states, inboxes, r, params)
-        trace.rounds.append(
-            RoundRecord(
-                round=r,
-                positions=positions,
-                edges=edges,
-                byz_sent=sorted(byz_sent),
-                delivered=_delivered(inboxes),
-                **fields,
-            )
-        )
+    for rec, _states, _inboxes, _results in run_rounds(trace, source):
+        trace.rounds.append(rec)
         if on_round is not None:
             on_round(trace)
-        states = {i: res.state for i, res in results.items()}
-
-    trace.final_values = {i: s.value for i, s in states.items()}
     return trace
+
+
+def run_rounds(trace: Trace, source: Callable[[dict[NodeId, NodeState]], Iterable[tuple]]):
+    """The round engine: step every correct node, in id order, through each round of ``source``.
+
+    ``source(states)`` gets the correct nodes' states, started from
+    ``trace``'s initial values and updated in place after each round. It
+    yields each round's number, positions, edges, byz_sent, delivered, and
+    inboxes in the shape ``deliver`` returns. Yields per round the record,
+    the states entering it (until the next round is asked for), the inboxes
+    and each node's step result; sets ``trace``'s final values at the end.
+    """
+    params = trace.params
+    states = {i: NodeState(id=i, value=v) for i, v in sorted(trace.initial_values.items())}
+    for r, positions, edges, byz_sent, delivered, inboxes in source(states):
+        results = {
+            i: step_round(s, [(sender, value) for sender, _recv, value in inboxes.get(i, ())],
+                          r, params)
+            for i, s in states.items()
+        }
+        record = RoundRecord(
+            round=r, positions=positions, edges=edges, byz_sent=byz_sent, delivered=delivered,
+            values_start={i: s.value for i, s in states.items()},
+            local_start={i: s.last_local_start for i, s in states.items()},
+            logs={i: res.merged_log for i, res in results.items()},
+            computed={i: res.computed for i, res in results.items()},
+        )
+        yield record, states, inboxes, results
+        for i, res in results.items():
+            states[i] = res.state
+    trace.final_values = {i: s.value for i, s in states.items()}
 
 
 def _held(before: dict[NodeId, Position], after: dict[NodeId, Position]) -> bool:
@@ -166,42 +182,21 @@ def _delivered(inboxes: dict[NodeId, list]) -> list:
     return sorted(chained, key=itemgetter(0))
 
 
-def step_nodes(
-    states: dict[NodeId, NodeState], inboxes: dict[NodeId, list], r: int, params: ProtocolParams
-) -> tuple[dict, dict]:
-    """Step every correct node on its inbox in id order: the one round engine.
-
-    ``inboxes`` has the shape ``deliver`` returns. Returns each node's step
-    result and the round record's per-node fields, keyed by field name.
-    """
-    results = {}
-    for i in sorted(states):
-        inbox = [(sender, value) for sender, _recv, value in inboxes.get(i, [])]
-        results[i] = step_round(states[i], inbox, r, params)
-    fields = {
-        "values_start": {i: states[i].value for i in results},
-        "local_start": {i: states[i].last_local_start for i in results},
-        "logs": {i: res.merged_log for i, res in results.items()},
-        "computed": {i: res.computed for i, res in results.items()},
-    }
-    return results, fields
+def round_inputs(rec: RoundRecord) -> tuple:
+    """A record's round as a source yields it to ``run_rounds``: its ``delivered`` by receiver."""
+    inboxes: dict[NodeId, list] = {}
+    for msg in rec.delivered:
+        inboxes.setdefault(msg[1], []).append(msg)
+    return rec.round, rec.positions, rec.edges, rec.byz_sent, rec.delivered, inboxes
 
 
 def replay(trace: Trace):
-    """Re-run a trace's correct nodes from its initial values and deliveries.
+    """``run_rounds`` over a trace's records: its correct nodes re-run from its deliveries.
 
-    Yields per round the record, the states entering it, its ``delivered``
-    regrouped by receiver, and ``step_nodes``'s output. It reads only the
-    params, the initial values and each record's round and ``delivered``.
+    The replayed final values go to a copy of the header, not to ``trace``.
     """
-    states = {i: NodeState(id=i, value=v) for i, v in trace.initial_values.items()}
-    for rec in trace.rounds:
-        inboxes: dict[NodeId, list] = {}
-        for msg in rec.delivered:
-            inboxes.setdefault(msg[1], []).append(msg)
-        results, fields = step_nodes(states, inboxes, rec.round, trace.params)
-        yield rec, states, inboxes, (results, fields)
-        states = {i: res.state for i, res in results.items()}
+    header = Trace(params=trace.params, byz_set=trace.byz_set, initial_values=trace.initial_values)
+    return run_rounds(header, lambda _states: map(round_inputs, trace.rounds))
 
 
 @dataclass
@@ -224,7 +219,7 @@ class RunReport:
     progress_violations: list[str]
     max_stagnant_streak: int
     phase_starts: list[dict]
-    final_spread: float
+    final_spread: float | None  # None when the spread lies beyond float range
 
     @property
     def invariants_ok(self) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .errors import MALFORMED, describe
 from .harness import replay
 from .protocol import NodeState, ProtocolParams, StepResult, step_round
 from .trace import Trace
@@ -39,7 +40,7 @@ def vectors_from_trace(trace: Trace) -> list[dict]:
             "inbox": [[sender, value] for sender, _recv, value in inboxes.get(i, [])],
             "expect": _outputs(result),
         }
-        for rec, states, inboxes, (results, _fields) in replay(trace)
+        for rec, states, inboxes, results in replay(trace)
         for i, result in results.items()
     ]
 
@@ -58,20 +59,28 @@ def read_vectors(path: str | Path) -> list[dict]:
 
 
 def replay_vector(record: dict) -> list[str]:
-    """Run one recorded step and report any field mismatches."""
-    p = record["params"]
-    params = ProtocolParams(n=p["n"], f=p["f"], r_c=p["r_c"], epsilon=1.0)
-    s = record["state_in"]
-    state = NodeState(
-        id=s["id"],
-        value=s["value"],
-        log={int(sender): (pair[0], pair[1]) for sender, pair in s["log"].items()},
-        last_local_start=s["last_local_start"],
-    )
-    inbox = [(pair[0], pair[1]) for pair in record["inbox"]]
-    result = step_round(state, inbox, record["round"], params)
-    expect = record["expect"]
-    got = _outputs(result)
+    """Run one recorded step and report any field mismatches.
+
+    A vector the step cannot run, or whose ``expect`` names other fields
+    than the step's outputs, is one mismatch that names the fault.
+    """
+    try:
+        p = record["params"]
+        params = ProtocolParams(n=p["n"], f=p["f"], r_c=p["r_c"], epsilon=1.0)
+        s = record["state_in"]
+        state = NodeState(
+            id=s["id"],
+            value=s["value"],
+            log={int(sender): (pair[0], pair[1]) for sender, pair in s["log"].items()},
+            last_local_start=s["last_local_start"],
+        )
+        inbox = [(pair[0], pair[1]) for pair in record["inbox"]]
+        got = _outputs(step_round(state, inbox, record["round"], params))
+        expect = record["expect"]
+        if expect.keys() != got.keys():
+            return [f"expect: holds fields {sorted(expect)}, the step outputs {sorted(got)}"]
+    except MALFORMED as exc:
+        return [f"malformed vector ({describe(exc)})"]
     return [
         f"{key}: expected {expect[key]!r}, got {got[key]!r}"
         for key in expect

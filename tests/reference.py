@@ -322,6 +322,11 @@ def spread(trace, r):
     return v_max(trace, r) - v_min(trace, r)
 
 
+def reported_spread(trace, r):
+    """``spread`` as a report writes it: None beyond float range."""
+    return None if math.isinf(spread(trace, r)) else spread(trace, r)
+
+
 def common_starts(trace):
     """Phase-opening rounds covered by the trace, including last+1."""
     return list(range(1, trace.last_round + 2, trace.params.r_c))
@@ -461,8 +466,8 @@ def reference_build_report(trace, delta):
         progress_violations=[f"{v.kind}@phase{v.phase}: {v.detail}" for v in progress.violations],
         max_stagnant_streak=progress.max_stagnant_streak,
         phase_starts=[{"round": r, "v_min": v_min(trace, r), "v_max": v_max(trace, r),
-                       "spread": spread(trace, r)} for r in common_starts(trace)],
-        final_spread=spread(trace, trace.last_round + 1),
+                       "spread": reported_spread(trace, r)} for r in common_starts(trace)],
+        final_spread=reported_spread(trace, trace.last_round + 1),
     )
 
 

@@ -1,5 +1,6 @@
 """End-to-end runs, scenario library verdicts, replay, files, CLI."""
 
+import collections
 import dataclasses
 import gc
 import hashlib
@@ -42,6 +43,8 @@ from agreesim.harness import (
     build_report,
     replay,
     report_to_json,
+    round_inputs,
+    run_rounds,
     run_scenario,
     simulate,
     sweep,
@@ -59,6 +62,7 @@ from agreesim.protocol import ProtocolParams
 from agreesim.trace import (
     RoundRecord,
     Trace,
+    read_trace,
     trace_to_lines,
     write_trace,
 )
@@ -768,6 +772,32 @@ class TestVectors:
         failures = replay_vectors(records)
         assert failures and failures[0][0] == 0
 
+    @pytest.mark.parametrize("fault,expected", [
+        ("huge_inbox_value", "malformed vector (OverflowError: int too large to convert to float)"),
+        ("extra_expected_field", "expect: holds fields ['broadcast', 'computed', 'extra', "
+                                 "'last_local_start', 'log', 'value'], the step outputs "
+                                 "['broadcast', 'computed', 'last_local_start', 'log', 'value']"),
+        ("no_state_in", "malformed vector (KeyError: 'state_in')"),
+        ("own_id_in_inbox", "malformed vector (ProtocolError: node 1 received its own broadcast)"),
+        ("nothing_expected", "expect: holds fields [], the step outputs "
+                             "['broadcast', 'computed', 'last_local_start', 'log', 'value']"),
+    ])
+    def test_a_vector_that_cannot_be_checked_is_a_mismatch(self, fault, expected):
+        records = vectors_from_trace(simulate(builtin_scenario("fully_connected_baseline")))
+        record = records[1]
+        assert record["state_in"]["id"] == 1 and [2, 0.0] not in record["inbox"]
+        if fault == "huge_inbox_value":
+            record["inbox"] = [[0, 1.0], [2, 10**400]]
+        elif fault == "extra_expected_field":
+            record["expect"]["extra"] = 1
+        elif fault == "no_state_in":
+            del record["state_in"]
+        elif fault == "own_id_in_inbox":
+            record["inbox"].append([1, 0.5])
+        else:
+            record["expect"] = {}
+        assert replay_vectors(records) == [(1, [expected])]
+
     def test_vectors_cover_every_step(self):
         trace = simulate(builtin_scenario("fully_connected_baseline"))
         records = vectors_from_trace(trace)
@@ -775,7 +805,7 @@ class TestVectors:
 
 
 def assert_replay_rebuilds(trace: Trace) -> None:
-    """Replay ``trace`` with its derived fields blanked; they must all come back."""
+    """Replay ``trace`` with its derived fields blanked; its records and final values come back."""
     blank = {"values_start": {}, "local_start": {}, "logs": {}, "computed": {}}
     inputs = dataclasses.replace(
         trace,
@@ -783,13 +813,52 @@ def assert_replay_rebuilds(trace: Trace) -> None:
         final_values={},
     )
     final = trace.initial_values
-    replayed = 0
-    for rec, _states, _inboxes, (results, fields) in replay(inputs):
-        assert fields == {name: getattr(trace.rounds[rec.round - 1], name) for name in blank}
+    rebuilt = []
+    for rec, _states, _inboxes, results in replay(inputs):
+        rebuilt.append(rec)
         final = {i: res.state.value for i, res in results.items()}
-        replayed += 1
-    assert replayed == trace.last_round
+    assert rebuilt == trace.rounds
     assert final == trace.final_values
+    assert inputs.final_values == {}  # replay leaves the trace it reads alone
+
+
+class Rebuild:
+    """A ``read_trace`` consumer that re-runs each record through the round engine as it is read.
+
+    ``add`` hands the decoded record to ``run_rounds`` and advances it one
+    round; the rebuilt record must equal it. ``finish`` ends the source,
+    and the engine sets the replayed final values.
+    """
+
+    def __init__(self, header: Trace):
+        self.pending = collections.deque()
+        self.replayed = Trace(params=header.params, byz_set=header.byz_set,
+                              initial_values=header.initial_values)
+        self.engine = run_rounds(
+            self.replayed, lambda _states: map(round_inputs, iter(self.pending.popleft, None))
+        )
+        self.rounds = 0
+
+    def add(self, rec: RoundRecord) -> None:
+        self.pending.append(rec)
+        rebuilt, _states, _inboxes, _results = next(self.engine)
+        assert rebuilt == rec
+        self.rounds += 1
+
+    def finish(self) -> dict:
+        self.pending.append(None)
+        assert next(self.engine, None) is None
+        return self.replayed.final_values
+
+
+def assert_read_rebuilds(trace: Trace, path) -> None:
+    """``trace``, written and read back in one pass and split, is rebuilt round by round."""
+    write_trace(trace, path)
+    for workers in (1, 2):
+        with split_reads(workers):
+            decoded, rebuild = read_trace(path, Rebuild)
+        assert rebuild.rounds == trace.last_round
+        assert rebuild.finish() == decoded.final_values == trace.final_values
 
 
 class NoDraws(random.Random):
@@ -896,6 +965,16 @@ class TestRoundEngine:
         assert trace.last_round == 0
         assert_replay_rebuilds(trace)
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_each_read_record_is_rebuilt_as_it_is_read(self, name, tmp_path):
+        assert_read_rebuilds(simulate(golden_config(name)), tmp_path / "trace.jsonl")
+
+    @settings(max_examples=30, deadline=None)
+    @given(i=st.integers(0, 10**6), stop=st.booleans())
+    def test_each_read_record_of_random_runs_is_rebuilt(self, i, stop, tmp_path_factory):
+        trace = simulate(random_scenario(i), stop_at_agreement=stop)
+        assert_read_rebuilds(trace, tmp_path_factory.mktemp("rebuild") / "trace.jsonl")
+
 
 class TestCli:
     def test_run_writes_outputs_and_exits_zero(self, tmp_path, capsys):
@@ -920,6 +999,26 @@ class TestCli:
         assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
         assert main(["check", "--trace", str(out / "trace.jsonl")]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("radius", [20.0, 0.5])  # every node heard, or none
+    def test_a_spread_past_float_range_is_written_as_null(self, radius, tmp_path):
+        doc = builtin_scenario("fully_connected_baseline").to_dict()
+        doc.update(f=0, radius=radius,
+                   initial_values={"mode": "explicit", "values": [1.7e308, -1.7e308, 1.0, 0.0]})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["phase_starts"][0]["spread"] is None
+        assert (report["final_spread"] is None) == (radius < 1.0)
+        checked = tmp_path / "check.json"
+        assert main(["check", "--trace", str(out / "trace.jsonl"), "--out", str(checked)]) == 0
+        assert checked.read_bytes() == (out / "report.json").read_bytes()
 
     def test_run_accepts_scenario_file(self, tmp_path):
         path = tmp_path / "scenario.json"

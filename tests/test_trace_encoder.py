@@ -123,14 +123,14 @@ def test_a_failed_child_leaves_its_batch_to_the_parent(how, tmp_path, monkeypatc
 
 
 def test_no_child_outlives_a_simulation_error(tmp_path, monkeypatch):
-    real = harness.step_nodes
+    real = harness.step_round
 
-    def failing_step(states, inboxes, r, params):
+    def failing_step(state, inbox, r, params):
         if r == 15:  # after the first batch (rounds 1-10) went to a child
             raise ProtocolError("node step failed")
-        return real(states, inboxes, r, params)
+        return real(state, inbox, r, params)
 
-    monkeypatch.setattr(harness, "step_nodes", failing_step)
+    monkeypatch.setattr(harness, "step_round", failing_step)
     out = tmp_path / "out"
     with encoder_cpus(2, monkeypatch) as forks:
         code, err = run_cli("fully_connected_baseline", out)
