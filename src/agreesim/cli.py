@@ -27,7 +27,7 @@ from .harness import (
 )
 from .scenarios import LIBRARY, ScenarioConfig, builtin_scenario, load_scenario, save_scenario
 from .trace import TraceEncoder, read_trace, write_trace
-from .vectors import vectors_from_trace, write_vectors
+from .vectors import step_vectors, write_vectors
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -55,8 +55,14 @@ def _writing(path: str | Path):
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _resolve_scenario(args.scenario)
     out = Path(args.out)
+    vectors = []
     with TraceEncoder(config.effective_max_rounds) as encoder:
-        trace, report = run_scenario(config, seed=args.seed, on_round=encoder.add)
+        def on_round(*step) -> None:
+            encoder.add(*step)
+            if args.vectors:
+                vectors.extend(step_vectors(*step))
+
+        trace, report = run_scenario(config, seed=args.seed, on_round=on_round)
         with _writing(out):
             out.mkdir(parents=True, exist_ok=True)
             write_trace(trace, out / "trace.jsonl", encoder)
@@ -64,7 +70,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             write_series_csv(trace, config.effective_delta, out / "series.csv")
     if args.vectors:
         with _writing(args.vectors):
-            write_vectors(vectors_from_trace(trace), args.vectors)
+            write_vectors(vectors, args.vectors)
     print(f"scenario:  {report.scenario}")
     print(f"seed:      {report.seed}")
     print(f"rounds:    {trace.last_round}")

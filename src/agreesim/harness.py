@@ -56,9 +56,14 @@ def run_scenario(
     seed: int | None = None,
     *,
     stop_at_agreement: bool = False,
-    on_round: Callable[[Trace], None] | None = None,
+    on_round: Callable[..., None] | None = None,
 ) -> tuple[Trace, "RunReport"]:
-    """Execute a scenario end to end and analyze the resulting trace."""
+    """Execute a scenario end to end and analyze the resulting trace.
+
+    ``on_round`` is ``simulate``'s hook, called after each round with the
+    trace, the states entering the round (valid only during the call), the
+    inboxes and the step results.
+    """
     trace = simulate(config, seed=seed, stop_at_agreement=stop_at_agreement, on_round=on_round)
     report = build_report(trace, Walk(trace, config.effective_delta))
     return trace, report
@@ -69,7 +74,7 @@ def simulate(
     seed: int | None = None,
     *,
     stop_at_agreement: bool = False,
-    on_round: Callable[[Trace], None] | None = None,
+    on_round: Callable[..., None] | None = None,
 ) -> Trace:
     """Execute a scenario's lock-step rounds and record the trace.
 
@@ -77,8 +82,11 @@ def simulate(
     ``stop_at_agreement`` is set: then the run ends before the first phase
     start ``r`` whose correct values have agreed, so the trace's last round
     is ``r - 1`` and its final values are those at round ``r``.
-    ``on_round``, if given, is called with the trace after each round's
-    record is appended to it.
+    ``on_round``, if given, is called after each round's record is
+    appended to the trace, as ``on_round(trace, states, inboxes, results)``:
+    the correct nodes' states entering the round, their inboxes by
+    receiver as ``deliver`` returned them, and each node's step result.
+    ``states`` is only valid during the call: the engine updates it next.
 
     The round graph is built only when a node has moved: when every node
     holds the very position object it held the round before, the round
@@ -128,10 +136,10 @@ def simulate(
                               stream(config.loss_rate > 0.0, "loss", r))
             yield r, placed, edges, sorted(byz_sent), _delivered(inboxes), inboxes
 
-    for rec, _states, _inboxes, _results in run_rounds(trace, source):
+    for rec, states, inboxes, results in run_rounds(trace, source):
         trace.rounds.append(rec)
         if on_round is not None:
-            on_round(trace)
+            on_round(trace, states, inboxes, results)
     return trace
 
 
@@ -188,15 +196,6 @@ def round_inputs(rec: RoundRecord) -> tuple:
     for msg in rec.delivered:
         inboxes.setdefault(msg[1], []).append(msg)
     return rec.round, rec.positions, rec.edges, rec.byz_sent, rec.delivered, inboxes
-
-
-def replay(trace: Trace):
-    """``run_rounds`` over a trace's records: its correct nodes re-run from its deliveries.
-
-    The replayed final values go to a copy of the header, not to ``trace``.
-    """
-    header = Trace(params=trace.params, byz_set=trace.byz_set, initial_values=trace.initial_values)
-    return run_rounds(header, lambda _states: map(round_inputs, trace.rounds))
 
 
 @dataclass

@@ -472,7 +472,8 @@ class TraceEncoder(Children):
         self._forking = True
         self._spans: list[tuple[int, int]] = []  # rounds[a:b] of each child, in order
 
-    def add(self, trace: Trace) -> None:
+    def add(self, trace: Trace, *_step) -> None:
+        """Take ``trace`` after its newest round; the states, inboxes and step results go unread."""
         rounds = trace.rounds
         self._messages += len(rounds[-1].delivered)
         if (not self._forking or len(rounds) - self.taken < self.batch

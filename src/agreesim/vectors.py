@@ -10,8 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import MALFORMED, describe
-from .harness import replay
+from .errors import MALFORMED, decimal_key, describe
 from .protocol import NodeState, ProtocolParams, StepResult, step_round
 from .trace import Trace
 
@@ -28,19 +27,18 @@ def _outputs(result: StepResult) -> dict:
     return {"broadcast": result.broadcast, **state, "computed": result.computed}
 
 
-def vectors_from_trace(trace: Trace) -> list[dict]:
-    """Format every correct node's replayed steps of a trace as vectors."""
+def step_vectors(trace: Trace, states: dict, inboxes: dict, results: dict) -> list[dict]:
+    """The steps of ``trace``'s last round as vectors, from the arguments of ``simulate``'s hook."""
     p = trace.params
     return [
         {
             "schema": VECTOR_SCHEMA,
-            "round": rec.round,
+            "round": trace.last_round,
             "params": {"n": p.n, "f": p.f, "r_c": p.r_c},
             "state_in": {"id": i, **_state_to_json(states[i])},
             "inbox": [[sender, value] for sender, _recv, value in inboxes.get(i, [])],
             "expect": _outputs(result),
         }
-        for rec, states, inboxes, results in replay(trace)
         for i, result in results.items()
     ]
 
@@ -58,23 +56,34 @@ def read_vectors(path: str | Path) -> list[dict]:
     ]
 
 
+def _node_id(node) -> int:
+    if type(node) is not int:  # "1" is no node, and True would pass for 1
+        raise TypeError(f"node id {node!r} is not an int")
+    return node
+
+
 def replay_vector(record: dict) -> list[str]:
     """Run one recorded step and report any field mismatches.
 
-    A vector the step cannot run, or whose ``expect`` names other fields
-    than the step's outputs, is one mismatch that names the fault.
+    A vector the step cannot run, or that is not a schema ``VECTOR_SCHEMA``
+    vector with int node ids, canonical decimal log keys and two-element
+    inbox and log entries, or whose ``expect`` names other fields than the
+    step's outputs, is one mismatch that names the fault.
     """
     try:
+        if record["schema"] != VECTOR_SCHEMA:
+            raise ValueError(f"schema {record['schema']!r} is not {VECTOR_SCHEMA}")
         p = record["params"]
         params = ProtocolParams(n=p["n"], f=p["f"], r_c=p["r_c"], epsilon=1.0)
         s = record["state_in"]
         state = NodeState(
-            id=s["id"],
+            id=_node_id(s["id"]),
             value=s["value"],
-            log={int(sender): (pair[0], pair[1]) for sender, pair in s["log"].items()},
+            log={decimal_key(sender, "log key"): (value, received)
+                 for sender, (value, received) in s["log"].items()},
             last_local_start=s["last_local_start"],
         )
-        inbox = [(pair[0], pair[1]) for pair in record["inbox"]]
+        inbox = [(_node_id(sender), value) for sender, value in record["inbox"]]
         got = _outputs(step_round(state, inbox, record["round"], params))
         expect = record["expect"]
         if expect.keys() != got.keys():

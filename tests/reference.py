@@ -23,10 +23,13 @@ with ``reference_deliver`` and ``reference_step_round``: the oracle for
 the engine, which reuses the last round graph while no node moves.
 ``reference_step_round`` is the node step as first written, each new
 state a ``dataclasses.replace`` of the old, the oracle for the lean
-``step_round``, which sorts the log's values once. ``trace_bytes`` gives
-the bytes ``write_trace`` would write, for tests that compare runs.
-``load_trace`` reads a whole trace, every round kept, and ``walked``
-walks one. ``split_reads`` makes ``read_trace`` decode any file in
+``step_round``, which sorts the log's values once. ``replay`` re-runs a
+finished trace's correct nodes through the round engine from its
+deliveries, and ``reference_vectors`` formats its steps: the oracle for
+the vectors ``run --vectors`` formats from ``simulate``'s own pass.
+``trace_bytes`` gives the bytes ``write_trace`` would write, for tests
+that compare runs. ``load_trace`` reads a whole trace, every round kept,
+and ``walked`` walks one. ``split_reads`` makes ``read_trace`` decode any file in
 forked workers, with the one-pass serial reader, ``trace_from_lines``,
 as its oracle. ``counting_forks``, ``DyingPickler`` and
 ``assert_no_child_left`` watch and break the children that
@@ -65,11 +68,13 @@ from agreesim.analysis import (
 from agreesim.dynamics import RoundGraph, move_step
 from agreesim.errors import AgreesimError, AnalysisError, ProtocolError, TopologyError, TraceError
 from agreesim.harness import (
-    IO_WINDOW_DEFAULT, RunReport, SweepCell, build_report, run_scenario, substream,
+    IO_WINDOW_DEFAULT, RunReport, SweepCell, build_report, round_inputs, run_rounds, run_scenario,
+    substream,
 )
 from agreesim.protocol import NodeState, StepResult, is_common_new_start
 from agreesim.scenarios import _initial_positions, _initial_values
 from agreesim.trace import SCHEMA_VERSION, RoundRecord, Trace, read_trace, trace_to_lines
+from agreesim.vectors import VECTOR_SCHEMA
 
 
 def trace_bytes(trace):
@@ -285,6 +290,37 @@ def reference_simulate(config):
         states = {i: res.state for i, res in results.items()}
     trace.final_values = {i: s.value for i, s in states.items()}
     return trace
+
+
+def replay(trace):
+    """``run_rounds`` over a trace's records: its correct nodes re-run from its deliveries.
+
+    The replayed final values go to a copy of the header, not to ``trace``.
+    """
+    header = Trace(params=trace.params, byz_set=trace.byz_set, initial_values=trace.initial_values)
+    return run_rounds(header, lambda _states: map(round_inputs, trace.rounds))
+
+
+def reference_vectors(trace):
+    """Every correct node's step in ``replay(trace)``, as the vectors ``run --vectors`` writes."""
+    p = trace.params
+
+    def state(s):
+        log = {str(sender): list(entry) for sender, entry in s.log.items()}
+        return {"value": s.value, "log": log, "last_local_start": s.last_local_start}
+
+    return [
+        {
+            "schema": VECTOR_SCHEMA,
+            "round": rec.round,
+            "params": {"n": p.n, "f": p.f, "r_c": p.r_c},
+            "state_in": {"id": i, **state(states[i])},
+            "inbox": [[sender, value] for sender, _recv, value in inboxes.get(i, [])],
+            "expect": {"broadcast": res.broadcast, **state(res.state), "computed": res.computed},
+        }
+        for rec, states, inboxes, results in replay(trace)
+        for i, res in results.items()
+    ]
 
 
 def reference_deliver(graph, outbox, loss_rate, rng):

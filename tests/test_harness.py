@@ -1,9 +1,11 @@
 """End-to-end runs, scenario library verdicts, replay, files, CLI."""
 
 import collections
+import contextlib
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -41,7 +43,6 @@ from agreesim.dynamics import (
 from agreesim.errors import AnalysisError, ConfigError, TraceError
 from agreesim.harness import (
     build_report,
-    replay,
     report_to_json,
     round_inputs,
     run_rounds,
@@ -66,11 +67,11 @@ from agreesim.trace import (
     trace_to_lines,
     write_trace,
 )
-from agreesim.vectors import read_vectors, replay_vectors, vectors_from_trace, write_vectors
+from agreesim.vectors import read_vectors, replay_vectors
 from reference import (
     DyingPickler, assert_no_child_left, counting_forks, load_trace, phase_of, reference_simulate,
-    reference_sweep, reference_trace_lines, split_reads, spread, trace_bytes, trace_from_lines,
-    v_max, walked,
+    reference_sweep, reference_trace_lines, reference_vectors, replay, split_reads, spread,
+    trace_bytes, trace_from_lines, v_max, walked,
 )
 from test_acceptance import random_scenario
 
@@ -242,15 +243,24 @@ def golden_config(name: str) -> ScenarioConfig:
     return extras[name]() if name in extras else builtin_scenario(name)
 
 
-def run_digests(config: ScenarioConfig) -> dict[str, str]:
-    trace, report = run_scenario(config)
-    vectors = hashlib.sha256()
-    for rec in vectors_from_trace(trace):
-        vectors.update(json.dumps(rec, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+def run_vectors(config: ScenarioConfig, tmp_path) -> tuple:
+    """``agreesim run --vectors`` of ``config``: its exit code, output directory and vectors file."""
+    scenario, out, vectors = tmp_path / "scenario.json", tmp_path / "out", tmp_path / "vectors.jsonl"
+    save_scenario(config, scenario)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--scenario", str(scenario), "--out", str(out),
+                     "--vectors", str(vectors)])
+    return code, out, vectors
+
+
+def run_digests(config: ScenarioConfig, tmp_path) -> dict[str, str]:
+    """sha256 of the trace, report and vectors files ``agreesim run --vectors`` writes."""
+    code, out, vectors = run_vectors(config, tmp_path)
+    assert code in (0, 1)
     return {
-        "trace": hashlib.sha256(trace_bytes(trace)).hexdigest(),
-        "report": hashlib.sha256(report_to_json(report).encode()).hexdigest(),
-        "vectors": vectors.hexdigest(),
+        "trace": hashlib.sha256((out / "trace.jsonl").read_bytes()).hexdigest(),
+        "report": hashlib.sha256((out / "report.json").read_bytes()).hexdigest(),
+        "vectors": hashlib.sha256(vectors.read_bytes()).hexdigest(),
     }
 
 
@@ -320,9 +330,9 @@ class TestReplay:
         assert set(CHECK_DIGESTS) == set(LIBRARY)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
-    def test_outputs_match_golden_digest(self, name):
+    def test_outputs_match_golden_digest(self, name, tmp_path):
         config = golden_config(name)
-        assert run_digests(config) == GOLDEN_DIGESTS[name]
+        assert run_digests(config, tmp_path) == GOLDEN_DIGESTS[name]
 
     def test_golden_digests_cover_the_library(self):
         assert set(LIBRARY) <= set(GOLDEN_DIGESTS)
@@ -757,17 +767,16 @@ class TestSweepEarlyStop:
 
 class TestVectors:
     def test_vectors_replay_cleanly(self, tmp_path):
-        trace = simulate(builtin_scenario("fig1_scripted_path"))
-        records = vectors_from_trace(trace)
-        path = tmp_path / "vectors.jsonl"
-        write_vectors(records, path)
+        config = builtin_scenario("fig1_scripted_path")
+        records = reference_vectors(simulate(config))
+        _code, _out, path = run_vectors(config, tmp_path)
         loaded = read_vectors(path)
         assert loaded == records
         assert replay_vectors(loaded) == []
 
     def test_corrupted_vector_is_detected(self):
         trace = simulate(builtin_scenario("fully_connected_baseline"))
-        records = vectors_from_trace(trace)
+        records = reference_vectors(trace)
         records[0]["expect"]["value"] += 1.0
         failures = replay_vectors(records)
         assert failures and failures[0][0] == 0
@@ -781,12 +790,44 @@ class TestVectors:
         ("own_id_in_inbox", "malformed vector (ProtocolError: node 1 received its own broadcast)"),
         ("nothing_expected", "expect: holds fields [], the step outputs "
                              "['broadcast', 'computed', 'last_local_start', 'log', 'value']"),
+        ("string_id", "malformed vector (TypeError: node id '1' is not an int)"),
+        ("bool_id", "malformed vector (TypeError: node id True is not an int)"),
+        ("bool_sender", "malformed vector (TypeError: node id True is not an int)"),
+        ("zero_padded_log_key", "malformed vector (ValueError: log key '02' is not a canonical "
+                                "decimal)"),
+        ("spaced_log_key", "malformed vector (ValueError: log key ' 2' is not a canonical "
+                           "decimal)"),
+        ("underscored_log_key", "malformed vector (ValueError: log key '0_2' is not a "
+                                "canonical decimal)"),
+        ("long_inbox_entry", "malformed vector (ValueError: too many values to unpack "
+                             "(expected 2))"),
+        ("long_log_entry", "malformed vector (ValueError: too many values to unpack "
+                           "(expected 2))"),
+        ("other_schema", "malformed vector (ValueError: schema 2 is not 1)"),
     ])
     def test_a_vector_that_cannot_be_checked_is_a_mismatch(self, fault, expected):
-        records = vectors_from_trace(simulate(builtin_scenario("fully_connected_baseline")))
+        records = reference_vectors(simulate(builtin_scenario("fully_connected_baseline")))
         record = records[1]
         assert record["state_in"]["id"] == 1 and [2, 0.0] not in record["inbox"]
-        if fault == "huge_inbox_value":
+        assert record["state_in"]["log"] == {} and record["inbox"][1] == [2, 2.0]
+        log_key = {"zero_padded_log_key": "02", "spaced_log_key": " 2",
+                   "underscored_log_key": "0_2"}.get(fault)
+        if log_key is not None:  # int() reads it as 2, whose entry the inbox then overwrites
+            record["state_in"]["log"] = {log_key: [2.0, 1]}
+        elif fault == "string_id":
+            record["state_in"]["id"] = "1"
+            record["inbox"].append([1, 0.5])
+        elif fault == "bool_id":
+            record["state_in"]["id"] = True
+        elif fault == "bool_sender":
+            record["inbox"][0][0] = True
+        elif fault == "long_inbox_entry":
+            record["inbox"][0].append(9)
+        elif fault == "long_log_entry":
+            record["state_in"]["log"] = {"2": [2.0, 1, 9]}
+        elif fault == "other_schema":
+            record["schema"] = 2
+        elif fault == "huge_inbox_value":
             record["inbox"] = [[0, 1.0], [2, 10**400]]
         elif fault == "extra_expected_field":
             record["expect"]["extra"] = 1
@@ -798,10 +839,20 @@ class TestVectors:
             record["expect"] = {}
         assert replay_vectors(records) == [(1, [expected])]
 
-    def test_vectors_cover_every_step(self):
-        trace = simulate(builtin_scenario("fully_connected_baseline"))
-        records = vectors_from_trace(trace)
+    def test_vectors_cover_every_step(self, tmp_path):
+        _code, out, path = run_vectors(builtin_scenario("fully_connected_baseline"), tmp_path)
+        trace = load_trace(out / "trace.jsonl")
+        records = read_vectors(path)
         assert len(records) == trace.last_round * len(trace.initial_values)
+
+    def test_run_vectors_steps_each_node_once_per_round(self, tmp_path, monkeypatch):
+        # The vectors come from the run's own steps, not from a second pass.
+        real, calls = harness.step_round, []
+        monkeypatch.setattr(harness, "step_round", lambda *args: calls.append(args) or real(*args))
+        code, out, _path = run_vectors(builtin_scenario("fully_connected_baseline"), tmp_path)
+        trace = load_trace(out / "trace.jsonl")
+        assert code == 0
+        assert len(calls) == trace.last_round * len(trace.initial_values) == 160
 
 
 def assert_replay_rebuilds(trace: Trace) -> None:

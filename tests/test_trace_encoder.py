@@ -2,12 +2,16 @@
 
 The file ``run`` writes must not depend on how many children encoded it,
 whether any died, or whether any CPU was spare: it must hold what
-``trace_to_lines`` gives in one pass. No child may outlive ``run``.
+``trace_to_lines`` gives in one pass. No child may outlive ``run``. Nor
+may the children change the step vectors ``run --vectors`` formats in
+the same pass.
 """
 
 import contextlib
 import hashlib
 import io
+import json
+import math
 import os
 import signal
 
@@ -23,9 +27,11 @@ from agreesim.harness import simulate
 from agreesim.scenarios import builtin_scenario, save_scenario
 from agreesim.trace import TraceEncoder, write_trace
 
-from reference import assert_no_child_left, counting_forks, reference_trace_lines, trace_bytes
-from test_acceptance import random_scenario
-from test_harness import GOLDEN_DIGESTS, golden_config
+from reference import (
+    assert_no_child_left, counting_forks, reference_trace_lines, reference_vectors, trace_bytes,
+)
+from test_acceptance import MOBILITY, STRATEGIES, random_scenario
+from test_harness import GOLDEN_DIGESTS, golden_config, run_vectors
 
 
 @contextlib.contextmanager
@@ -73,6 +79,22 @@ def test_encoder_bytes_equal_the_reference_encoder(i, tmp_path_factory):
             write_trace(trace, path, encoder)
     expected = "".join(line + "\n" for line in reference_trace_lines(trace))
     assert path.read_bytes() == expected.encode()
+    assert_no_child_left()
+
+
+@settings(max_examples=4, deadline=None)
+@given(base=st.integers(0, 10**4))
+def test_run_vectors_equal_the_replay_oracle(base, tmp_path_factory):
+    # Consecutive scenarios cycle through every strategy, mobility model and loss rate.
+    period = math.lcm(len(STRATEGIES), len(MOBILITY), 2)
+    for i in range(base * period, (base + 1) * period):
+        config = random_scenario(i)
+        with pytest.MonkeyPatch.context() as patch, encoder_cpus(2, patch) as forks:
+            code, _out, path = run_vectors(config, tmp_path_factory.mktemp("run"))
+        assert code in (0, 1) and forks
+        expected = [json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+                    for rec in reference_vectors(simulate(config))]
+        assert path.read_text() == "".join(expected)
     assert_no_child_left()
 
 
