@@ -81,22 +81,39 @@ def check_delta(delta: float | None, epsilon: float) -> float:
     return delta
 
 
+def _at_least(a: Value, b: Value, delta: float) -> bool:
+    """Whether ``a - b >= delta`` holds over the reals, not after rounding a sum.
+
+    ``fsum`` rounds the exact sum once, which keeps its sign. It raises
+    OverflowError when a partial sum leaves float range; exact fractions
+    decide then (imported only then, as the import adds a few ms to every
+    run's set-up).
+    """
+    try:
+        return math.fsum((a, -b, -delta)) >= 0
+    except OverflowError:
+        from fractions import Fraction
+
+        return Fraction(a) - Fraction(b) >= Fraction(delta)
+
+
 def classify_value(v: Value, bounds: PhaseBounds) -> Group:
     """Single group tag for one correct value.
 
     Values equal to an extremum take the extremum tag. If the near-min and
     near-max intervals overlap (only possible once the spread has dropped
-    below 2*delta) the near-min tag wins.
+    below 2*delta) the near-min tag wins. The interval ends are exact, as
+    in ``is_proper``.
     """
     if bounds.collapsed or v == bounds.v_min:
         return Group.MIN
     if v == bounds.v_max:
         return Group.MAX
-    if bounds.v_min + bounds.delta <= v <= bounds.v_max - bounds.delta:
-        return Group.MID
-    if v < bounds.v_min + bounds.delta:
+    if not _at_least(v, bounds.v_min, bounds.delta):
         return Group.NIN
-    return Group.NAX
+    if not _at_least(bounds.v_max, v, bounds.delta):
+        return Group.NAX
+    return Group.MID
 
 
 def is_proper(value: Value, observer_group: Group, bounds: PhaseBounds) -> bool:
@@ -105,11 +122,14 @@ def is_proper(value: Value, observer_group: Group, bounds: PhaseBounds) -> bool:
     For a minimum holder anything at least delta above the phase minimum
     qualifies; for a maximum holder anything at least delta below the
     phase maximum. Origin does not matter: a fake value can qualify.
+    "At least delta" is exact, not a test against the rounded
+    ``v_min + delta`` or ``v_max - delta``, which can lie on either side of
+    the real bound.
     """
     if observer_group is Group.MIN:
-        return value >= bounds.v_min + bounds.delta
+        return _at_least(value, bounds.v_min, bounds.delta)
     if observer_group is Group.MAX:
-        return value <= bounds.v_max - bounds.delta
+        return _at_least(bounds.v_max, value, bounds.delta)
     raise AnalysisError(f"observer must hold an extreme value, got {observer_group}")
 
 

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+from collections.abc import Collection
 from contextlib import contextmanager
 
 
@@ -29,6 +31,8 @@ class AnalysisError(AgreesimError):
     """An analysis precondition failed or internal cross-checks disagreed."""
 
 
+_FLOAT_MAX = sys.float_info.max
+
 # What reading a missing key, wrong type, short list, too-large integer or
 # too deeply nested JSON raises.
 MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError,
@@ -46,6 +50,19 @@ def malformed(error: type[AgreesimError], what: str):
         yield
     except MALFORMED as exc:
         raise error(f"{what} ({describe(exc)})") from None
+
+
+def require_types(types: set, field: str, values: Collection) -> None:
+    """Raise TypeError unless every value's type is in ``types``, so never for a bool.
+
+    A number field (``float`` in ``types``) must also lie within float range:
+    a larger integer breaks float arithmetic, and JSON's ``1e400`` reads as inf.
+    Traces and step vectors are read by this one rule.
+    """
+    if not set(map(type, values)) <= types:
+        raise TypeError(f"{field} must hold {'numbers' if float in types else 'integers'}")
+    if float in types and values and not -_FLOAT_MAX <= min(values) <= max(values) <= _FLOAT_MAX:
+        raise ValueError(f"{field} must lie within float range")
 
 
 def decimal_key(key, what: str) -> int:

@@ -17,7 +17,7 @@ import csv
 import itertools
 import json
 import random
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 from operator import is_, itemgetter
 from pathlib import Path
@@ -61,8 +61,7 @@ def run_scenario(
     """Execute a scenario end to end and analyze the resulting trace.
 
     ``on_round`` is ``simulate``'s hook, called after each round with the
-    trace, the states entering the round (valid only during the call), the
-    inboxes and the step results.
+    trace, the states entering the round, the inboxes and the step results.
     """
     trace = simulate(config, seed=seed, stop_at_agreement=stop_at_agreement, on_round=on_round)
     report = build_report(trace, Walk(trace, config.effective_delta))
@@ -86,7 +85,7 @@ def simulate(
     appended to the trace, as ``on_round(trace, states, inboxes, results)``:
     the correct nodes' states entering the round, their inboxes by
     receiver as ``deliver`` returned them, and each node's step result.
-    ``states`` is only valid during the call: the engine updates it next.
+    Nothing changes ``states`` afterwards, so a hook may keep it.
 
     The round graph is built only when a node has moved: when every node
     holds the very position object it held the round before, the round
@@ -96,7 +95,7 @@ def simulate(
     """
     params, arena, model, adversary = config.validate()
     run_seed = config.seed if seed is None else seed
-    positions = _initial_positions(config, arena, substream(run_seed, "init-pos"))
+    placed = _initial_positions(config, arena, substream(run_seed, "init-pos"))
     trace = Trace(
         params=params,
         byz_set=adversary.byz_set,
@@ -109,69 +108,69 @@ def simulate(
     def stream(draws: bool, *parts) -> random.Random | None:
         return substream(run_seed, *parts) if draws else None
 
-    def source(states: dict[NodeId, NodeState]):
-        """Each round's moves, round graph, faulty messages and losses, read off ``states``."""
-        placed, graph, edges = positions, None, None
-        for r in range(1, config.effective_max_rounds + 1):
-            if is_common_new_start(r, config.r_c):  # always at round 1
-                phase_start_values = {i: s.value for i, s in states.items()}
-                if stop_at_agreement and agreed(phase_start_values.values(), params.epsilon):
-                    return
-            moved = move_step(placed, model, stream(model.draws, "move", r), r)
-            if graph is None or not _held(placed, moved):
-                placed = moved
-                graph = build_round_graph(placed, config.radius, r)
-                edges = graph.edges
-            else:  # no node moved: the round is the last one's, renumbered
-                graph = RoundGraph(round=r, receivers=graph.receivers)
-            outbox = [(i, j, s.value) for i, s in states.items() for j in graph.out_neighbors(i)]
-            view = RoundView(round=r, phase_start_values=phase_start_values)
-            byz_sent = []
-            for b in byz:
-                byz_sent.extend(
-                    byzantine_outbox(adversary, b, graph, view,
-                                     stream(adversary.behavior.draws, "adv", r, b))
-                )
-            inboxes = deliver(graph, outbox + byz_sent, config.loss_rate,
-                              stream(config.loss_rate > 0.0, "loss", r))
-            yield r, placed, edges, sorted(byz_sent), _delivered(inboxes), inboxes
-
-    for rec, states, inboxes, results in run_rounds(trace, source):
+    engine = Engine(trace)
+    graph, edges = None, None
+    for r in range(1, config.effective_max_rounds + 1):
+        states = engine.states
+        if is_common_new_start(r, config.r_c):  # always at round 1
+            phase_start_values = {i: s.value for i, s in states.items()}
+            if stop_at_agreement and agreed(phase_start_values.values(), params.epsilon):
+                break
+        moved = move_step(placed, model, stream(model.draws, "move", r), r)
+        if graph is None or not _held(placed, moved):
+            placed = moved
+            graph = build_round_graph(placed, config.radius, r)
+            edges = graph.edges
+        else:  # no node moved: the round is the last one's, renumbered
+            graph = RoundGraph(round=r, receivers=graph.receivers)
+        outbox = [(i, j, s.value) for i, s in states.items() for j in graph.out_neighbors(i)]
+        view = RoundView(round=r, phase_start_values=phase_start_values)
+        byz_sent = []
+        for b in byz:
+            byz_sent.extend(
+                byzantine_outbox(adversary, b, graph, view,
+                                 stream(adversary.behavior.draws, "adv", r, b))
+            )
+        inboxes = deliver(graph, outbox + byz_sent, config.loss_rate,
+                          stream(config.loss_rate > 0.0, "loss", r))
+        rec, results = engine.step(r, placed, edges, sorted(byz_sent), _delivered(inboxes), inboxes)
         trace.rounds.append(rec)
         if on_round is not None:
             on_round(trace, states, inboxes, results)
+    trace.final_values = engine.values()
     return trace
 
 
-def run_rounds(trace: Trace, source: Callable[[dict[NodeId, NodeState]], Iterable[tuple]]):
-    """The round engine: step every correct node, in id order, through each round of ``source``.
+class Engine:
+    """The correct nodes' states, started from ``trace``'s initial values in id order.
 
-    ``source(states)`` gets the correct nodes' states, started from
-    ``trace``'s initial values and updated in place after each round. It
-    yields each round's number, positions, edges, byz_sent, delivered, and
-    inboxes in the shape ``deliver`` returns. Yields per round the record,
-    the states entering it (until the next round is asked for), the inboxes
-    and each node's step result; sets ``trace``'s final values at the end.
+    Each ``step`` replaces ``states``: no dict or state handed out changes later.
     """
-    params = trace.params
-    states = {i: NodeState(id=i, value=v) for i, v in sorted(trace.initial_values.items())}
-    for r, positions, edges, byz_sent, delivered, inboxes in source(states):
+
+    def __init__(self, trace: Trace) -> None:
+        self.params = trace.params
+        self.states = {i: NodeState(id=i, value=v) for i, v in sorted(trace.initial_values.items())}
+
+    def step(self, r: int, positions, edges, byz_sent, delivered, inboxes) -> tuple:
+        """Round ``r``'s record and each node's ``step_round`` result on ``deliver``'s inboxes."""
         results = {
             i: step_round(s, [(sender, value) for sender, _recv, value in inboxes.get(i, ())],
-                          r, params)
-            for i, s in states.items()
+                          r, self.params)
+            for i, s in self.states.items()
         }
         record = RoundRecord(
             round=r, positions=positions, edges=edges, byz_sent=byz_sent, delivered=delivered,
-            values_start={i: s.value for i, s in states.items()},
-            local_start={i: s.last_local_start for i, s in states.items()},
+            values_start={i: s.value for i, s in self.states.items()},
+            local_start={i: s.last_local_start for i, s in self.states.items()},
             logs={i: res.merged_log for i, res in results.items()},
             computed={i: res.computed for i, res in results.items()},
         )
-        yield record, states, inboxes, results
-        for i, res in results.items():
-            states[i] = res.state
-    trace.final_values = {i: s.value for i, s in states.items()}
+        self.states = {i: res.state for i, res in results.items()}
+        return record, results
+
+    def values(self) -> dict[NodeId, float]:
+        """Each node's current value: its final value once the last round is stepped."""
+        return {i: s.value for i, s in self.states.items()}
 
 
 def _held(before: dict[NodeId, Position], after: dict[NodeId, Position]) -> bool:
@@ -191,7 +190,7 @@ def _delivered(inboxes: dict[NodeId, list]) -> list:
 
 
 def round_inputs(rec: RoundRecord) -> tuple:
-    """A record's round as a source yields it to ``run_rounds``: its ``delivered`` by receiver."""
+    """``Engine.step``'s arguments for a record's round: its ``delivered`` regrouped by receiver."""
     inboxes: dict[NodeId, list] = {}
     for msg in rec.delivered:
         inboxes.setdefault(msg[1], []).append(msg)

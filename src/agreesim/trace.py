@@ -30,18 +30,16 @@ import operator
 import os
 import shutil
 import stat
-import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, TypeVar
 
 from .cpus import Children, split_map, worker_count
-from .errors import MALFORMED, TraceError, decimal_key, describe, malformed
+from .errors import MALFORMED, TraceError, decimal_key, describe, malformed, require_types
 from .protocol import Log, Message, NodeId, ProtocolParams, Value
 
 SCHEMA_VERSION = 1
-_FLOAT_MAX = sys.float_info.max
 T = TypeVar("T")
 
 
@@ -86,19 +84,6 @@ class Trace:
         if not 1 <= r <= self.last_round:
             raise TraceError(f"round {r} outside trace range 1..{self.last_round + 1}")
         return self.rounds[r - 1].values_start
-
-
-def _require(types: set, field: str, values: Iterable) -> None:
-    """Raise TypeError unless every value's type is in ``types``, so never for a bool.
-
-    A number field (``float`` in ``types``), passed as a collection, must also
-    lie within float range: a larger integer breaks float arithmetic, and JSON's
-    ``1e400`` reads as inf.
-    """
-    if not set(map(type, values)) <= types:
-        raise TypeError(f"{field} must hold {'numbers' if float in types else 'integers'}")
-    if float in types and values and not -_FLOAT_MAX <= min(values) <= max(values) <= _FLOAT_MAX:
-        raise ValueError(f"{field} must lie within float range")
 
 
 def _node_id(keys: dict[str, NodeId], key: str) -> NodeId:
@@ -171,15 +156,15 @@ def _round_from_json(obj: dict, keys: dict[str, NodeId], header: Trace) -> Round
     sent_from, sent_to, sent_values = _columns(rec.delivered, 3)
     message_ids = byz_from + byz_to + sent_from + sent_to
     log_values, log_rounds = _columns(list(chain(map(dict.values, rec.logs.values()))), 2)
-    _require({int}, "round", [rec.round])
-    _require({int}, "edges", edge_from + edge_to)
-    _require({int}, "message node ids", message_ids)
-    _require({int}, "local_start", rec.local_start.values())
-    _require({int}, "log rounds", log_rounds)
-    _require({int, float}, "values_start", rec.values_start.values())
-    _require({int, float}, "message values", byz_values + sent_values)
-    _require({int, float}, "logs", log_values)
-    _require({int, float}, "positions", list(chain(rec.positions.values())))
+    require_types({int}, "round", [rec.round])
+    require_types({int}, "edges", edge_from + edge_to)
+    require_types({int}, "message node ids", message_ids)
+    require_types({int}, "local_start", rec.local_start.values())
+    require_types({int}, "log rounds", log_rounds)
+    require_types({int, float}, "values_start", rec.values_start.values())
+    require_types({int, float}, "message values", byz_values + sent_values)
+    require_types({int, float}, "logs", log_values)
+    require_types({int, float}, "positions", list(chain(rec.positions.values())))
     if not set(map(type, rec.computed.values())) <= {bool}:
         raise TypeError("computed must hold booleans")
     node_ids = set(rec.positions).union(message_ids, edge_from, edge_to, chain(rec.logs.values()))
@@ -336,10 +321,10 @@ def _header_from_json(obj: dict) -> Trace:
         scenario_name=obj.get("scenario", ""),
         seed=obj.get("seed", 0),
     )
-    _require({int}, "byz_set", trace.byz_set)
+    require_types({int}, "byz_set", trace.byz_set)
     if type(trace.seed) is not int or type(trace.scenario_name) is not str:
         raise TypeError("seed must be an integer and scenario a string")
-    _require({int, float}, "header values", [p["epsilon"], *trace.initial_values.values()])
+    require_types({int, float}, "header values", [p["epsilon"], *trace.initial_values.values()])
     ids = set(trace.initial_values)
     if not ids:
         raise ValueError("header lists no initial values")
@@ -388,7 +373,7 @@ def _decode(raw: bytes, keys: dict[str, NodeId], trace: Trace):
             return _round_from_json(obj, keys, trace)
         if kind == "final":
             values = _by_node(keys, obj["values"])
-            _require({int, float}, "final values", values.values())
+            require_types({int, float}, "final values", values.values())
             return values
     except MALFORMED as exc:
         return f"malformed record ({describe(exc)})"

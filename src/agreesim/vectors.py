@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import MALFORMED, decimal_key, describe
+from .errors import MALFORMED, decimal_key, describe, require_types
 from .protocol import NodeState, ProtocolParams, StepResult, step_round
 from .trace import Trace
 
@@ -66,9 +66,10 @@ def replay_vector(record: dict) -> list[str]:
     """Run one recorded step and report any field mismatches.
 
     A vector the step cannot run, or that is not a schema ``VECTOR_SCHEMA``
-    vector with int node ids, canonical decimal log keys and two-element
-    inbox and log entries, or whose ``expect`` names other fields than the
-    step's outputs, is one mismatch that names the fault.
+    vector with int node ids, canonical decimal log keys, two-element inbox
+    and log entries, int rounds and values that are numbers within float
+    range, as a trace's must be, or whose ``expect`` names other fields
+    than the step's outputs, is one mismatch that names the fault.
     """
     try:
         if record["schema"] != VECTOR_SCHEMA:
@@ -84,6 +85,11 @@ def replay_vector(record: dict) -> list[str]:
             last_local_start=s["last_local_start"],
         )
         inbox = [(_node_id(sender), value) for sender, value in record["inbox"]]
+        entries = list(state.log.values())
+        require_types({int}, "rounds", [record["round"], state.last_local_start]
+                      + [received for _value, received in entries])
+        require_types({int, float}, "values", [state.value] + [value for value, _ in entries]
+                      + [value for _sender, value in inbox])
         got = _outputs(step_round(state, inbox, record["round"], params))
         expect = record["expect"]
         if expect.keys() != got.keys():

@@ -21,10 +21,13 @@ round's graph afresh with ``reference_receivers``, gives every record
 its own ``positions`` and ``edges``, and routes and steps every round
 with ``reference_deliver`` and ``reference_step_round``: the oracle for
 the engine, which reuses the last round graph while no node moves.
+``reference_is_proper`` and ``reference_classify_value`` test the
+group bounds in exact fractions: the oracles for ``is_proper`` and
+``classify_value``, which decide each bound by the sign of one ``fsum``.
 ``reference_step_round`` is the node step as first written, each new
 state a ``dataclasses.replace`` of the old, the oracle for the lean
 ``step_round``, which sorts the log's values once. ``replay`` re-runs a
-finished trace's correct nodes through the round engine from its
+finished trace's correct nodes through an ``Engine`` from its
 deliveries, and ``reference_vectors`` formats its steps: the oracle for
 the vectors ``run --vectors`` formats from ``simulate``'s own pass.
 ``trace_bytes`` gives the bytes ``write_trace`` would write, for tests
@@ -44,6 +47,7 @@ import math
 import os
 import pickle
 import signal
+from fractions import Fraction
 
 import pytest
 
@@ -68,7 +72,7 @@ from agreesim.analysis import (
 from agreesim.dynamics import RoundGraph, move_step
 from agreesim.errors import AgreesimError, AnalysisError, ProtocolError, TopologyError, TraceError
 from agreesim.harness import (
-    IO_WINDOW_DEFAULT, RunReport, SweepCell, build_report, round_inputs, run_rounds, run_scenario,
+    IO_WINDOW_DEFAULT, Engine, RunReport, SweepCell, build_report, round_inputs, run_scenario,
     substream,
 )
 from agreesim.protocol import NodeState, StepResult, is_common_new_start
@@ -293,12 +297,16 @@ def reference_simulate(config):
 
 
 def replay(trace):
-    """``run_rounds`` over a trace's records: its correct nodes re-run from its deliveries.
+    """Each record of ``trace`` stepped through an ``Engine`` from its deliveries, in order.
 
-    The replayed final values go to a copy of the header, not to ``trace``.
+    Yields what ``simulate`` hands its hook, the trace aside: the rebuilt
+    record, the states entering the round, the inboxes and the step results.
     """
-    header = Trace(params=trace.params, byz_set=trace.byz_set, initial_values=trace.initial_values)
-    return run_rounds(header, lambda _states: map(round_inputs, trace.rounds))
+    engine = Engine(trace)
+    for rec in trace.rounds:
+        states, inputs = engine.states, round_inputs(rec)
+        record, results = engine.step(*inputs)
+        yield record, states, inputs[-1], results
 
 
 def reference_vectors(trace):
@@ -565,6 +573,28 @@ def reference_check_condition(trace, k, delta):
                     witness=ConditionWitness(i, r_prime, proper),
                 )
     return ConditionVerdict(phase=k, satisfied=False)
+
+
+def reference_is_proper(value, group, bounds):
+    """``is_proper`` over exact fractions: the oracle at the rounded bounds."""
+    v, lo, hi, delta = map(Fraction, (value, bounds.v_min, bounds.v_max, bounds.delta))
+    if group is Group.MIN:
+        return v >= lo + delta
+    if group is Group.MAX:
+        return v <= hi - delta
+    raise AnalysisError(f"observer must hold an extreme value, got {group}")
+
+
+def reference_classify_value(value, bounds):
+    """``classify_value`` over exact fractions, its five intervals as the docstring lists them."""
+    v, lo, hi, delta = map(Fraction, (value, bounds.v_min, bounds.v_max, bounds.delta))
+    if lo == hi or v == lo:
+        return Group.MIN
+    if v == hi:
+        return Group.MAX
+    if lo + delta <= v <= hi - delta:
+        return Group.MID
+    return Group.NIN if v < lo + delta else Group.NAX
 
 
 def groups_converged(values, delta):

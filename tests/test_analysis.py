@@ -1,10 +1,11 @@
 """Trace checkers: range guarantees, groups, condition, convergence, progress."""
 
 import dataclasses
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agreesim.analysis import (
     Group,
@@ -24,7 +25,7 @@ from agreesim.analysis import (
     spread_series,
 )
 from agreesim.errors import AnalysisError, ConfigError
-from agreesim.harness import build_report, report_to_json, simulate, sweep
+from agreesim.harness import build_report, report_to_json, run_scenario, simulate, sweep
 from agreesim.protocol import NodeState, ProtocolParams, step_round
 from agreesim.scenarios import LIBRARY, ScenarioConfig, builtin_scenario
 from agreesim.trace import RoundRecord, Trace
@@ -39,6 +40,8 @@ from reference import (
     reference_check_legality,
     reference_check_safety,
     reference_check_validity,
+    reference_classify_value,
+    reference_is_proper,
     reference_joint_neighbor_set,
     reference_retained_values,
     spread,
@@ -289,6 +292,29 @@ class TestProperValues:
         if is_proper(v, Group.MAX, BOUNDS):
             assert is_proper(v - bump, Group.MAX, BOUNDS)
 
+    @settings(max_examples=500)
+    @given(
+        lo=st.floats(allow_nan=False, allow_infinity=False),
+        hi=st.floats(allow_nan=False, allow_infinity=False),
+        delta=st.floats(min_value=5e-324, allow_infinity=False),
+        ulps=st.integers(-2, 2),
+    )
+    @example(lo=0.1, hi=2.0, delta=0.5, ulps=0)  # 0.1 + 0.5 rounds down to 0.6
+    @example(lo=-1.7e308, hi=1.7e308, delta=1.0, ulps=0)  # fsum overflows
+    @example(lo=-1.7e308, hi=1.7e308, delta=1.7e308, ulps=1)
+    def test_bounds_are_exact_at_the_rounded_boundaries(self, lo, hi, delta, ulps):
+        lo, hi = min(lo, hi), max(lo, hi)
+        bounds = PhaseBounds(0, 1, lo, hi, delta)
+        for rounded in (lo + delta, hi - delta):
+            v = rounded
+            for _ in range(abs(ulps)):
+                v = math.nextafter(v, math.copysign(math.inf, ulps))
+            if not math.isfinite(v):
+                continue
+            for group in (Group.MIN, Group.MAX):
+                assert is_proper(v, group, bounds) == reference_is_proper(v, group, bounds)
+            assert classify_value(v, bounds) is reference_classify_value(v, bounds)
+
 
 class TestGroupDetector:
     # Eighths keep every difference exact; on tenths the two tests differ
@@ -396,6 +422,24 @@ class TestCondition:
         trace = simulate(config)
         assert condition_report([v.satisfied for v in all_verdicts(trace, 0.05)], 1)
         assert check_convergence(walked(trace)).reached
+
+    def test_a_value_at_the_rounded_bound_is_not_proper(self):
+        # Node 0 holds the minimum 0.1 and hears node 2's 2.0 and the faulty
+        # node 3's 0.6, which is 0.1 + 0.5 rounded down: 0.6 - 0.1 < 0.5 over
+        # the reals. The maximum holder 2 hears only node 0; node 1 hears no one.
+        config = ScenarioConfig(
+            name="rounded_bound", n=4, f=1, r_c=1, epsilon=1.0, max_rounds=1, radius=1.0,
+            adversary={"strategy": "scripted", "table": {"*": {"0": 0.6}}, "byz_set": [3]},
+            initial_values={"mode": "explicit", "values": [0.1, 1.0, 2.0]},
+            initial_positions={"mode": "explicit", "coords": {
+                "0": [2.0, 5.0], "1": [8.0, 8.0], "2": [1.0, 5.0], "3": [3.0, 5.0]}},
+            seed=1,
+        )
+        assert 0.1 + 0.5 == 0.6
+        trace, report = run_scenario(config)
+        assert trace.rounds[0].delivered == [(0, 2, 0.1), (0, 3, 0.1), (2, 0, 2.0), (3, 0, 0.6)]
+        [verdict] = report.condition_per_phase
+        assert not verdict.vacuous and not verdict.satisfied
 
     def test_short_population_never_satisfies(self):
         trace = simulate(builtin_scenario("lemma2_3f_impossible"))

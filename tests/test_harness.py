@@ -1,6 +1,5 @@
 """End-to-end runs, scenario library verdicts, replay, files, CLI."""
 
-import collections
 import contextlib
 import dataclasses
 import gc
@@ -42,10 +41,10 @@ from agreesim.dynamics import (
 )
 from agreesim.errors import AnalysisError, ConfigError, TraceError
 from agreesim.harness import (
+    Engine,
     build_report,
     report_to_json,
     round_inputs,
-    run_rounds,
     run_scenario,
     simulate,
     sweep,
@@ -782,7 +781,7 @@ class TestVectors:
         assert failures and failures[0][0] == 0
 
     @pytest.mark.parametrize("fault,expected", [
-        ("huge_inbox_value", "malformed vector (OverflowError: int too large to convert to float)"),
+        ("huge_inbox_value", "malformed vector (ValueError: values must lie within float range)"),
         ("extra_expected_field", "expect: holds fields ['broadcast', 'computed', 'extra', "
                                  "'last_local_start', 'log', 'value'], the step outputs "
                                  "['broadcast', 'computed', 'last_local_start', 'log', 'value']"),
@@ -804,12 +803,21 @@ class TestVectors:
         ("long_log_entry", "malformed vector (ValueError: too many values to unpack "
                            "(expected 2))"),
         ("other_schema", "malformed vector (ValueError: schema 2 is not 1)"),
+        # Each of these steps as its int or float twin would, so only the type rule finds it.
+        ("float_round", "malformed vector (TypeError: rounds must hold integers)"),
+        ("bool_round", "malformed vector (TypeError: rounds must hold integers)"),
+        ("float_last_local_start", "malformed vector (TypeError: rounds must hold integers)"),
+        ("float_log_round", "malformed vector (TypeError: rounds must hold integers)"),
+        ("bool_value", "malformed vector (TypeError: values must hold numbers)"),
+        ("bool_inbox_value", "malformed vector (TypeError: values must hold numbers)"),
     ])
     def test_a_vector_that_cannot_be_checked_is_a_mismatch(self, fault, expected):
         records = reference_vectors(simulate(builtin_scenario("fully_connected_baseline")))
         record = records[1]
         assert record["state_in"]["id"] == 1 and [2, 0.0] not in record["inbox"]
         assert record["state_in"]["log"] == {} and record["inbox"][1] == [2, 2.0]
+        assert record["round"] == record["state_in"]["last_local_start"] == 1
+        assert record["state_in"]["value"] == 1.0 and record["inbox"][0] == [0, 0.0]
         log_key = {"zero_padded_log_key": "02", "spaced_log_key": " 2",
                    "underscored_log_key": "0_2"}.get(fault)
         if log_key is not None:  # int() reads it as 2, whose entry the inbox then overwrites
@@ -835,6 +843,18 @@ class TestVectors:
             del record["state_in"]
         elif fault == "own_id_in_inbox":
             record["inbox"].append([1, 0.5])
+        elif fault == "float_round":
+            record["round"] = 1.0
+        elif fault == "bool_round":
+            record["round"] = True
+        elif fault == "float_last_local_start":
+            record["state_in"]["last_local_start"] = 1.0
+        elif fault == "float_log_round":
+            record["state_in"]["log"] = {"2": [2.0, 1.0]}  # the inbox then overwrites the entry
+        elif fault == "bool_value":
+            record["state_in"]["value"] = True
+        elif fault == "bool_inbox_value":
+            record["inbox"][0][1] = False
         else:
             record["expect"] = {}
         assert replay_vectors(records) == [(1, [expected])]
@@ -874,32 +894,23 @@ def assert_replay_rebuilds(trace: Trace) -> None:
 
 
 class Rebuild:
-    """A ``read_trace`` consumer that re-runs each record through the round engine as it is read.
+    """A ``read_trace`` consumer that steps each record through an ``Engine`` as it is read.
 
-    ``add`` hands the decoded record to ``run_rounds`` and advances it one
-    round; the rebuilt record must equal it. ``finish`` ends the source,
-    and the engine sets the replayed final values.
+    ``add`` steps the decoded record's round; the rebuilt record must equal
+    it. ``finish`` gives the engine's values after the last round.
     """
 
     def __init__(self, header: Trace):
-        self.pending = collections.deque()
-        self.replayed = Trace(params=header.params, byz_set=header.byz_set,
-                              initial_values=header.initial_values)
-        self.engine = run_rounds(
-            self.replayed, lambda _states: map(round_inputs, iter(self.pending.popleft, None))
-        )
+        self.engine = Engine(header)
         self.rounds = 0
 
     def add(self, rec: RoundRecord) -> None:
-        self.pending.append(rec)
-        rebuilt, _states, _inboxes, _results = next(self.engine)
+        rebuilt, _results = self.engine.step(*round_inputs(rec))
         assert rebuilt == rec
         self.rounds += 1
 
     def finish(self) -> dict:
-        self.pending.append(None)
-        assert next(self.engine, None) is None
-        return self.replayed.final_values
+        return self.engine.values()
 
 
 def assert_read_rebuilds(trace: Trace, path) -> None:
@@ -1025,6 +1036,30 @@ class TestRoundEngine:
     def test_each_read_record_of_random_runs_is_rebuilt(self, i, stop, tmp_path_factory):
         trace = simulate(random_scenario(i), stop_at_agreement=stop)
         assert_read_rebuilds(trace, tmp_path_factory.mktemp("rebuild") / "trace.jsonl")
+
+    @pytest.mark.parametrize("stop", [False, True])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_a_hook_may_keep_the_states_it_is_handed(self, name, stop):
+        kept = []
+        trace = simulate(golden_config(name), stop_at_agreement=stop,
+                         on_round=lambda _trace, states, *_step: kept.append(states))
+        assert len(kept) == trace.last_round
+        for states, rec in zip(kept, trace.rounds):
+            assert {i: s.value for i, s in states.items()} == rec.values_start
+            assert {i: s.last_local_start for i, s in states.items()} == rec.local_start
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_run_steps_each_correct_node_once_per_round(self, vectors, tmp_path, monkeypatch):
+        real, calls = harness.step_round, []
+        monkeypatch.setattr(harness, "step_round", lambda *args: calls.append(args) or real(*args))
+        scenario, out = tmp_path / "scenario.json", tmp_path / "out"
+        save_scenario(golden_config("golden_waypoint_n40"), scenario)
+        extra = ["--vectors", str(tmp_path / "vectors.jsonl")] if vectors else []
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--scenario", str(scenario), "--out", str(out), *extra]) == 0
+        trace = load_trace(out / "trace.jsonl")
+        assert len(trace.initial_values) == 36  # four of the 40 nodes are faulty
+        assert len(calls) == trace.last_round * len(trace.initial_values) == 30 * 36
 
 
 class TestCli:
