@@ -56,12 +56,17 @@ def require_types(types: set, field: str, values: Collection) -> None:
     """Raise TypeError unless every value's type is in ``types``, so never for a bool.
 
     A number field (``float`` in ``types``) must also lie within float range:
-    a larger integer breaks float arithmetic, and JSON's ``1e400`` reads as inf.
-    Traces and step vectors are read by this one rule.
+    a larger integer breaks float arithmetic, JSON's ``1e400`` reads as inf,
+    and a NaN is no number. Traces and step vectors are read by this one rule.
     """
     if not set(map(type, values)) <= types:
         raise TypeError(f"{field} must hold {'numbers' if float in types else 'integers'}")
-    if float in types and values and not -_FLOAT_MAX <= min(values) <= max(values) <= _FLOAT_MAX:
+    # min and max pass over a NaN unless it comes first, but it makes the sum
+    # NaN. Within the bounds no other sum is: one that overflows stays inf.
+    if float in types and values and (
+        not -_FLOAT_MAX <= min(values) <= max(values) <= _FLOAT_MAX
+        or math.isnan(sum(values, 0.0))
+    ):
         raise ValueError(f"{field} must lie within float range")
 
 

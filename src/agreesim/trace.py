@@ -96,38 +96,19 @@ def _node_id(keys: dict[str, NodeId], key: str) -> NodeId:
     return decimal_key(key, "node id") if node is None else node
 
 
-# Each reader below tries a bulk pass first. When the pass fails, the
-# per-entry pass raises what the first bad entry gets, so a malformed
-# record is reported the same whichever pass would have found it.
-
 def _by_node(keys: dict[str, NodeId], raw: dict) -> dict:
     """A JSON object keyed by node id, with its values as they are."""
-    try:
-        return dict(zip(map(keys.__getitem__, raw), raw.values()))
-    except (KeyError, TypeError, AttributeError):
-        return {_node_id(keys, k): v for k, v in raw.items()}
+    return {_node_id(keys, k): v for k, v in raw.items()}
 
 
 def _pairs_by_node(keys: dict[str, NodeId], raw: dict) -> dict:
     """A JSON object keyed by node id whose values are two-element lists, as tuples."""
-    try:
-        pairs = list(map(tuple, raw.values()))
-        if set(map(len, pairs)) <= {2}:
-            return dict(zip(map(keys.__getitem__, raw), pairs))
-    except (KeyError, TypeError, AttributeError):
-        pass
     # Unpacking, not indexing, so a list of the wrong length is rejected.
     return {_node_id(keys, k): (a, b) for k, (a, b) in raw.items()}
 
 
 def _rows(raw: list, width: int) -> list[tuple]:
     """A JSON list of ``width``-element lists (edges, messages), as tuples."""
-    try:
-        rows = list(map(tuple, raw))
-        if set(map(len, rows)) <= {width}:
-            return rows
-    except TypeError:
-        pass
     if width == 2:
         return [(a, b) for a, b in raw]
     return [(a, b, c) for a, b, c in raw]
@@ -194,7 +175,7 @@ def _round_from_json(obj: dict, keys: dict[str, NodeId], header: Trace) -> Round
     return rec
 
 
-def _dumps(obj: dict) -> str:
+def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 

@@ -8,11 +8,12 @@ node logic can replay the file and diff its results field by field.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from pathlib import Path
 
 from .errors import MALFORMED, decimal_key, describe, require_types
 from .protocol import NodeState, ProtocolParams, StepResult, step_round
-from .trace import Trace
+from .trace import Trace, _dumps, _reject_constant
 
 VECTOR_SCHEMA = 1
 
@@ -43,17 +44,20 @@ def step_vectors(trace: Trace, states: dict, inboxes: dict, results: dict) -> li
     ]
 
 
-def write_vectors(records: list[dict], path: str | Path) -> None:
-    lines = [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in records]
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_vectors(records: Iterable[dict], path: str | Path) -> None:
+    """Write each vector as a canonical JSON line, as it is encoded."""
+    with open(path, "w", encoding="utf-8") as out:
+        for rec in records:
+            out.write(_dumps(rec) + "\n")
 
 
 def read_vectors(path: str | Path) -> list[dict]:
-    return [
-        json.loads(line)
-        for line in Path(path).read_text().splitlines()
-        if line.strip()
-    ]
+    """The vectors of a file read as UTF-8 and split on "\\n", whatever the locale.
+
+    A ``NaN`` or ``Infinity`` token raises ValueError, as it does in a trace.
+    """
+    with open(path, encoding="utf-8", newline="\n") as lines:
+        return [json.loads(line, parse_constant=_reject_constant) for line in lines if line.strip()]
 
 
 def _node_id(node) -> int:
@@ -69,7 +73,9 @@ def replay_vector(record: dict) -> list[str]:
     vector with int node ids, canonical decimal log keys, two-element inbox
     and log entries, int rounds and values that are numbers within float
     range, as a trace's must be, or whose ``expect`` names other fields
-    than the step's outputs, is one mismatch that names the fault.
+    than the step's outputs, is one mismatch that names the fault. Each
+    expected field is compared with the output by its JSON text, so ``1``
+    and ``true``, ``2`` and ``2.0``, ``0.0`` and ``-0.0`` differ.
     """
     try:
         if record["schema"] != VECTOR_SCHEMA:
@@ -94,13 +100,13 @@ def replay_vector(record: dict) -> list[str]:
         expect = record["expect"]
         if expect.keys() != got.keys():
             return [f"expect: holds fields {sorted(expect)}, the step outputs {sorted(got)}"]
+        return [
+            f"{key}: expected {expect[key]!r}, got {got[key]!r}"
+            for key in expect
+            if _dumps(expect[key]) != _dumps(got[key])
+        ]
     except MALFORMED as exc:
         return [f"malformed vector ({describe(exc)})"]
-    return [
-        f"{key}: expected {expect[key]!r}, got {got[key]!r}"
-        for key in expect
-        if expect[key] != got[key]
-    ]
 
 
 def replay_vectors(records: list[dict]) -> list[tuple[int, list[str]]]:

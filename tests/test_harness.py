@@ -39,7 +39,7 @@ from agreesim.dynamics import (
     Stationary,
     TeleportRandom,
 )
-from agreesim.errors import AnalysisError, ConfigError, TraceError
+from agreesim.errors import AnalysisError, ConfigError, TraceError, require_types
 from agreesim.harness import (
     Engine,
     build_report,
@@ -66,7 +66,7 @@ from agreesim.trace import (
     trace_to_lines,
     write_trace,
 )
-from agreesim.vectors import read_vectors, replay_vectors
+from agreesim.vectors import read_vectors, replay_vectors, write_vectors
 from reference import (
     DyingPickler, assert_no_child_left, counting_forks, load_trace, phase_of, reference_simulate,
     reference_sweep, reference_trace_lines, reference_vectors, replay, split_reads, spread,
@@ -810,6 +810,10 @@ class TestVectors:
         ("float_log_round", "malformed vector (TypeError: rounds must hold integers)"),
         ("bool_value", "malformed vector (TypeError: values must hold numbers)"),
         ("bool_inbox_value", "malformed vector (TypeError: values must hold numbers)"),
+        ("nan_inbox_value", "malformed vector (ValueError: values must lie within float range)"),
+        # Each equals the output in Python, not in the JSON text a vector holds.
+        ("int_computed", "computed: expected 1, got True"),
+        ("float_expected_window_start", "last_local_start: expected 2.0, got 2"),
     ])
     def test_a_vector_that_cannot_be_checked_is_a_mismatch(self, fault, expected):
         records = reference_vectors(simulate(builtin_scenario("fully_connected_baseline")))
@@ -855,9 +859,53 @@ class TestVectors:
             record["state_in"]["value"] = True
         elif fault == "bool_inbox_value":
             record["inbox"][0][1] = False
+        elif fault == "nan_inbox_value":  # min and max pass over a NaN that is not first
+            record["inbox"][1][1] = float("nan")
+        elif fault == "int_computed":
+            record["expect"]["computed"] = 1
+        elif fault == "float_expected_window_start":
+            record["expect"]["last_local_start"] = 2.0
         else:
             record["expect"] = {}
         assert replay_vectors(records) == [(1, [expected])]
+
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    def test_the_type_rule_rejects_a_nan_wherever_it_sits(self, at):
+        values = [0.0, 2, -1.5]
+        values.insert(at, float("nan"))
+        with pytest.raises(ValueError, match="^x must lie within float range$"):
+            require_types({int, float}, "x", values)
+        # Finite values whose sum overflows pass.
+        require_types({int, float}, "x", [1.7e308, 1.7e308, -1.7e308, -10**308])
+
+    def test_a_negative_zero_is_not_the_zero_expected(self):
+        records = reference_vectors(simulate(builtin_scenario("fully_connected_baseline")))
+        assert trace_module._dumps(records[0]["expect"]["broadcast"]) == "0.0"
+        records[0]["expect"]["broadcast"] = -0.0
+        assert replay_vectors(records) == [(0, ["broadcast: expected -0.0, got 0.0"])]
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_read_vectors_rejects_a_constant_token(self, tmp_path, token):
+        # json.dumps writes each token, and json.loads would read it back.
+        records = reference_vectors(simulate(builtin_scenario("fully_connected_baseline")))
+        records[1]["inbox"][1][1] = float(token)
+        path = tmp_path / "vectors.jsonl"
+        write_vectors(records, path)
+        assert f"[2,{token}]" in path.read_text()
+        with pytest.raises(ValueError, match=f"^{token} is not a finite number$"):
+            read_vectors(path)
+
+    def test_vectors_are_read_as_utf8_whatever_the_locale(self, tmp_path):
+        path = tmp_path / "vectors.jsonl"
+        path.write_bytes('{"note":"\u00e9"}\n'.encode())
+        # With coercion and UTF-8 mode off, the C locale's encoding is ASCII.
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.path.dirname(os.path.dirname(harness.__file__))}
+        code = ("import sys; from agreesim.vectors import read_vectors\n"
+                "print(ascii(read_vectors(sys.argv[1])))\n")
+        done = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                              text=True, env=env, check=True)
+        assert done.stdout == "[{'note': '\\xe9'}]\n"
 
     def test_vectors_cover_every_step(self, tmp_path):
         _code, out, path = run_vectors(builtin_scenario("fully_connected_baseline"), tmp_path)
@@ -1154,7 +1202,8 @@ class TestCli:
             "e400_delivered_value", "e400_final", "empty_file", "header_without_values",
             "unknown_record_type", "round_2_ids_differ", "final_ids_differ",
             "non_canonical_key", "shadowed_node_key", "header_n_long", "unlisted_node",
-            "deep_nesting", "local_start_before_phase",
+            "deep_nesting", "local_start_before_phase", "short_delivered", "number_edge",
+            "list_log", "list_values_start",
         ],
     )
     def test_check_rejects_malformed_trace_with_usage_exit(self, tmp_path, capsys, defect):
@@ -1174,7 +1223,15 @@ class TestCli:
                    "unlisted_node": "n is 5, but the header lists 4 nodes",
                    "deep_nesting": "line 3: malformed record (RecursionError",
                    "local_start_before_phase": "line 3: malformed record (ValueError: "
-                                               "local_start must lie in 2..2"}
+                                               "local_start must lie in 2..2",
+                   "short_delivered": "line 2: malformed record (ValueError: not enough "
+                                      "values to unpack (expected 3, got 1))",
+                   "number_edge": "line 2: malformed record (TypeError: cannot unpack "
+                                  "non-iterable int object)",
+                   "list_log": "line 2: malformed record (AttributeError: 'list' object has "
+                               "no attribute 'items')",
+                   "list_values_start": "line 2: malformed record (AttributeError: 'list' "
+                                        "object has no attribute 'items')"}
         trace_path = tmp_path / "trace.jsonl"
         # The baseline has no faulty nodes; node 4 of the improper mix is one.
         faulty = defect in ("repeated_byz_sent", "unlinked_byz_sent", "repeated_edge",
@@ -1248,6 +1305,17 @@ class TestCli:
                         "long_log_entry": first_round["logs"]["0"]["1"],
                         "long_position": first_round["positions"]["0"]}[defect]
             too_long.append(7)
+            lines[1] = json.dumps(first_round)
+        elif defect in ("short_delivered", "number_edge", "list_log", "list_values_start"):
+            # One entry of a field that is not the shape its field's entries must be.
+            if defect == "short_delivered":
+                first_round["delivered"][1] = first_round["delivered"][1][:1]
+            elif defect == "number_edge":
+                first_round["edges"][1] = 7
+            elif defect == "list_log":
+                first_round["logs"]["1"] = list(first_round["logs"]["1"].values())
+            else:
+                first_round["values_start"] = list(first_round["values_start"].values())
             lines[1] = json.dumps(first_round)
         elif defect == "correct_byz_sender":  # the baseline has no faulty nodes
             first_round["byz_sent"].append([3, 0, 1.0])
@@ -1340,9 +1408,10 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert reasons.get(defect, "") in err[0]
-        with split_reads(3):  # decoded in forked workers, reported the same
-            assert main(["check", "--trace", str(trace_path)]) == 2
-        assert capsys.readouterr().err.splitlines() == err
+        for workers in (2, 3):  # decoded in forked workers, reported the same
+            with split_reads(workers):
+                assert main(["check", "--trace", str(trace_path)]) == 2
+            assert capsys.readouterr().err.splitlines() == err
 
     @pytest.mark.parametrize(
         "edit,code", [("line_separator", 0), ("bad_utf8_line_11", 2), ("bad_utf8_line_1", 2),
