@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .dynamics import RoundGraph
-from .errors import ConfigError, require_finite
+from .errors import ConfigError
 from .protocol import Message, NodeId, Value
 
 
@@ -43,7 +43,6 @@ class FixedValue:
     draws = False
 
     def __init__(self, value: Value):
-        require_finite("fixed-value value", value)
         self.value = value
 
     def messages(self, b: NodeId, receivers: Sequence[NodeId], view: RoundView,
@@ -63,7 +62,6 @@ class ExtremeSplit:
     draws = False
 
     def __init__(self, v_hi: Value, v_lo: Value):
-        require_finite("extreme-split values", v_hi, v_lo)
         self.v_hi = v_hi
         self.v_lo = v_lo
 
@@ -87,7 +85,6 @@ class RandomLegal:
     draws = True
 
     def __init__(self, lo: Value, hi: Value):
-        require_finite("random-legal range", lo, hi)
         if lo > hi:
             raise ConfigError(f"random range reversed: [{lo}, {hi}]")
         self.lo = lo
@@ -108,8 +105,6 @@ class ScriptedTable:
     draws = False
 
     def __init__(self, table: dict[int | str, dict[NodeId, Value]]):
-        for key, row in table.items():
-            require_finite(f"scripted table row {key!r} values", *row.values())
         self.table = {k: dict(v) for k, v in table.items()}
 
     def messages(self, b: NodeId, receivers: Sequence[NodeId], view: RoundView,

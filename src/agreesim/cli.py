@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .analysis import Walk, check_convergence, condition_report
-from .errors import AgreesimError, ConfigError, TraceError, read_json
+from .errors import AgreesimError, ConfigError, TraceError, decimal_key, read_json
 from .harness import (
     build_report,
     run_scenario,
@@ -91,7 +91,7 @@ def _parse_mode(raw: str) -> int:
         return 1
     if raw.startswith("io:"):
         try:
-            window = int(raw.split(":", 1)[1])
+            window = decimal_key(raw.split(":", 1)[1], "io window")
         except ValueError:
             raise ConfigError(f"bad io window in mode {raw!r}") from None
         if window < 1:

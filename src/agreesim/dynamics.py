@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NoReturn
 
-from .errors import ConfigError, TopologyError, require_finite
+from .errors import ConfigError, TopologyError
 from .protocol import Message, NodeId
 
 Position = tuple[float, float]
@@ -78,7 +78,6 @@ class RandomWaypoint:
     draws = True
 
     def __init__(self, arena: Arena, speed_min: float, speed_max: float):
-        require_finite("random-waypoint speed", speed_min, speed_max)
         if not 0 < speed_min <= speed_max:
             raise ConfigError(
                 f"need 0 < speed_min <= speed_max, got {speed_min}, {speed_max}"

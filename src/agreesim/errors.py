@@ -57,7 +57,8 @@ def require_types(types: set, field: str, values: Collection) -> None:
 
     A number field (``float`` in ``types``) must also lie within float range:
     a larger integer breaks float arithmetic, JSON's ``1e400`` reads as inf,
-    and a NaN is no number. Traces and step vectors are read by this one rule.
+    and a NaN is no number. Traces, step vectors, scenarios, sweep grid
+    cells and scripted tables are all read by this one rule.
     """
     if not set(map(type, values)) <= types:
         raise TypeError(f"{field} must hold {'numbers' if float in types else 'integers'}")
@@ -90,9 +91,3 @@ def read_json(path, what: str):
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
-
-
-def require_finite(what: str, *values: float) -> None:
-    """Reject a scenario number that is NaN or infinite."""
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"{what} must be finite, got {list(values)}")

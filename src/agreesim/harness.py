@@ -266,10 +266,6 @@ def _report_chunks(report: RunReport):
     yield "\n"
 
 
-def report_to_json(report: RunReport) -> str:
-    return "".join(_report_chunks(report))
-
-
 def write_report(report: RunReport, path: str | Path) -> None:
     with open(path, "w") as fh:
         fh.writelines(_report_chunks(report))

@@ -25,7 +25,7 @@ from .adversary import (
 )
 from .analysis import check_delta
 from .dynamics import Arena, MobilityModel, RandomWaypoint, Scripted, Stationary, TeleportRandom
-from .errors import ConfigError, decimal_key, malformed, read_json, require_finite
+from .errors import ConfigError, decimal_key, malformed, read_json, require_types
 from .protocol import ProtocolParams
 
 SCENARIO_SCHEMA = 1
@@ -68,9 +68,13 @@ class ScenarioConfig:
     def validate(self) -> tuple[ProtocolParams, Arena, MobilityModel, AdversaryStrategy]:
         """Check every field once, building the run's params, arena, mobility and adversary."""
         with malformed(ConfigError, "malformed scenario"):
+            for what, values in (("epsilon", [self.epsilon]), ("radius", [self.radius]),
+                                 ("loss_rate", [self.loss_rate]), ("arena", self.arena),
+                                 ("delta", [] if self.delta is None else [self.delta])):
+                require_types({int, float}, what, values)
+            if type(self.seed) is not int or type(self.name) is not str:
+                raise ConfigError("seed must be an integer and name a string")
             params = ProtocolParams(n=self.n, f=self.f, r_c=self.r_c, epsilon=self.epsilon)
-            if type(self.seed) is not int:
-                raise ConfigError(f"seed must be an integer, got {self.seed!r}")
             if type(self.effective_max_rounds) is not int or self.effective_max_rounds < 1:
                 raise ConfigError(f"max_rounds must be an integer >= 1, got {self.max_rounds!r}")
             check_delta(self.delta, self.epsilon)
@@ -100,7 +104,7 @@ class ScenarioConfig:
             raise ConfigError(f"a scenario must be a JSON object, got {type(obj).__name__}")
         data = dict(obj)
         schema = data.pop("schema", SCENARIO_SCHEMA)
-        if schema != SCENARIO_SCHEMA:
+        if type(schema) is not int or schema != SCENARIO_SCHEMA:
             raise ConfigError(f"unsupported scenario schema {schema!r}")
         unknown = set(data) - {f.name for f in ScenarioConfig.__dataclass_fields__.values()}
         if unknown:
@@ -109,6 +113,14 @@ class ScenarioConfig:
             if "arena" in data:
                 data["arena"] = tuple(data["arena"])
             return ScenarioConfig(**data)
+
+
+def _numbers(what: str, values, length: int | None = None) -> list[float]:
+    """A spec's numbers as floats, each an int or a float by the trace reader's type rule."""
+    if length is not None and len(values) != length:
+        raise ConfigError(f"{what} must hold {length} numbers, got {len(values)}")
+    require_types({int, float}, what, values)
+    return [float(v) for v in values]
 
 
 def _by_node(config: ScenarioConfig, what: str, raw: dict) -> dict:
@@ -126,12 +138,12 @@ def build_mobility(config: ScenarioConfig, arena: Arena):
     if model == "stationary":
         return Stationary()
     if model == "random-waypoint":
-        speed = spec.get("speed", [0.5, 2.0])
-        return RandomWaypoint(arena, float(speed[0]), float(speed[1]))
+        return RandomWaypoint(arena, *_numbers("random-waypoint speed",
+                                               spec.get("speed", [0.5, 2.0]), 2))
     if model == "scripted":
         waypoints = _by_node(config, "scripted waypoints", spec.get("waypoints", {}))
-        return Scripted(arena, {i: [(float(x), float(y)) for x, y in path]
-                                for i, path in waypoints.items()})
+        return Scripted(arena, {i: [tuple(_numbers(f"waypoint of node {i}", point, 2))
+                                    for point in path] for i, path in waypoints.items()})
     if model == "teleport-random":
         return TeleportRandom(arena)
     raise ConfigError(f"unknown mobility model {model!r}")
@@ -143,12 +155,11 @@ def build_adversary(config: ScenarioConfig) -> AdversaryStrategy:
     if strategy == "silent":
         behavior = Silent()
     elif strategy == "fixed-value":
-        behavior = FixedValue(float(spec["value"]))
+        behavior = FixedValue(*_numbers("fixed-value value", [spec["value"]]))
     elif strategy == "extreme-split":
-        behavior = ExtremeSplit(float(spec["v_hi"]), float(spec["v_lo"]))
+        behavior = ExtremeSplit(*_numbers("extreme-split values", [spec["v_hi"], spec["v_lo"]]))
     elif strategy == "random-legal":
-        lo, hi = spec.get("range", [0.0, 1.0])
-        behavior = RandomLegal(float(lo), float(hi))
+        behavior = RandomLegal(*_numbers("random-legal range", spec.get("range", [0.0, 1.0]), 2))
     elif strategy == "scripted":
         raw = spec.get("table")
         if raw is None and "table_file" in spec:
@@ -157,7 +168,8 @@ def build_adversary(config: ScenarioConfig) -> AdversaryStrategy:
         for key, row in (raw or {}).items():
             round_key = "*" if key == "*" else decimal_key(key, "scripted table round")
             receivers = _by_node(config, f"scripted table row {key!r}", row)
-            table[round_key] = {r: float(v) for r, v in receivers.items()}
+            values = _numbers(f"scripted table row {key!r} values", receivers.values())
+            table[round_key] = dict(zip(receivers, values))
         behavior = ScriptedTable(table)
     else:
         raise ConfigError(f"unknown adversary strategy {strategy!r}")
@@ -178,7 +190,7 @@ def _initial_positions(config: ScenarioConfig, arena: Arena, rng: random.Random)
         raw = coords.get(i)
         if raw is None:
             raise ConfigError(f"explicit positions miss node {i}")
-        pos = (float(raw[0]), float(raw[1]))
+        pos = tuple(_numbers(f"explicit position of node {i}", raw, 2))
         if not arena.contains(pos):
             raise ConfigError(f"initial position {pos} of node {i} outside arena")
         positions[i] = pos
@@ -189,18 +201,11 @@ def _initial_values(config: ScenarioConfig, rng: random.Random):
     spec = config.initial_values
     correct = config.correct_ids
     if spec.get("mode") == "explicit":
-        values = [float(v) for v in spec.get("values", [])]
-        if len(values) != len(correct):
-            raise ConfigError(
-                f"explicit initial values: got {len(values)}, "
-                f"need one per correct node ({len(correct)})"
-            )
-        require_finite("initial values", *values)
+        values = _numbers("initial values", spec.get("values", []), len(correct))
         return dict(zip(correct, values))
     if spec.get("mode") != "uniform":
         raise ConfigError(f"unknown initial_values mode {spec.get('mode')!r}")
-    lo, hi = map(float, spec.get("range", [0.0, 1.0]))
-    require_finite("initial values", lo, hi)
+    lo, hi = _numbers("initial values range", spec.get("range", [0.0, 1.0]), 2)
     return {i: rng.uniform(lo, hi) for i in correct}
 
 

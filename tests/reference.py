@@ -85,6 +85,11 @@ def trace_bytes(trace):
     return ("\n".join(trace_to_lines(trace)) + "\n").encode()
 
 
+def report_text(report):
+    """The text ``write_report`` writes for ``report``."""
+    return json.dumps(report, sort_keys=True, indent=2, default=vars) + "\n"
+
+
 def trace_from_lines(lines):
     """A trace from any iterable of text lines in one pass, each record checked as it arrives.
 

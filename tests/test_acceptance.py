@@ -19,13 +19,13 @@ from agreesim.analysis import (
     check_safety,
     check_validity,
 )
-from agreesim.harness import report_to_json, run_scenario, simulate
+from agreesim.harness import run_scenario, simulate
 from agreesim.protocol import NodeState, ProtocolParams, step_round, trim
 from agreesim.scenarios import ScenarioConfig, builtin_scenario
 
 from reference import (
     common_starts, groups_converged, reference_admitted, reference_average, reference_reduce,
-    spread, trace_bytes, v_max, v_min, walked,
+    report_text, spread, trace_bytes, v_max, v_min, walked,
 )
 
 STRATEGIES = ["silent", "fixed-value", "extreme-split", "random-legal", "scripted"]
@@ -267,6 +267,6 @@ def test_criterion_9_determinism():
         blobs = set()
         for _replay in range(3):
             trace, report = run_scenario(config)
-            blobs.add(trace_bytes(trace) + report_to_json(report).encode())
+            blobs.add(trace_bytes(trace) + report_text(report).encode())
         assert len(blobs) == 1, f"{config.name} not replay-stable"
     print("\nACCEPTANCE 9 determinism (10 scenarios x 3 replays): PASS")

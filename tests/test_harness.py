@@ -43,11 +43,11 @@ from agreesim.errors import AnalysisError, ConfigError, TraceError, require_type
 from agreesim.harness import (
     Engine,
     build_report,
-    report_to_json,
     round_inputs,
     run_scenario,
     simulate,
     sweep,
+    write_report,
     write_series_csv,
     write_sweep_csv,
 )
@@ -69,8 +69,8 @@ from agreesim.trace import (
 from agreesim.vectors import read_vectors, replay_vectors, write_vectors
 from reference import (
     DyingPickler, assert_no_child_left, counting_forks, load_trace, phase_of, reference_simulate,
-    reference_sweep, reference_trace_lines, reference_vectors, replay, split_reads, spread,
-    trace_bytes, trace_from_lines, v_max, walked,
+    reference_sweep, reference_trace_lines, reference_vectors, replay, report_text, split_reads,
+    spread, trace_bytes, trace_from_lines, v_max, walked,
 )
 from test_acceptance import random_scenario
 
@@ -344,7 +344,7 @@ class TestReplay:
         t1, r1 = run_scenario(config)
         t2, r2 = run_scenario(config)
         assert trace_bytes(t1) == trace_bytes(t2)
-        assert report_to_json(r1) == report_to_json(r2)
+        assert report_text(r1) == report_text(r2)
 
     def test_different_seed_changes_random_runs(self):
         config = ScenarioConfig(
@@ -454,9 +454,11 @@ class TestFiles:
         assert trace_bytes(reloaded) == trace_bytes(trace)
         assert trace_from_lines(iter(trace_to_lines(trace))) == reloaded
 
-    def test_report_round_trips_as_json(self):
+    def test_report_round_trips_as_json(self, tmp_path):
         _trace, report = run_scenario(builtin_scenario("fully_connected_baseline"))
-        blob = report_to_json(report)
+        write_report(report, tmp_path / "report.json")
+        blob = (tmp_path / "report.json").read_text()
+        assert blob == report_text(report)
         assert json.loads(blob) == dataclasses.asdict(report)
 
     def test_scenario_files_round_trip(self, tmp_path):
@@ -1473,14 +1475,18 @@ class TestCli:
          "sweep_missing_grid", "sweep_list_grid", "sweep_zero_seeds", "export_unknown",
          "waypoint_00", "position_00", "position_9", "table_round_01", "table_receiver_01",
          "table_receiver_9", "sweep_seed_grid", "non_utf8_scenario", "non_utf8_grid",
-         "non_utf8_table", "deep_scenario", "numeric_table_file"],
+         "non_utf8_table", "deep_scenario", "numeric_table_file", "bool_epsilon", "int_name",
+         "null_name", "mixed_values", "string_fixed_value", "bool_and_string_speed",
+         "long_speed", "long_position", "bool_radius", "bool_loss_rate", "bool_delta"],
     )
     def test_malformed_scenario_exits_two(self, tmp_path, capsys, defect):
         # Each newer case names the reason it must be rejected for.
-        overflow = "OverflowError: int too large to convert to float"
+        speed_range = "ValueError: random-waypoint speed must lie within float range"
         reasons = {"all_faulty": "every node is faulty",
-                   "huge_initial_value": overflow, "huge_speed": overflow,
-                   "huge_fixed_value": overflow, "float_seed": "seed must be an integer",
+                   "huge_initial_value": "ValueError: initial values must lie within float range",
+                   "huge_speed": speed_range,
+                   "huge_fixed_value": "ValueError: fixed-value value must lie within float range",
+                   "float_seed": "seed must be an integer",
                    "zero_max_rounds": "max_rounds must be an integer >= 1",
                    "schema_2": "unsupported scenario schema 2",
                    "unknown_mobility": "unknown mobility model 'levy'",
@@ -1488,8 +1494,7 @@ class TestCli:
                    "position_outside_arena": "outside arena",
                    "faulty_id_outside": "faulty ids [7] are not integers in 0..4",
                    "reversed_speed": "need 0 < speed_min <= speed_max",
-                   "infinite_speed": "random-waypoint speed must be finite",
-                   "huge_and_infinite_speed": "random-waypoint speed must be finite",
+                   "infinite_speed": speed_range, "huge_and_infinite_speed": speed_range,
                    "sweep_missing_grid": "cannot read grid",
                    "sweep_list_grid": "grid must map parameter paths to value lists",
                    "sweep_zero_seeds": "sweep needs at least one seed",
@@ -1505,10 +1510,28 @@ class TestCli:
                    "non_utf8_grid": "config error: cannot read grid",
                    "non_utf8_table": "config error: cannot read scripted table",
                    "deep_scenario": "config error: cannot read scenario",
-                   "numeric_table_file": "malformed scenario (TypeError: expected str"}
+                   "numeric_table_file": "malformed scenario (TypeError: expected str",
+                   # float() and indexing accepted each of these: a bool read as
+                   # 0 or 1, a numeric string as its number, a long list's first two.
+                   "bool_epsilon": "TypeError: epsilon must hold numbers",
+                   "int_name": "seed must be an integer and name a string",
+                   "null_name": "seed must be an integer and name a string",
+                   "mixed_values": "TypeError: initial values must hold numbers",
+                   "string_fixed_value": "TypeError: fixed-value value must hold numbers",
+                   "bool_and_string_speed": "TypeError: random-waypoint speed must hold numbers",
+                   "long_speed": "random-waypoint speed must hold 2 numbers, got 3",
+                   "long_position": "explicit position of node 0 must hold 2 numbers, got 3",
+                   "bool_radius": "TypeError: radius must hold numbers",
+                   "bool_loss_rate": "TypeError: loss_rate must hold numbers",
+                   "bool_delta": "TypeError: delta must hold numbers"}
         speeds = {"huge_speed": [10**400, 10**400], "reversed_speed": [2.0, 1.0],
                   "infinite_speed": [float("inf"), float("inf")],
-                  "huge_and_infinite_speed": [1e308, float("inf")]}
+                  "huge_and_infinite_speed": [1e308, float("inf")],
+                  "bool_and_string_speed": [True, "2"], "long_speed": [0.5, 2.0, 99]}
+        numbers = {"bool_epsilon": ("epsilon", True), "int_name": ("name", 5),
+                   "null_name": ("name", None), "bool_radius": ("radius", True),
+                   "bool_loss_rate": ("loss_rate", False),
+                   "bool_delta": ("delta", True)}  # epsilon is 5.5, so 1 would be a delta
         doc = builtin_scenario("stale_log_overshoot").to_dict()
         if defect == "no_value":
             del doc["adversary"]["value"]
@@ -1593,6 +1616,15 @@ class TestCli:
             doc["adversary"] = {"strategy": "scripted", "byz_set": [4], "table": table}
         elif defect == "numeric_table_file":
             doc["adversary"] = {"strategy": "scripted", "byz_set": [4], "table_file": 5}
+        elif defect in numbers:
+            key, value = numbers[defect]
+            doc[key] = value
+        elif defect == "mixed_values":
+            doc["initial_values"]["values"] = ["0", True, 2.0, "3e0"]
+        elif defect == "string_fixed_value":
+            doc["adversary"]["value"] = "7"
+        elif defect == "long_position":
+            doc["initial_positions"]["coords"]["0"] = [1.0, 2.0, 7.0]
         elif defect == "non_utf8_table":  # a relative table_file is found beside the scenario
             doc["adversary"] = {"strategy": "scripted", "byz_set": [4], "table_file": "table.json"}
             (tmp_path / "table.json").write_bytes(b'{"1": {"0": 5.0}, "\xff": {}}')
@@ -1624,9 +1656,55 @@ class TestCli:
         assert reasons.get(defect, "") in err[0]
         if defect.startswith("non_utf8"):
             assert "'utf-8' codec can't decode byte 0xff" in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", [*sorted(LIBRARY), "golden_waypoint_n40",
+                                      "golden_random_streams", "scripted_table"])
+    def test_a_number_that_is_a_bool_or_a_string_exits_two(self, tmp_path, capsys, name):
+        # Scenarios are read by the trace reader's type rule: every number
+        # leaf, the schema and the ids included, replaced by True and then by
+        # its text, must be rejected before anything is written.
+        if name == "scripted_table":
+            doc = golden_random_streams().to_dict()
+            doc.update(name=name, delta=0.004, adversary={
+                "strategy": "scripted", "byz_set": [2],
+                "table": {"*": {"0": 1.0}, "3": {"1": -1.0, "4": 2}}})
+        else:
+            doc = golden_config(name).to_dict()
+
+        def leaves(node, path=()):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                if type(value) in (int, float):
+                    yield path + (key,)
+                elif isinstance(value, (dict, list)):
+                    yield from leaves(value, path + (key,))
+
+        paths = list(leaves(doc))
+        assert len(paths) >= 10
+        scenario, out = tmp_path / "scenario.json", tmp_path / "out"
+        for *parents, last in paths:
+            for replace in (lambda v: True, str):
+                edited = json.loads(json.dumps(doc))
+                target = edited
+                for key in parents:
+                    target = target[key]
+                target[last] = replace(target[last])
+                scenario.write_text(json.dumps(edited))
+                assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 2, (
+                    parents, last, target[last])
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1 and err[0].startswith("config error: "), err
+                assert not out.exists()
 
     @pytest.mark.parametrize("mode,reason", [("io:x", "bad io window in mode 'io:x'"),
                                              ("io:0", "io window must be >= 1"),
+                                             # int() reads each of these as a window
+                                             ("io:3_0", "bad io window in mode 'io:3_0'"),
+                                             ("io: 3", "bad io window in mode 'io: 3'"),
+                                             ("io:+3", "bad io window in mode 'io:+3'"),
+                                             ("io:03", "bad io window in mode 'io:03'"),
+                                             ("io:\u0663", "bad io window in mode 'io:\u0663'"),
                                              ("bogus", "mode must be 'per-phase' or 'io:<W>'")])
     def test_bad_check_mode_exits_two(self, tmp_path, capsys, mode, reason):
         trace_path = tmp_path / "trace.jsonl"
@@ -1885,4 +1963,4 @@ def test_build_report_is_rederivable_from_trace_file(tmp_path):
     write_trace(trace, path)
     loaded = load_trace(path)
     again = build_report(loaded, Walk(loaded, config.effective_delta))
-    assert report_to_json(again) == report_to_json(report)
+    assert report_text(again) == report_text(report)

@@ -25,12 +25,13 @@ import agreesim
 from agreesim import trace as trace_module
 from agreesim.analysis import Walk
 from agreesim.cli import main
-from agreesim.harness import build_report, report_to_json, simulate
+from agreesim.harness import build_report, simulate
 from agreesim.scenarios import LIBRARY, ScenarioConfig, builtin_scenario
 from agreesim.trace import trace_to_lines, write_trace
 
 from reference import (
-    DyingPickler, assert_no_child_left, counting_forks, load_trace, split_reads, trace_from_lines,
+    DyingPickler, assert_no_child_left, counting_forks, load_trace, report_text, split_reads,
+    trace_from_lines,
 )
 from test_acceptance import random_scenario
 from test_harness import golden_waypoint_n40
@@ -235,7 +236,7 @@ def test_split_and_one_pass_checks_report_what_the_whole_trace_gives(name, tmp_p
     path = tmp_path / "trace.jsonl"
     write_trace(simulate(config), path)
     trace = load_trace(path)
-    whole = report_to_json(build_report(trace, Walk(trace, None))).encode()
+    whole = report_text(build_report(trace, Walk(trace, None))).encode()
     outcomes = []
     for workers in (1, 3):
         out = tmp_path / f"report-{workers}.json"
