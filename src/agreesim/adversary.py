@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dynamics import RoundGraph
 from .errors import ConfigError
@@ -120,35 +120,16 @@ class ScriptedTable:
 Strategy = Silent | FixedValue | ExtremeSplit | RandomLegal | ScriptedTable
 
 
-@dataclass
-class AdversaryStrategy:
-    """A behavior plus the set of node ids it controls."""
-
-    behavior: Strategy = field(default_factory=Silent)
-    byz_set: set[NodeId] = field(default_factory=set)
-
-    def validate(self, n: int, f: int) -> None:
-        if len(self.byz_set) > f:
-            raise ConfigError(
-                f"{len(self.byz_set)} faulty nodes exceed the bound f={f}"
-            )
-        bad = [i for i in self.byz_set if type(i) is not int or not 0 <= i < n]
-        if bad:
-            raise ConfigError(f"faulty ids {bad} are not integers in 0..{n - 1}")
-
-
 def byzantine_outbox(
-    strategy: AdversaryStrategy,
+    behavior: Strategy,
     b: NodeId,
     graph: RoundGraph,
     view: RoundView,
     rng: random.Random | None,
 ) -> list[Message]:
-    """Messages node b emits this round: at most one per reachable receiver."""
-    if b not in strategy.byz_set:
-        raise ConfigError(f"node {b} is not controlled by the adversary")
+    """Messages faulty node b emits this round: at most one per reachable receiver."""
     receivers = graph.out_neighbors(b)
-    picked = strategy.behavior.messages(b, receivers, view, rng)
+    picked = behavior.messages(b, receivers, view, rng)
     out: list[Message] = []
     seen: set[NodeId] = set()
     for receiver, value in picked:

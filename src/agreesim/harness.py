@@ -40,7 +40,7 @@ from .cpus import split_map, worker_count
 from .dynamics import Position, RoundGraph, build_round_graph, deliver, move_step
 from .errors import AgreesimError, ConfigError
 from .protocol import NodeId, NodeState, is_common_new_start, step_round
-from .scenarios import ScenarioConfig, _initial_positions, _initial_values
+from .scenarios import ScenarioConfig
 from .trace import RoundRecord, Trace
 
 IO_WINDOW_DEFAULT = 3
@@ -93,13 +93,13 @@ def simulate(
     record's ``positions`` and ``edges``, the same objects. Identity, not
     equality, decides, since ``-0.0 == 0.0`` but the two encode apart.
     """
-    params, arena, model, adversary = config.validate()
+    params, model, behavior, positions, values = config.validate()
     run_seed = config.seed if seed is None else seed
-    placed = _initial_positions(config, arena, substream(run_seed, "init-pos"))
+    placed = positions(substream(run_seed, "init-pos"))
     trace = Trace(
         params=params,
-        byz_set=adversary.byz_set,
-        initial_values=_initial_values(config, substream(run_seed, "init-values")),
+        byz_set=config.byz_set,
+        initial_values=values(substream(run_seed, "init-values")),
         scenario_name=config.name,
         seed=run_seed,
     )
@@ -128,8 +128,7 @@ def simulate(
         byz_sent = []
         for b in byz:
             byz_sent.extend(
-                byzantine_outbox(adversary, b, graph, view,
-                                 stream(adversary.behavior.draws, "adv", r, b))
+                byzantine_outbox(behavior, b, graph, view, stream(behavior.draws, "adv", r, b))
             )
         inboxes = deliver(graph, outbox + byz_sent, config.loss_rate,
                           stream(config.loss_rate > 0.0, "loss", r))

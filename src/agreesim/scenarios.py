@@ -11,24 +11,30 @@ partitioned setups that must provably stay stuck.
 from __future__ import annotations
 
 import json
-import random
+from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-from .adversary import (
-    AdversaryStrategy,
-    ExtremeSplit,
-    FixedValue,
-    RandomLegal,
-    ScriptedTable,
-    Silent,
-)
+from .adversary import ExtremeSplit, FixedValue, RandomLegal, ScriptedTable, Silent, Strategy
 from .analysis import check_delta
 from .dynamics import Arena, MobilityModel, RandomWaypoint, Scripted, Stationary, TeleportRandom
 from .errors import ConfigError, decimal_key, malformed, read_json, require_types
 from .protocol import ProtocolParams
 
 SCENARIO_SCHEMA = 1
+
+# For each spec: the key that picks its kind, and the keys each kind takes
+# besides it. Every adversary also holds the faulty set, ``byz_set``.
+SPEC_KEYS = {
+    "mobility": ("model", {"stationary": (), "random-waypoint": ("speed",),
+                           "scripted": ("waypoints",), "teleport-random": ()}),
+    "adversary": ("strategy", {"silent": ("byz_set",), "fixed-value": ("byz_set", "value"),
+                               "extreme-split": ("byz_set", "v_hi", "v_lo"),
+                               "random-legal": ("byz_set", "range"),
+                               "scripted": ("byz_set", "table")}),
+    "initial_values": ("mode", {"explicit": ("values",), "uniform": ("range",)}),
+    "initial_positions": ("mode", {"explicit": ("coords",), "uniform": ()}),
+}
 
 
 @dataclass
@@ -65,8 +71,12 @@ class ScenarioConfig:
     def effective_max_rounds(self) -> int:
         return 100 * self.r_c * self.n if self.max_rounds is None else self.max_rounds
 
-    def validate(self) -> tuple[ProtocolParams, Arena, MobilityModel, AdversaryStrategy]:
-        """Check every field once, building the run's params, arena, mobility and adversary."""
+    def validate(self) -> tuple[ProtocolParams, MobilityModel, Strategy, Callable, Callable]:
+        """Check every field once, building the run's params, mobility and faulty behavior.
+
+        The initial positions and values come last, each a function of its
+        random stream: checked here, drawn by the run.
+        """
         with malformed(ConfigError, "malformed scenario"):
             for what, values in (("epsilon", [self.epsilon]), ("radius", [self.radius]),
                                  ("loss_rate", [self.loss_rate]), ("arena", self.arena),
@@ -82,15 +92,16 @@ class ScenarioConfig:
                 raise ConfigError(f"radius must be > 0, got {self.radius}")
             if not 0.0 <= self.loss_rate <= 1.0:
                 raise ConfigError(f"loss_rate must be in [0,1], got {self.loss_rate}")
-            arena = Arena(*self.arena)
-            mobility = build_mobility(self, arena)
-            adversary = build_adversary(self)
+            if len(self.byz_set) > self.f:
+                raise ConfigError(f"{len(self.byz_set)} faulty nodes exceed the bound f={self.f}")
+            bad = [i for i in self.byz_set if type(i) is not int or not 0 <= i < self.n]
+            if bad:
+                raise ConfigError(f"faulty ids {bad} are not integers in 0..{self.n - 1}")
             if not self.correct_ids:
                 raise ConfigError("every node is faulty; a run needs a correct node")
-            # The run draws its own; these throwaway draws only check each spec.
-            _initial_values(self, random.Random(0))
-            _initial_positions(self, arena, random.Random(0))
-        return params, arena, mobility, adversary
+            arena = Arena(*self.arena)
+            return (params, build_mobility(self, arena), build_adversary(self),
+                    _initial_positions(self, arena), _initial_values(self))
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -132,11 +143,21 @@ def _by_node(config: ScenarioConfig, what: str, raw: dict) -> dict:
     return entries
 
 
-def build_mobility(config: ScenarioConfig, arena: Arena):
-    spec = config.mobility
-    model = spec.get("model")
-    if model == "stationary":
-        return Stationary()
+def _spec(config: ScenarioConfig, name: str) -> tuple[str, dict]:
+    """The kind spec ``name`` picks and the spec, each of its keys one that kind takes."""
+    spec = getattr(config, name)
+    pick, kinds = SPEC_KEYS[name]
+    kind = spec.get(pick)
+    if kind not in kinds:
+        raise ConfigError(f"unknown {name} {pick} {kind!r}")
+    unknown = set(spec) - {pick, *kinds[kind]}
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {sorted(unknown, key=str)} for {pick} {kind!r}")
+    return kind, spec
+
+
+def build_mobility(config: ScenarioConfig, arena: Arena) -> MobilityModel:
+    model, spec = _spec(config, "mobility")
     if model == "random-waypoint":
         return RandomWaypoint(arena, *_numbers("random-waypoint speed",
                                                spec.get("speed", [0.5, 2.0]), 2))
@@ -144,46 +165,32 @@ def build_mobility(config: ScenarioConfig, arena: Arena):
         waypoints = _by_node(config, "scripted waypoints", spec.get("waypoints", {}))
         return Scripted(arena, {i: [tuple(_numbers(f"waypoint of node {i}", point, 2))
                                     for point in path] for i, path in waypoints.items()})
-    if model == "teleport-random":
-        return TeleportRandom(arena)
-    raise ConfigError(f"unknown mobility model {model!r}")
+    return Stationary() if model == "stationary" else TeleportRandom(arena)
 
 
-def build_adversary(config: ScenarioConfig) -> AdversaryStrategy:
-    spec = config.adversary
-    strategy = spec.get("strategy")
+def build_adversary(config: ScenarioConfig) -> Strategy:
+    strategy, spec = _spec(config, "adversary")
     if strategy == "silent":
-        behavior = Silent()
-    elif strategy == "fixed-value":
-        behavior = FixedValue(*_numbers("fixed-value value", [spec["value"]]))
-    elif strategy == "extreme-split":
-        behavior = ExtremeSplit(*_numbers("extreme-split values", [spec["v_hi"], spec["v_lo"]]))
-    elif strategy == "random-legal":
-        behavior = RandomLegal(*_numbers("random-legal range", spec.get("range", [0.0, 1.0]), 2))
-    elif strategy == "scripted":
-        raw = spec.get("table")
-        if raw is None and "table_file" in spec:
-            raw = read_json(spec["table_file"], "scripted table")
-        table = {}
-        for key, row in (raw or {}).items():
-            round_key = "*" if key == "*" else decimal_key(key, "scripted table round")
-            receivers = _by_node(config, f"scripted table row {key!r}", row)
-            values = _numbers(f"scripted table row {key!r} values", receivers.values())
-            table[round_key] = dict(zip(receivers, values))
-        behavior = ScriptedTable(table)
-    else:
-        raise ConfigError(f"unknown adversary strategy {strategy!r}")
-    out = AdversaryStrategy(behavior=behavior, byz_set=config.byz_set)
-    out.validate(config.n, config.f)
-    return out
+        return Silent()
+    if strategy == "fixed-value":
+        return FixedValue(*_numbers("fixed-value value", [spec["value"]]))
+    if strategy == "extreme-split":
+        return ExtremeSplit(*_numbers("extreme-split values", [spec["v_hi"], spec["v_lo"]]))
+    if strategy == "random-legal":
+        return RandomLegal(*_numbers("random-legal range", spec.get("range", [0.0, 1.0]), 2))
+    table = {}
+    for key, row in (spec.get("table") or {}).items():
+        round_key = "*" if key == "*" else decimal_key(key, "scripted table round")
+        receivers = _by_node(config, f"scripted table row {key!r}", row)
+        values = _numbers(f"scripted table row {key!r} values", receivers.values())
+        table[round_key] = dict(zip(receivers, values))
+    return ScriptedTable(table)
 
 
-def _initial_positions(config: ScenarioConfig, arena: Arena, rng: random.Random):
-    spec = config.initial_positions
-    if spec.get("mode") == "uniform":
-        return {i: arena.random_point(rng) for i in range(config.n)}
-    if spec.get("mode") != "explicit":
-        raise ConfigError(f"unknown initial_positions mode {spec.get('mode')!r}")
+def _initial_positions(config: ScenarioConfig, arena: Arena) -> Callable:
+    mode, spec = _spec(config, "initial_positions")
+    if mode == "uniform":
+        return lambda rng: {i: arena.random_point(rng) for i in range(config.n)}
     coords = _by_node(config, "explicit positions", spec.get("coords", {}))
     positions = {}
     for i in range(config.n):
@@ -194,19 +201,17 @@ def _initial_positions(config: ScenarioConfig, arena: Arena, rng: random.Random)
         if not arena.contains(pos):
             raise ConfigError(f"initial position {pos} of node {i} outside arena")
         positions[i] = pos
-    return positions
+    return lambda rng: dict(positions)
 
 
-def _initial_values(config: ScenarioConfig, rng: random.Random):
-    spec = config.initial_values
+def _initial_values(config: ScenarioConfig) -> Callable:
+    mode, spec = _spec(config, "initial_values")
     correct = config.correct_ids
-    if spec.get("mode") == "explicit":
+    if mode == "explicit":
         values = _numbers("initial values", spec.get("values", []), len(correct))
-        return dict(zip(correct, values))
-    if spec.get("mode") != "uniform":
-        raise ConfigError(f"unknown initial_values mode {spec.get('mode')!r}")
+        return lambda rng: dict(zip(correct, values))
     lo, hi = _numbers("initial values range", spec.get("range", [0.0, 1.0]), 2)
-    return {i: rng.uniform(lo, hi) for i in correct}
+    return lambda rng: {i: rng.uniform(lo, hi) for i in correct}
 
 
 def save_scenario(config: ScenarioConfig, path: str | Path) -> None:
@@ -214,13 +219,19 @@ def save_scenario(config: ScenarioConfig, path: str | Path) -> None:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
+    """The scenario file at ``path``, checked, with a scripted ``table_file`` read into ``table``.
+
+    A relative ``table_file`` is found beside the scenario file. It is read
+    here only, so each command reads it once; an inline ``table`` wins.
+    """
     config = ScenarioConfig.from_dict(read_json(path, "scenario"))
     with malformed(ConfigError, "malformed scenario"):  # also a table_file that is no path
-        table_file = config.adversary.get("table_file")
-        if table_file is not None and not Path(table_file).is_absolute():
-            config.adversary = dict(
-                config.adversary, table_file=str(Path(path).parent / table_file)
-            )
+        if "table_file" in config.adversary:
+            config.adversary = dict(config.adversary)
+            table_file = Path(config.adversary.pop("table_file"))
+            if "table" not in config.adversary:
+                config.adversary["table"] = read_json(Path(path).parent / table_file,
+                                                      "scripted table")
     config.validate()
     return config
 

@@ -76,7 +76,6 @@ from agreesim.harness import (
     substream,
 )
 from agreesim.protocol import NodeState, StepResult, is_common_new_start
-from agreesim.scenarios import _initial_positions, _initial_values
 from agreesim.trace import SCHEMA_VERSION, RoundRecord, Trace, read_trace, trace_to_lines
 from agreesim.vectors import VECTOR_SCHEMA
 
@@ -255,16 +254,16 @@ def reference_simulate(config):
     Messages go through ``reference_deliver`` and nodes through
     ``reference_step_round``, so no part of the engine's round is shared.
     """
-    params, arena, model, adversary = config.validate()
+    params, model, behavior, place, start = config.validate()
     seed = config.seed
 
     def stream(draws, *parts):
         return substream(seed, *parts) if draws else None
 
-    positions = _initial_positions(config, arena, substream(seed, "init-pos"))
-    values = _initial_values(config, substream(seed, "init-values"))
+    positions = place(substream(seed, "init-pos"))
+    values = start(substream(seed, "init-values"))
     states = {i: NodeState(id=i, value=values[i]) for i in config.correct_ids}
-    trace = Trace(params=params, byz_set=adversary.byz_set, initial_values=dict(values),
+    trace = Trace(params=params, byz_set=config.byz_set, initial_values=dict(values),
                   scenario_name=config.name, seed=seed)
     phase_start_values = dict(values)
     for r in range(1, config.effective_max_rounds + 1):
@@ -275,9 +274,9 @@ def reference_simulate(config):
         graph = RoundGraph(round=r, receivers=reference_receivers(positions, config.radius))
         outbox = [(i, j, states[i].value) for i in sorted(states) for j in graph.out_neighbors(i)]
         byz_sent = []
-        for b in sorted(adversary.byz_set):
-            byz_sent += byzantine_outbox(adversary, b, graph, view,
-                                         stream(adversary.behavior.draws, "adv", r, b))
+        for b in sorted(config.byz_set):
+            byz_sent += byzantine_outbox(behavior, b, graph, view,
+                                         stream(behavior.draws, "adv", r, b))
         inboxes = reference_deliver(graph, outbox + byz_sent, config.loss_rate,
                                     stream(config.loss_rate > 0.0, "loss", r))
         results = {

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from agreesim.adversary import (
-    AdversaryStrategy,
     ExtremeSplit,
     FixedValue,
     RandomLegal,
@@ -35,18 +34,18 @@ STRATEGY_GRAPH = star_graph(9, [0, 1, 2])
 
 class TestStrategies:
     def test_silent_sends_nothing(self):
-        strat = AdversaryStrategy(Silent(), {9})
+        strat = Silent()
         out = byzantine_outbox(strat, 9, STRATEGY_GRAPH, make_view(), random.Random(0))
         assert out == []
 
     def test_fixed_value_reaches_every_neighbor(self):
-        strat = AdversaryStrategy(FixedValue(42.0), {9})
+        strat = FixedValue(42.0)
         out = byzantine_outbox(strat, 9, STRATEGY_GRAPH, make_view(), random.Random(0))
         assert sorted(out) == [(9, 0, 42.0), (9, 1, 42.0), (9, 2, 42.0)]
 
     def test_extreme_split_targets_by_phase_start_value(self):
         view = make_view(values={0: 10.0, 1: 0.0, 2: 5.0})
-        strat = AdversaryStrategy(ExtremeSplit(v_hi=11.0, v_lo=-1.0), {9})
+        strat = ExtremeSplit(v_hi=11.0, v_lo=-1.0)
         out = dict(
             (receiver, value)
             for _sender, receiver, value in byzantine_outbox(
@@ -61,14 +60,14 @@ class TestStrategies:
         # Different receivers get different values in the same round and the
         # delivery layer keeps both.
         view = make_view(values={0: 10.0, 1: 0.0})
-        strat = AdversaryStrategy(ExtremeSplit(11.0, -1.0), {9})
+        strat = ExtremeSplit(11.0, -1.0)
         out = byzantine_outbox(strat, 9, star_graph(9, [0, 1]), view, random.Random(0))
         inboxes = deliver(star_graph(9, [0, 1]), out, 0.0, random.Random(0))
         assert inboxes[0] == [(9, 0, 11.0)]
         assert inboxes[1] == [(9, 1, -1.0)]
 
     def test_random_legal_draws_stay_in_range_and_replay(self):
-        strat = AdversaryStrategy(RandomLegal(0.0, 1.0), {9})
+        strat = RandomLegal(0.0, 1.0)
         view = make_view()
         a = byzantine_outbox(strat, 9, STRATEGY_GRAPH, view, random.Random(5))
         b = byzantine_outbox(strat, 9, STRATEGY_GRAPH, view, random.Random(5))
@@ -81,31 +80,24 @@ class TestStrategies:
 
     def test_scripted_table_with_default_row(self):
         table = ScriptedTable({1: {0: 5.0}, "*": {1: 7.0}})
-        strat = AdversaryStrategy(table, {9})
-        r1 = byzantine_outbox(strat, 9, STRATEGY_GRAPH, make_view(r=1), random.Random(0))
-        r2 = byzantine_outbox(strat, 9, STRATEGY_GRAPH, make_view(r=2), random.Random(0))
+        r1 = byzantine_outbox(table, 9, STRATEGY_GRAPH, make_view(r=1), random.Random(0))
+        r2 = byzantine_outbox(table, 9, STRATEGY_GRAPH, make_view(r=2), random.Random(0))
         assert r1 == [(9, 0, 5.0)]
         assert r2 == [(9, 1, 7.0)]
 
     def test_scripted_table_skips_unreachable_receivers(self):
         table = ScriptedTable({"*": {0: 5.0, 7: 6.0}})
-        strat = AdversaryStrategy(table, {9})
-        out = byzantine_outbox(strat, 9, STRATEGY_GRAPH, make_view(), random.Random(0))
+        out = byzantine_outbox(table, 9, STRATEGY_GRAPH, make_view(), random.Random(0))
         assert out == [(9, 0, 5.0)]
 
 
 class TestOutboxDiscipline:
-    def test_only_controlled_nodes_emit(self):
-        strat = AdversaryStrategy(FixedValue(1.0), {9})
-        with pytest.raises(ConfigError):
-            byzantine_outbox(strat, 3, STRATEGY_GRAPH, make_view(), random.Random(0))
-
     def test_at_most_one_message_per_receiver(self):
         class Doubler:
             def messages(self, b, receivers, view, rng):
                 return [(r, 1.0) for r in receivers] + [(r, 2.0) for r in receivers]
 
-        strat = AdversaryStrategy(Doubler(), {9})
+        strat = Doubler()
         out = byzantine_outbox(strat, 9, STRATEGY_GRAPH, make_view(), random.Random(0))
         assert len(out) == 3
         assert {receiver for _s, receiver, _v in out} == {0, 1, 2}
@@ -116,12 +108,9 @@ class TestOutboxDiscipline:
             deliver(graph, [(9, 2, 99.0)], 0.0, random.Random(0))
 
     def test_budget_enforced_at_config_level(self):
-        strat = AdversaryStrategy(Silent(), {1, 2})
-        with pytest.raises(ConfigError):
-            strat.validate(n=4, f=1)
         config = builtin_scenario("lemma2_3f_impossible")
         config.adversary = dict(config.adversary, byz_set=[1, 2])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="2 faulty nodes exceed the bound f=1"):
             config.validate()
 
 

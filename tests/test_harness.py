@@ -18,7 +18,7 @@ import typing
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from agreesim import cli, harness
+from agreesim import cli, harness, scenarios
 from agreesim import trace as trace_module
 from agreesim.adversary import (
     ExtremeSplit,
@@ -1477,9 +1477,11 @@ class TestCli:
          "table_receiver_9", "sweep_seed_grid", "non_utf8_scenario", "non_utf8_grid",
          "non_utf8_table", "deep_scenario", "numeric_table_file", "bool_epsilon", "int_name",
          "null_name", "mixed_values", "string_fixed_value", "bool_and_string_speed",
-         "long_speed", "long_position", "bool_radius", "bool_loss_rate", "bool_delta"],
+         "long_speed", "long_position", "bool_radius", "bool_loss_rate", "bool_delta",
+         "misspelt_speed", "stationary_speed", "silent_value", "explicit_values_range",
+         "uniform_positions_coords", "sweep_unknown_key"],
     )
-    def test_malformed_scenario_exits_two(self, tmp_path, capsys, defect):
+    def test_malformed_scenario_exits_two(self, tmp_path, capsys, monkeypatch, defect):
         # Each newer case names the reason it must be rejected for.
         speed_range = "ValueError: random-waypoint speed must lie within float range"
         reasons = {"all_faulty": "every node is faulty",
@@ -1523,7 +1525,17 @@ class TestCli:
                    "long_position": "explicit position of node 0 must hold 2 numbers, got 3",
                    "bool_radius": "TypeError: radius must hold numbers",
                    "bool_loss_rate": "TypeError: loss_rate must hold numbers",
-                   "bool_delta": "TypeError: delta must hold numbers"}
+                   "bool_delta": "TypeError: delta must hold numbers",
+                   # Each spec key is one its kind takes: a misspelt or stray
+                   # one once ran a different network without an error.
+                   "misspelt_speed": "unknown mobility keys ['sped'] for model 'random-waypoint'",
+                   "stationary_speed": "unknown mobility keys ['speed'] for model 'stationary'",
+                   "silent_value": "unknown adversary keys ['value'] for strategy 'silent'",
+                   "explicit_values_range":
+                       "unknown initial_values keys ['range'] for mode 'explicit'",
+                   "uniform_positions_coords":
+                       "unknown initial_positions keys ['coords'] for mode 'uniform'",
+                   "sweep_unknown_key": "unknown mobility keys ['waypoints'] for model 'stationary'"}
         speeds = {"huge_speed": [10**400, 10**400], "reversed_speed": [2.0, 1.0],
                   "infinite_speed": [float("inf"), float("inf")],
                   "huge_and_infinite_speed": [1e308, float("inf")],
@@ -1625,6 +1637,16 @@ class TestCli:
             doc["adversary"]["value"] = "7"
         elif defect == "long_position":
             doc["initial_positions"]["coords"]["0"] = [1.0, 2.0, 7.0]
+        elif defect == "misspelt_speed":
+            doc["mobility"] = {"model": "random-waypoint", "sped": [5.0, 9.0]}
+        elif defect == "stationary_speed":
+            doc["mobility"] = {"model": "stationary", "speed": [True, "x"]}
+        elif defect == "silent_value":
+            doc["adversary"]["strategy"] = "silent"  # beside its fixed-value value
+        elif defect == "explicit_values_range":
+            doc["initial_values"]["range"] = [0.0, 1.0]
+        elif defect == "uniform_positions_coords":
+            doc["initial_positions"]["mode"] = "uniform"  # beside its explicit coords
         elif defect == "non_utf8_table":  # a relative table_file is found beside the scenario
             doc["adversary"] = {"strategy": "scripted", "byz_set": [4], "table_file": "table.json"}
             (tmp_path / "table.json").write_bytes(b'{"1": {"0": 5.0}, "\xff": {}}')
@@ -1642,12 +1664,15 @@ class TestCli:
                 "sweep_no_values": {"adversary.range": []},
                 "sweep_list_grid": [{"r_c": [1]}],
                 "sweep_seed_grid": {"seed": [1, 2, 3]},  # every run's seed comes from --seeds
+                "sweep_unknown_key": {"mobility": [{"model": "stationary", "waypoints": {}}]},
             }.get(defect, {"r_c": [1]})).encode() + (b"\xff" if defect == "non_utf8_grid" else b""))
             if defect == "sweep_missing_grid":
                 grid = tmp_path / "absent.json"
             seeds = "0" if defect == "sweep_zero_seeds" else "2"
             argv = ["sweep", "--scenario", str(path), "--grid", str(grid), "--seeds", seeds,
                     "--out", str(tmp_path / "out")]
+            # Every cell is checked before any run starts.
+            monkeypatch.setattr(harness, "split_map", lambda *_: pytest.fail("a run started"))
         if defect == "export_unknown":
             argv = ["scenarios", "export", "nope"]
         assert main(argv) == 2
@@ -1872,7 +1897,7 @@ def test_scripted_table_loadable_from_separate_file(tmp_path):
     )
     scenario_path = tmp_path / "scenario.json"
     save_scenario(config, scenario_path)
-    loaded = load_scenario(scenario_path)  # resolves the table path
+    loaded = load_scenario(scenario_path)  # reads the table beside the scenario file
     trace = simulate(loaded)
     sent = {(r.round, m[1], m[2]) for r in trace.rounds for m in r.byz_sent}
     assert sent == {(1, 0, -5.0), (2, 0, 5.0)}
@@ -1892,6 +1917,39 @@ def test_scripted_table_file_gives_the_inline_tables_trace(tmp_path):
     path.write_text(json.dumps(lemma2_scripted({"table_file": "table.json"})))
     inline = ScenarioConfig.from_dict(lemma2_scripted({"table": table}))
     assert trace_bytes(simulate(load_scenario(path))) == trace_bytes(simulate(inline))
+
+
+def test_scripted_table_file_is_read_once_per_command(tmp_path, monkeypatch, capsys):
+    # load_scenario holds the rows inline: validate, each sweep cell and
+    # each run reuse them.
+    (tmp_path / "table.json").write_text(json.dumps({"*": {"0": 11.0, "1": -1.0}}))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(lemma2_scripted({"table_file": "table.json"})))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"r_c": [1, 2, 3]}))
+    reads = []
+    read_json = scenarios.read_json
+    monkeypatch.setattr(scenarios, "read_json",
+                        lambda path, what: reads.append(what) or read_json(path, what))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 0
+    assert reads.count("scripted table") == 1
+    reads.clear()
+    assert main(["sweep", "--scenario", str(path), "--grid", str(grid), "--seeds", "4",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert reads.count("scripted table") == 1
+    capsys.readouterr()
+
+
+def test_readme_scenario_example_validates_and_runs():
+    # The documented keys cannot drift from scenarios.SPEC_KEYS.
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        section = fh.read().split("## Scenario files", 1)[1]
+    config = ScenarioConfig.from_dict(json.loads(section.split("```json", 1)[1].split("```")[0]))
+    config.validate()
+    _trace, report = run_scenario(config)
+    assert report.invariants_ok
 
 
 def test_missing_scripted_table_file_exits_two(tmp_path, capsys):
