@@ -23,19 +23,6 @@ from .protocol import ProtocolParams
 
 SCENARIO_SCHEMA = 1
 
-# For each spec: the key that picks its kind, and the keys each kind takes
-# besides it. Every adversary also holds the faulty set, ``byz_set``.
-SPEC_KEYS = {
-    "mobility": ("model", {"stationary": (), "random-waypoint": ("speed",),
-                           "scripted": ("waypoints",), "teleport-random": ()}),
-    "adversary": ("strategy", {"silent": ("byz_set",), "fixed-value": ("byz_set", "value"),
-                               "extreme-split": ("byz_set", "v_hi", "v_lo"),
-                               "random-legal": ("byz_set", "range"),
-                               "scripted": ("byz_set", "table")}),
-    "initial_values": ("mode", {"explicit": ("values",), "uniform": ("range",)}),
-    "initial_positions": ("mode", {"explicit": ("coords",), "uniform": ()}),
-}
-
 
 @dataclass
 class ScenarioConfig:
@@ -61,7 +48,7 @@ class ScenarioConfig:
 
     @property
     def correct_ids(self) -> list[int]:
-        return [i for i in range(self.n) if i not in self.byz_set]
+        return sorted(set(range(self.n)) - self.byz_set)
 
     @property
     def effective_delta(self) -> float:
@@ -92,13 +79,6 @@ class ScenarioConfig:
                 raise ConfigError(f"radius must be > 0, got {self.radius}")
             if not 0.0 <= self.loss_rate <= 1.0:
                 raise ConfigError(f"loss_rate must be in [0,1], got {self.loss_rate}")
-            if len(self.byz_set) > self.f:
-                raise ConfigError(f"{len(self.byz_set)} faulty nodes exceed the bound f={self.f}")
-            bad = [i for i in self.byz_set if type(i) is not int or not 0 <= i < self.n]
-            if bad:
-                raise ConfigError(f"faulty ids {bad} are not integers in 0..{self.n - 1}")
-            if not self.correct_ids:
-                raise ConfigError("every node is faulty; a run needs a correct node")
             arena = Arena(*self.arena)
             return (params, build_mobility(self, arena), build_adversary(self),
                     _initial_positions(self, arena), _initial_values(self))
@@ -126,26 +106,76 @@ class ScenarioConfig:
             return ScenarioConfig(**data)
 
 
-def _numbers(what: str, values, length: int | None = None) -> list[float]:
-    """A spec's numbers as floats, each an int or a float by the trace reader's type rule."""
-    if length is not None and len(values) != length:
-        raise ConfigError(f"{what} must hold {length} numbers, got {len(values)}")
-    require_types({int, float}, what, values)
-    return [float(v) for v in values]
+# For each spec: the key that picks its kind and, for each kind, the keys it
+# takes besides it as (shape, default). A default of None makes the key
+# required. A shape is "number"; a count of numbers; "values", one per correct
+# node; a "range" [lo, hi] with lo <= hi, or a "positive range" with 0 < lo
+# too; "faulty", the faulty set every adversary holds; or (form, inner): a
+# "list", or an object keyed by "node" id or by "round" (or "*"), of inners.
+_FAULTY = {"byz_set": ("faulty", [])}
+SPEC_KEYS = {
+    "mobility": ("model", {
+        "stationary": {}, "teleport-random": {},
+        "random-waypoint": {"speed": ("positive range", [0.5, 2.0])},
+        "scripted": {"waypoints": (("node", ("list", 2)), None)}}),
+    "adversary": ("strategy", {
+        "silent": _FAULTY,
+        "fixed-value": {**_FAULTY, "value": ("number", None)},
+        "extreme-split": {**_FAULTY, "v_hi": ("number", None), "v_lo": ("number", None)},
+        "random-legal": {**_FAULTY, "range": ("range", [0.0, 1.0])},
+        "scripted": {**_FAULTY, "table": (("round", ("node", "number")), None)}}),
+    "initial_values": ("mode", {"explicit": {"values": ("values", None)},
+                                "uniform": {"range": ("range", [0.0, 1.0])}}),
+    "initial_positions": ("mode", {"explicit": {"coords": (("node", 2), None)}, "uniform": {}}),
+}
 
 
-def _by_node(config: ScenarioConfig, what: str, raw: dict) -> dict:
-    """A JSON object keyed by node id, each key a canonical decimal in 0..n-1."""
+def _read(config: ScenarioConfig, what: str, shape, raw):
+    """``raw`` read as ``shape`` (see SPEC_KEYS), each error naming it ``what``."""
+    if shape == "faulty":
+        bad = [i for i in raw if type(i) is not int or not 0 <= i < config.n]
+        if bad:
+            raise ConfigError(f"faulty ids {bad} are not integers in 0..{config.n - 1}")
+        if len(set(raw)) > config.f:
+            raise ConfigError(f"{len(set(raw))} faulty nodes exceed the bound f={config.f}")
+        if len(set(raw)) == config.n:
+            raise ConfigError("every node is faulty; a run needs a correct node")
+        return set(raw)
+    if shape in ("range", "positive range"):
+        lo, hi = _read(config, what, 2, raw)
+        if not lo <= hi or shape == "positive range" and not lo > 0:
+            positive = "0 < " if shape == "positive range" else ""
+            raise ConfigError(f"{what} needs {positive}lo <= hi, got [{lo}, {hi}]")
+        return lo, hi
+    if not isinstance(shape, tuple):
+        values = [raw] if shape == "number" else raw
+        count = 1 if shape == "number" else len(config.correct_ids) if shape == "values" else shape
+        if len(values) != count:
+            raise ConfigError(f"{what} must hold {count} numbers, got {len(values)}")
+        require_types({int, float}, what, values)
+        return float(raw) if shape == "number" else tuple(map(float, values))
+    form, inner = shape
+    if form == "list":
+        return [_read(config, what, inner, v) for v in raw]
+    if form == "round":
+        return {"*" if k == "*" else decimal_key(k, f"{what} round"):
+                _read(config, f"{what} row {k!r}", inner, row) for k, row in raw.items()}
     entries = {decimal_key(k, "node id"): v for k, v in raw.items()}
     unknown = sorted(i for i in entries if not 0 <= i < config.n)
     if unknown:
         raise ConfigError(f"{what} for unknown nodes {unknown}")
-    return entries
+    return {i: _read(config, f"{what} for node {i}", inner, v) for i, v in entries.items()}
 
 
 def _spec(config: ScenarioConfig, name: str) -> tuple[str, dict]:
-    """The kind spec ``name`` picks and the spec, each of its keys one that kind takes."""
+    """The kind spec ``name`` picks and its keys, each read as SPEC_KEYS says.
+
+    A key the kind does not take, or a required one that is missing or null,
+    is an error naming it; a key left out takes its default.
+    """
     spec = getattr(config, name)
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {type(spec).__name__}")
     pick, kinds = SPEC_KEYS[name]
     kind = spec.get(pick)
     if kind not in kinds:
@@ -153,64 +183,55 @@ def _spec(config: ScenarioConfig, name: str) -> tuple[str, dict]:
     unknown = set(spec) - {pick, *kinds[kind]}
     if unknown:
         raise ConfigError(f"unknown {name} keys {sorted(unknown, key=str)} for {pick} {kind!r}")
-    return kind, spec
+    checked = {}
+    for key, (shape, default) in kinds[kind].items():
+        raw = spec.get(key, default)
+        if raw is None:
+            raise ConfigError(f"{'null' if key in spec else 'missing'} {name} key {key!r} "
+                              f"for {pick} {kind!r}")
+        checked[key] = _read(config, f"{kind} {key}", shape, raw)
+    return kind, checked
 
 
 def build_mobility(config: ScenarioConfig, arena: Arena) -> MobilityModel:
     model, spec = _spec(config, "mobility")
     if model == "random-waypoint":
-        return RandomWaypoint(arena, *_numbers("random-waypoint speed",
-                                               spec.get("speed", [0.5, 2.0]), 2))
+        return RandomWaypoint(arena, *spec["speed"])
     if model == "scripted":
-        waypoints = _by_node(config, "scripted waypoints", spec.get("waypoints", {}))
-        return Scripted(arena, {i: [tuple(_numbers(f"waypoint of node {i}", point, 2))
-                                    for point in path] for i, path in waypoints.items()})
+        return Scripted(arena, spec["waypoints"])
     return Stationary() if model == "stationary" else TeleportRandom(arena)
 
 
 def build_adversary(config: ScenarioConfig) -> Strategy:
     strategy, spec = _spec(config, "adversary")
-    if strategy == "silent":
-        return Silent()
     if strategy == "fixed-value":
-        return FixedValue(*_numbers("fixed-value value", [spec["value"]]))
+        return FixedValue(spec["value"])
     if strategy == "extreme-split":
-        return ExtremeSplit(*_numbers("extreme-split values", [spec["v_hi"], spec["v_lo"]]))
+        return ExtremeSplit(spec["v_hi"], spec["v_lo"])
     if strategy == "random-legal":
-        return RandomLegal(*_numbers("random-legal range", spec.get("range", [0.0, 1.0]), 2))
-    table = {}
-    for key, row in (spec.get("table") or {}).items():
-        round_key = "*" if key == "*" else decimal_key(key, "scripted table round")
-        receivers = _by_node(config, f"scripted table row {key!r}", row)
-        values = _numbers(f"scripted table row {key!r} values", receivers.values())
-        table[round_key] = dict(zip(receivers, values))
-    return ScriptedTable(table)
+        return RandomLegal(*spec["range"])
+    return ScriptedTable(spec["table"]) if strategy == "scripted" else Silent()
 
 
 def _initial_positions(config: ScenarioConfig, arena: Arena) -> Callable:
     mode, spec = _spec(config, "initial_positions")
     if mode == "uniform":
         return lambda rng: {i: arena.random_point(rng) for i in range(config.n)}
-    coords = _by_node(config, "explicit positions", spec.get("coords", {}))
-    positions = {}
+    coords = spec["coords"]
     for i in range(config.n):
-        raw = coords.get(i)
-        if raw is None:
+        if i not in coords:
             raise ConfigError(f"explicit positions miss node {i}")
-        pos = tuple(_numbers(f"explicit position of node {i}", raw, 2))
-        if not arena.contains(pos):
-            raise ConfigError(f"initial position {pos} of node {i} outside arena")
-        positions[i] = pos
-    return lambda rng: dict(positions)
+        if not arena.contains(coords[i]):
+            raise ConfigError(f"initial position {coords[i]} of node {i} outside arena")
+    return lambda rng: {i: coords[i] for i in range(config.n)}
 
 
 def _initial_values(config: ScenarioConfig) -> Callable:
     mode, spec = _spec(config, "initial_values")
     correct = config.correct_ids
     if mode == "explicit":
-        values = _numbers("initial values", spec.get("values", []), len(correct))
-        return lambda rng: dict(zip(correct, values))
-    lo, hi = _numbers("initial values range", spec.get("range", [0.0, 1.0]), 2)
+        return lambda rng: dict(zip(correct, spec["values"]))
+    lo, hi = spec["range"]
     return lambda rng: {i: rng.uniform(lo, hi) for i in correct}
 
 
@@ -221,17 +242,19 @@ def save_scenario(config: ScenarioConfig, path: str | Path) -> None:
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """The scenario file at ``path``, checked, with a scripted ``table_file`` read into ``table``.
 
-    A relative ``table_file`` is found beside the scenario file. It is read
-    here only, so each command reads it once; an inline ``table`` wins.
+    A relative ``table_file`` is found beside the scenario file and read here
+    only, so once per command; an inline ``table`` wins. Only a ``scripted``
+    adversary takes ``table_file``: beside another strategy it is a stray key.
     """
     config = ScenarioConfig.from_dict(read_json(path, "scenario"))
-    with malformed(ConfigError, "malformed scenario"):  # also a table_file that is no path
-        if "table_file" in config.adversary:
-            config.adversary = dict(config.adversary)
+    adversary = config.adversary
+    if (isinstance(adversary, dict) and adversary.get("strategy") == "scripted"
+            and "table_file" in adversary):
+        config.adversary = dict(adversary)
+        with malformed(ConfigError, "malformed scenario"):  # a table_file that is no path
             table_file = Path(config.adversary.pop("table_file"))
-            if "table" not in config.adversary:
-                config.adversary["table"] = read_json(Path(path).parent / table_file,
-                                                      "scripted table")
+        if "table" not in config.adversary:
+            config.adversary["table"] = read_json(Path(path).parent / table_file, "scripted table")
     config.validate()
     return config
 
@@ -250,11 +273,7 @@ def fully_connected_baseline() -> ScenarioConfig:
         r_c=1,
         epsilon=0.1,
         max_rounds=40,
-        arena=(10.0, 10.0),
         radius=20.0,
-        loss_rate=0.0,
-        mobility={"model": "stationary"},
-        adversary={"strategy": "silent", "byz_set": []},
         initial_values={"mode": "explicit", "values": [0.0, 1.0, 2.0, 3.0]},
         initial_positions={"mode": "explicit", "coords": coords},
         seed=1,
@@ -275,10 +294,7 @@ def lemma2_3f_impossible() -> ScenarioConfig:
         r_c=2,
         epsilon=1.0,
         max_rounds=100,
-        arena=(10.0, 10.0),
         radius=2.5,
-        loss_rate=0.0,
-        mobility={"model": "stationary"},
         adversary={"strategy": "extreme-split", "v_hi": 11.0, "v_lo": -1.0, "byz_set": [2]},
         initial_values={"mode": "explicit", "values": [10.0, 0.0]},
         initial_positions={
@@ -306,10 +322,6 @@ def necessity_f_proper() -> ScenarioConfig:
         r_c=2,
         epsilon=1.0,
         max_rounds=40,
-        arena=(10.0, 10.0),
-        radius=1.0,
-        loss_rate=0.0,
-        mobility={"model": "stationary"},
         adversary={"strategy": "silent", "byz_set": [4]},
         initial_values={"mode": "explicit", "values": [0.0, 0.0, 10.0, 10.0]},
         initial_positions={"mode": "explicit", "coords": coords},
@@ -334,10 +346,6 @@ def necessity_improper_mix() -> ScenarioConfig:
         r_c=2,
         epsilon=1.0,
         max_rounds=40,
-        arena=(10.0, 10.0),
-        radius=1.0,
-        loss_rate=0.0,
-        mobility={"model": "stationary"},
         adversary={"strategy": "extreme-split", "v_hi": 10.0, "v_lo": 0.0, "byz_set": [4]},
         initial_values={"mode": "explicit", "values": [0.0, 0.0, 10.0, 10.0]},
         initial_positions={"mode": "explicit", "coords": coords},
@@ -359,9 +367,6 @@ def partition_never() -> ScenarioConfig:
         max_rounds=30,
         arena=(12.0, 12.0),
         radius=1.5,
-        loss_rate=0.0,
-        mobility={"model": "stationary"},
-        adversary={"strategy": "silent", "byz_set": []},
         initial_values={
             "mode": "explicit",
             "values": [0.0, 0.0, 0.0, 0.0, 10.0, 10.0, 10.0, 10.0],
@@ -386,16 +391,12 @@ def fig1_scripted_path() -> ScenarioConfig:
         r_c=4,
         epsilon=0.1,
         max_rounds=8,
-        arena=(10.0, 10.0),
-        radius=1.0,
-        loss_rate=0.0,
         mobility={
             "model": "scripted",
             "waypoints": {
                 "0": [[3.0, 5.0], [3.0, 5.0], [5.0, 5.0], [7.0, 5.0]],
             },
         },
-        adversary={"strategy": "silent", "byz_set": []},
         initial_values={"mode": "explicit", "values": [0.0, 1.0, 2.0, 3.0]},
         initial_positions={
             "mode": "explicit",
@@ -427,8 +428,6 @@ def stale_log_overshoot() -> ScenarioConfig:
         epsilon=5.5,
         max_rounds=8,
         arena=(12.0, 12.0),
-        radius=1.0,
-        loss_rate=0.0,
         mobility={
             "model": "scripted",
             "waypoints": {

@@ -1485,7 +1485,7 @@ class TestCli:
         # Each newer case names the reason it must be rejected for.
         speed_range = "ValueError: random-waypoint speed must lie within float range"
         reasons = {"all_faulty": "every node is faulty",
-                   "huge_initial_value": "ValueError: initial values must lie within float range",
+                   "huge_initial_value": "ValueError: explicit values must lie within float range",
                    "huge_speed": speed_range,
                    "huge_fixed_value": "ValueError: fixed-value value must lie within float range",
                    "float_seed": "seed must be an integer",
@@ -1495,7 +1495,7 @@ class TestCli:
                    "unknown_strategy": "unknown adversary strategy 'chaos'",
                    "position_outside_arena": "outside arena",
                    "faulty_id_outside": "faulty ids [7] are not integers in 0..4",
-                   "reversed_speed": "need 0 < speed_min <= speed_max",
+                   "reversed_speed": "random-waypoint speed needs 0 < lo <= hi, got [2.0, 1.0]",
                    "infinite_speed": speed_range, "huge_and_infinite_speed": speed_range,
                    "sweep_missing_grid": "cannot read grid",
                    "sweep_list_grid": "grid must map parameter paths to value lists",
@@ -1503,7 +1503,7 @@ class TestCli:
                    "export_unknown": "unknown builtin scenario 'nope'",
                    "waypoint_00": "node id '00' is not a canonical decimal",
                    "position_00": "node id '00' is not a canonical decimal",
-                   "position_9": "explicit positions for unknown nodes [9]",
+                   "position_9": "explicit coords for unknown nodes [9]",
                    "table_round_01": "scripted table round '01' is not a canonical decimal",
                    "table_receiver_01": "node id '01' is not a canonical decimal",
                    "table_receiver_9": "scripted table row '1' for unknown nodes [9]",
@@ -1518,11 +1518,11 @@ class TestCli:
                    "bool_epsilon": "TypeError: epsilon must hold numbers",
                    "int_name": "seed must be an integer and name a string",
                    "null_name": "seed must be an integer and name a string",
-                   "mixed_values": "TypeError: initial values must hold numbers",
+                   "mixed_values": "TypeError: explicit values must hold numbers",
                    "string_fixed_value": "TypeError: fixed-value value must hold numbers",
                    "bool_and_string_speed": "TypeError: random-waypoint speed must hold numbers",
                    "long_speed": "random-waypoint speed must hold 2 numbers, got 3",
-                   "long_position": "explicit position of node 0 must hold 2 numbers, got 3",
+                   "long_position": "explicit coords for node 0 must hold 2 numbers, got 3",
                    "bool_radius": "TypeError: radius must hold numbers",
                    "bool_loss_rate": "TypeError: loss_rate must hold numbers",
                    "bool_delta": "TypeError: delta must hold numbers",
@@ -1958,6 +1958,125 @@ def test_missing_scripted_table_file_exits_two(tmp_path, capsys):
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "cannot read scripted table" in err
+
+
+# A valid value for each spec key in stale_log_overshoot's scenario: n = 5 in
+# a 12 x 12 arena, node 4 faulty, so four correct nodes.
+SPEC_SAMPLES = {"speed": [0.5, 2.0], "waypoints": {"1": [[1.5, 2.0]]}, "byz_set": [4],
+                "value": 10.0, "v_hi": 11.0, "v_lo": -1.0, "range": [0.0, 1.0],
+                "table": {"*": {"0": 1.0}}, "values": [2.0, 10.0, 0.0, 0.0],
+                "coords": {str(i): [1.0, 1.0] for i in range(5)}}
+
+
+def spec_doc(name: str, spec) -> dict:
+    doc = builtin_scenario("stale_log_overshoot").to_dict()
+    if name == "adversary":  # whose byz_set may be left out: uniform values fit any faulty set
+        doc["initial_values"] = {"mode": "uniform"}
+    doc[name] = spec
+    return doc
+
+
+def sample_specs():
+    """Each kind of each spec in scenarios.SPEC_KEYS with every key it takes set to its sample."""
+    for name, (pick, kinds) in scenarios.SPEC_KEYS.items():
+        for kind, keys in kinds.items():
+            yield name, pick, kind, keys, {pick: kind, **{key: SPEC_SAMPLES[key] for key in keys}}
+
+
+def malformed_spec_cases():
+    """(id, spec name, spec, config error) for each way SPEC_KEYS says a spec can be wrong."""
+    for name in scenarios.SPEC_KEYS:
+        yield f"{name}-a-string", name, "x", f"{name} must be a JSON object, got str"
+    for name, pick, kind, keys, spec in sample_specs():
+        where = f"for {pick} {kind!r}"
+        yield (f"{name}-{kind}-stray-key", name, {**spec, "stray": 1},
+               f"unknown {name} keys ['stray'] {where}")
+        for key, (shape, default) in keys.items():
+            if default is None:
+                left_out = {k: v for k, v in spec.items() if k != key}
+                yield (f"{name}-{kind}-missing-{key}", name, left_out,
+                       f"missing {name} key {key!r} {where}")
+            yield (f"{name}-{kind}-null-{key}", name, {**spec, key: None},
+                   f"null {name} key {key!r} {where}")
+            if shape in ("range", "positive range"):
+                floor = "0 < " if shape == "positive range" else ""
+                lo, hi = SPEC_SAMPLES[key]
+                yield (f"{name}-{kind}-reversed-{key}", name, {**spec, key: [hi, lo]},
+                       f"{kind} {key} needs {floor}lo <= hi, got [{float(hi)}, {float(lo)}]")
+                if floor:
+                    yield (f"{name}-{kind}-zero-low-{key}", name, {**spec, key: [0.0, hi]},
+                           f"{kind} {key} needs {floor}lo <= hi, got [0.0, {float(hi)}]")
+
+
+@pytest.mark.parametrize("name,keys,spec", [
+    pytest.param(name, keys, spec, id=f"{name}-{kind}")
+    for name, _pick, kind, keys, spec in sample_specs()])
+def test_each_spec_kind_validates_with_its_keys_or_their_defaults(name, keys, spec):
+    # The base of every generated malformed case below is itself accepted,
+    # and so is each key with a default when it is left out.
+    ScenarioConfig.from_dict(spec_doc(name, spec)).validate()
+    for key, (_shape, default) in keys.items():
+        if default is not None:
+            left_out = {k: v for k, v in spec.items() if k != key}
+            ScenarioConfig.from_dict(spec_doc(name, left_out)).validate()
+
+
+@pytest.mark.parametrize("name,spec,reason",
+                         [pytest.param(*case[1:], id=case[0]) for case in malformed_spec_cases()])
+def test_malformed_spec_from_the_key_table_exits_two(tmp_path, capsys, name, spec, reason):
+    # Generated from scenarios.SPEC_KEYS: a spec that is not an object, a
+    # stray key, a required key left out, any key set to null, a reversed
+    # range and a speed whose low end is zero each exit 2 with one line.
+    path, out = tmp_path / "scenario.json", tmp_path / "out"
+    path.write_text(json.dumps(spec_doc(name, spec)))
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {reason}"]
+    assert not out.exists()
+
+
+def test_reversed_ranges_share_one_message(tmp_path, capsys):
+    lines = []
+    for name, spec in (("mobility", {"model": "random-waypoint", "speed": [2.0, 1.0]}),
+                       ("adversary", {"strategy": "random-legal", "byz_set": [4], "range": [1, 0]}),
+                       ("initial_values", {"mode": "uniform", "range": [1.0, 0.0]})):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec_doc(name, spec)))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        lines += capsys.readouterr().err.splitlines()
+    assert lines == ["config error: random-waypoint speed needs 0 < lo <= hi, got [2.0, 1.0]",
+                     "config error: random-legal range needs lo <= hi, got [1.0, 0.0]",
+                     "config error: uniform range needs lo <= hi, got [1.0, 0.0]"]
+
+
+def test_empty_waypoints_and_table_are_accepted():
+    # Unlike a missing or null one: nodes without waypoints stay put, and an
+    # empty table sends nothing.
+    doc = lemma2_scripted({"table": {}})
+    doc["mobility"] = {"model": "scripted", "waypoints": {}}
+    _trace, report = run_scenario(ScenarioConfig.from_dict(doc))
+    assert report.invariants_ok
+
+
+@pytest.mark.parametrize("readable", [False, True])
+def test_table_file_beside_another_strategy_is_a_stray_key(tmp_path, monkeypatch, capsys,
+                                                           readable):
+    # Only a scripted adversary reads its table_file; any other strategy
+    # names it as a key it does not take, and opens no file.
+    if readable:
+        (tmp_path / "table.json").write_text(json.dumps({"*": {"0": 1.0}}))
+    doc = lemma2_scripted({"table_file": "table.json"})
+    doc["adversary"]["strategy"] = "silent"
+    path, out = tmp_path / "scenario.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    reads = []
+    read_json = scenarios.read_json
+    monkeypatch.setattr(scenarios, "read_json",
+                        lambda path, what: reads.append(what) or read_json(path, what))
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: unknown adversary keys ['table_file'] for strategy 'silent'"]
+    assert reads == ["scenario"]
+    assert not out.exists()
 
 
 def baseline_reference_replay(rounds):
