@@ -4,8 +4,9 @@ A strategy decides, per round and per faulty node, what value (if any) to
 send to each reachable neighbor. Different receivers may get different
 values in the same round; the delivery layer never deduplicates across
 receivers. Strategies see the round number and every correct value at the
-current phase start, but not future random draws, and their messages pass
-through the same topology gate as everyone else's.
+current phase start, but not future random draws. ``byzantine_outbox`` is
+the one topology gate: a faulty node's message reaches only a node that
+hears it this round, at most once, so delivery routes without a check.
 """
 
 from __future__ import annotations
@@ -127,14 +128,17 @@ def byzantine_outbox(
     view: RoundView,
     rng: random.Random | None,
 ) -> list[Message]:
-    """Messages faulty node b emits this round: at most one per reachable receiver."""
+    """Messages faulty node b emits this round: at most one to each node that hears b.
+
+    The gate keeps the set of b's hearers and takes each one out as it gets
+    its message, so a message to b itself, to a node out of range or a
+    second one to the same receiver is dropped here.
+    """
     receivers = graph.out_neighbors(b)
-    picked = behavior.messages(b, receivers, view, rng)
+    hearers = set(receivers)
     out: list[Message] = []
-    seen: set[NodeId] = set()
-    for receiver, value in picked:
-        if receiver == b or receiver in seen:
-            continue
-        seen.add(receiver)
-        out.append((b, receiver, float(value)))
+    for receiver, value in behavior.messages(b, receivers, view, rng):
+        if receiver in hearers:
+            hearers.remove(receiver)
+            out.append((b, receiver, float(value)))
     return out

@@ -19,10 +19,6 @@ class ProtocolError(AgreesimError):
     """A protocol-level contract was violated (bad inbox, bad reduce call)."""
 
 
-class TopologyError(AgreesimError):
-    """A message was routed across a non-existent edge."""
-
-
 class TraceError(AgreesimError):
     """A trace is malformed or a query falls outside its round range."""
 

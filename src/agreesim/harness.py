@@ -37,7 +37,7 @@ from .analysis import (
     spread_series,
 )
 from .cpus import split_map, worker_count
-from .dynamics import Position, RoundGraph, build_round_graph, deliver, move_step
+from .dynamics import Position, build_round_graph, deliver, move_step
 from .errors import AgreesimError, ConfigError
 from .protocol import NodeId, NodeState, is_common_new_start, step_round
 from .scenarios import ScenarioConfig
@@ -87,11 +87,14 @@ def simulate(
     receiver as ``deliver`` returned them, and each node's step result.
     Nothing changes ``states`` afterwards, so a hook may keep it.
 
-    The round graph is built only when a node has moved: when every node
-    holds the very position object it held the round before, the round
-    reuses the last graph's receiver lists, and its record holds the last
-    record's ``positions`` and ``edges``, the same objects. Identity, not
-    equality, decides, since ``-0.0 == 0.0`` but the two encode apart.
+    Correct nodes send along the round graph's ``out_neighbors`` and each
+    faulty node's messages pass ``byzantine_outbox``, the topology gate, so
+    ``deliver`` only routes. The round graph is built only when a node has
+    moved: when every node holds the very position object it held the
+    round before, the round reuses the last graph as is, and its record
+    holds the last record's ``positions`` and ``edges``, the same objects.
+    Identity, not equality, decides, since ``-0.0 == 0.0`` but the two
+    encode apart.
     """
     params, model, behavior, positions, values = config.validate()
     run_seed = config.seed if seed is None else seed
@@ -119,10 +122,8 @@ def simulate(
         moved = move_step(placed, model, stream(model.draws, "move", r), r)
         if graph is None or not _held(placed, moved):
             placed = moved
-            graph = build_round_graph(placed, config.radius, r)
+            graph = build_round_graph(placed, config.radius)
             edges = graph.edges
-        else:  # no node moved: the round is the last one's, renumbered
-            graph = RoundGraph(round=r, receivers=graph.receivers)
         outbox = [(i, j, s.value) for i, s in states.items() for j in graph.out_neighbors(i)]
         view = RoundView(round=r, phase_start_values=phase_start_values)
         byz_sent = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, dataclass, field, asdict
 from pathlib import Path
 
 from .adversary import ExtremeSplit, FixedValue, RandomLegal, ScriptedTable, Silent, Strategy
@@ -97,9 +97,13 @@ class ScenarioConfig:
         schema = data.pop("schema", SCENARIO_SCHEMA)
         if type(schema) is not int or schema != SCENARIO_SCHEMA:
             raise ConfigError(f"unsupported scenario schema {schema!r}")
-        unknown = set(data) - {f.name for f in ScenarioConfig.__dataclass_fields__.values()}
+        fields = ScenarioConfig.__dataclass_fields__.values()
+        unknown = set(data) - {f.name for f in fields}
         if unknown:
             raise ConfigError(f"unknown scenario fields {sorted(unknown)}")
+        for f in fields:
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in data:
+                raise ConfigError(f"missing scenario field {f.name!r}")
         with malformed(ConfigError, "malformed scenario"):
             if "arena" in data:
                 data["arena"] = tuple(data["arena"])
@@ -111,7 +115,8 @@ class ScenarioConfig:
 # required. A shape is "number"; a count of numbers; "values", one per correct
 # node; a "range" [lo, hi] with lo <= hi, or a "positive range" with 0 < lo
 # too; "faulty", the faulty set every adversary holds; or (form, inner): a
-# "list", or an object keyed by "node" id or by "round" (or "*"), of inners.
+# "list", or an object keyed by "node" id or by "round" (from 1, or "*"), of
+# inners. Each array or object, at any depth, must be one.
 _FAULTY = {"byz_set": ("faulty", [])}
 SPEC_KEYS = {
     "mobility": ("model", {
@@ -132,6 +137,11 @@ SPEC_KEYS = {
 
 def _read(config: ScenarioConfig, what: str, shape, raw):
     """``raw`` read as ``shape`` (see SPEC_KEYS), each error naming it ``what``."""
+    if shape == "number":
+        require_types({int, float}, what, [raw])
+        return float(raw)
+    form, inner = shape if isinstance(shape, tuple) else ("list", None)
+    _expect(what, raw, "object" if form in ("node", "round") else "array")
     if shape == "faulty":
         bad = [i for i in raw if type(i) is not int or not 0 <= i < config.n]
         if bad:
@@ -147,24 +157,33 @@ def _read(config: ScenarioConfig, what: str, shape, raw):
             positive = "0 < " if shape == "positive range" else ""
             raise ConfigError(f"{what} needs {positive}lo <= hi, got [{lo}, {hi}]")
         return lo, hi
-    if not isinstance(shape, tuple):
-        values = [raw] if shape == "number" else raw
-        count = 1 if shape == "number" else len(config.correct_ids) if shape == "values" else shape
-        if len(values) != count:
-            raise ConfigError(f"{what} must hold {count} numbers, got {len(values)}")
-        require_types({int, float}, what, values)
-        return float(raw) if shape == "number" else tuple(map(float, values))
-    form, inner = shape
+    if inner is None:  # "values" or a count of numbers
+        count = len(config.correct_ids) if shape == "values" else shape
+        if len(raw) != count:
+            raise ConfigError(f"{what} must hold {count} numbers, got {len(raw)}")
+        require_types({int, float}, what, raw)
+        return tuple(map(float, raw))
     if form == "list":
         return [_read(config, what, inner, v) for v in raw]
     if form == "round":
-        return {"*" if k == "*" else decimal_key(k, f"{what} round"):
-                _read(config, f"{what} row {k!r}", inner, row) for k, row in raw.items()}
+        rows = {}
+        for k, row in raw.items():
+            r = "*" if k == "*" else decimal_key(k, f"{what} round")
+            if r != "*" and r < 1:
+                raise ConfigError(f"{what} round {k!r} must be at least 1")
+            rows[r] = _read(config, f"{what} row {k!r}", inner, row)
+        return rows
     entries = {decimal_key(k, "node id"): v for k, v in raw.items()}
     unknown = sorted(i for i in entries if not 0 <= i < config.n)
     if unknown:
         raise ConfigError(f"{what} for unknown nodes {unknown}")
     return {i: _read(config, f"{what} for node {i}", inner, v) for i, v in entries.items()}
+
+
+def _expect(what: str, raw, kind: str) -> None:
+    """Raise unless ``raw`` is a JSON ``kind``: an "object" (a dict) or an "array" (a list or tuple)."""
+    if not isinstance(raw, dict if kind == "object" else (list, tuple)):
+        raise ConfigError(f"{what} must be a JSON {kind}, got {type(raw).__name__}")
 
 
 def _spec(config: ScenarioConfig, name: str) -> tuple[str, dict]:
@@ -174,8 +193,7 @@ def _spec(config: ScenarioConfig, name: str) -> tuple[str, dict]:
     is an error naming it; a key left out takes its default.
     """
     spec = getattr(config, name)
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {type(spec).__name__}")
+    _expect(name, spec, "object")
     pick, kinds = SPEC_KEYS[name]
     kind = spec.get(pick)
     if kind not in kinds:

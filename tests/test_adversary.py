@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from agreesim import scenarios
 from agreesim.adversary import (
     ExtremeSplit,
     FixedValue,
@@ -13,20 +14,22 @@ from agreesim.adversary import (
     Silent,
     byzantine_outbox,
 )
+from agreesim.cli import main
 from agreesim.dynamics import RoundGraph, deliver
-from agreesim.errors import ConfigError, TopologyError
+from agreesim.errors import ConfigError
 from agreesim.harness import simulate
 from agreesim.scenarios import ScenarioConfig, builtin_scenario
+from agreesim.trace import write_trace
 
 
 def make_view(r=1, values=None):
     return RoundView(round=r, phase_start_values=dict(values or {}))
 
 
-def star_graph(center, leaves, r=1):
+def star_graph(center, leaves):
     receivers = {leaf: [center] for leaf in leaves}
     receivers[center] = sorted(leaves)
-    return RoundGraph(round=r, receivers=receivers)
+    return RoundGraph(receivers=receivers)
 
 
 STRATEGY_GRAPH = star_graph(9, [0, 1, 2])
@@ -91,6 +94,18 @@ class TestStrategies:
         assert out == [(9, 0, 5.0)]
 
 
+class Naming:
+    """Sends the k-th node it names the value k, whether that node hears it or not."""
+
+    draws = False
+
+    def __init__(self, named):
+        self.named = named
+
+    def messages(self, b, receivers, view, rng):
+        return [(i, float(k)) for k, i in enumerate(self.named)]
+
+
 class TestOutboxDiscipline:
     def test_at_most_one_message_per_receiver(self):
         class Doubler:
@@ -102,10 +117,28 @@ class TestOutboxDiscipline:
         assert len(out) == 3
         assert {receiver for _s, receiver, _v in out} == {0, 1, 2}
 
-    def test_forged_off_topology_message_is_rejected_downstream(self):
-        graph = RoundGraph(round=1, receivers={0: [9], 9: [0]})
-        with pytest.raises(TopologyError):
-            deliver(graph, [(9, 2, 99.0)], 0.0, random.Random(0))
+    def test_gate_keeps_one_message_per_named_hearer(self):
+        # Node 7 does not hear the center 9; 9 names itself; 0 is named twice.
+        out = byzantine_outbox(Naming([7, 9, 0, 0, 2]), 9, STRATEGY_GRAPH, make_view(), None)
+        assert out == [(9, 0, 2.0), (9, 2, 4.0)]
+
+    def test_run_with_a_forging_strategy_writes_a_trace_check_accepts(self, tmp_path,
+                                                                      monkeypatch, capsys):
+        # Nodes on a line, each heard by its neighbours only: faulty node 3
+        # names non-hearers 0 and 1, itself, and its one hearer 2 twice.
+        config = ScenarioConfig(
+            name="forger", n=4, f=1, r_c=2, epsilon=0.01, max_rounds=6, arena=(6.0, 6.0),
+            radius=1.6, adversary={"strategy": "silent", "byz_set": [3]},
+            initial_values={"mode": "explicit", "values": [0.0, 1.0, 2.0]},
+            initial_positions={"mode": "explicit", "coords": {
+                "0": [0.0, 1.0], "1": [1.5, 1.0], "2": [3.0, 1.0], "3": [4.5, 1.0]}},
+        )
+        monkeypatch.setattr(scenarios, "build_adversary", lambda _config: Naming([0, 1, 3, 2, 2]))
+        trace = simulate(config)
+        assert [rec.byz_sent for rec in trace.rounds] == [[(3, 2, 3.0)]] * 6
+        write_trace(trace, tmp_path / "trace.jsonl")
+        assert main(["check", "--trace", str(tmp_path / "trace.jsonl")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_budget_enforced_at_config_level(self):
         config = builtin_scenario("lemma2_3f_impossible")

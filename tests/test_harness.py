@@ -1479,7 +1479,8 @@ class TestCli:
          "null_name", "mixed_values", "string_fixed_value", "bool_and_string_speed",
          "long_speed", "long_position", "bool_radius", "bool_loss_rate", "bool_delta",
          "misspelt_speed", "stationary_speed", "silent_value", "explicit_values_range",
-         "uniform_positions_coords", "sweep_unknown_key"],
+         "uniform_positions_coords", "sweep_unknown_key", "table_round_0", "table_round_-1",
+         "missing_epsilon"],
     )
     def test_malformed_scenario_exits_two(self, tmp_path, capsys, monkeypatch, defect):
         # Each newer case names the reason it must be rejected for.
@@ -1505,6 +1506,10 @@ class TestCli:
                    "position_00": "node id '00' is not a canonical decimal",
                    "position_9": "explicit coords for unknown nodes [9]",
                    "table_round_01": "scripted table round '01' is not a canonical decimal",
+                   # A row for a round before the first is never sent.
+                   "table_round_0": "scripted table round '0' must be at least 1",
+                   "table_round_-1": "scripted table round '-1' must be at least 1",
+                   "missing_epsilon": "config error: missing scenario field 'epsilon'",
                    "table_receiver_01": "node id '01' is not a canonical decimal",
                    "table_receiver_9": "scripted table row '1' for unknown nodes [9]",
                    "sweep_seed_grid": "grid path 'seed' cannot be swept",
@@ -1626,6 +1631,8 @@ class TestCli:
             table = ({"1": {"0": 5.0}, key: {"0": 7.0}} if defect.startswith("table_round")
                      else {"1": {"0": 5.0, key: 7.0}})
             doc["adversary"] = {"strategy": "scripted", "byz_set": [4], "table": table}
+        elif defect == "missing_epsilon":
+            del doc["epsilon"]
         elif defect == "numeric_table_file":
             doc["adversary"] = {"strategy": "scripted", "byz_set": [4], "table_file": 5}
         elif defect in numbers:
@@ -1983,6 +1990,33 @@ def sample_specs():
             yield name, pick, kind, keys, {pick: kind, **{key: SPEC_SAMPLES[key] for key in keys}}
 
 
+def containers(what: str, shape, sample):
+    """(what, path, kind) for each array or object a sample of ``shape`` holds, along first entries.
+
+    ``path`` leads from the sample to it, and ``kind`` is the JSON kind it must be.
+    """
+    if shape == "number":
+        return
+    form, inner = shape if isinstance(shape, tuple) else ("list", None)
+    yield what, (), "object" if form in ("node", "round") else "array"
+    if inner is None:
+        return
+    first = 0 if form == "list" else next(iter(sample))
+    label = (what if form == "list" else f"{what} row {first!r}" if form == "round"
+             else f"{what} for node {first}")
+    for name, path, kind in containers(label, inner, sample[first]):
+        yield name, (first, *path), kind
+
+
+def replaced(sample, path, value):
+    """A copy of ``sample`` with the entry at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    copy = list(sample) if isinstance(sample, list) else dict(sample)
+    copy[path[0]] = replaced(sample[path[0]], path[1:], value)
+    return copy
+
+
 def malformed_spec_cases():
     """(id, spec name, spec, config error) for each way SPEC_KEYS says a spec can be wrong."""
     for name in scenarios.SPEC_KEYS:
@@ -1998,6 +2032,15 @@ def malformed_spec_cases():
                        f"missing {name} key {key!r} {where}")
             yield (f"{name}-{kind}-null-{key}", name, {**spec, key: None},
                    f"null {name} key {key!r} {where}")
+            # An array or an object, at any depth, that is the other one or,
+            # below the key itself, null.
+            for what, path, json_kind in containers(f"{kind} {key}", shape, SPEC_SAMPLES[key]):
+                wrong = [{} if json_kind == "array" else []] + ([None] if path else [])
+                for bad in wrong:
+                    at = ".".join(map(str, (key, *path)))
+                    yield (f"{name}-{kind}-{json.dumps(bad)}-at-{at}", name,
+                           {**spec, key: replaced(SPEC_SAMPLES[key], path, bad)},
+                           f"{what} must be a JSON {json_kind}, got {type(bad).__name__}")
             if shape in ("range", "positive range"):
                 floor = "0 < " if shape == "positive range" else ""
                 lo, hi = SPEC_SAMPLES[key]
@@ -2025,8 +2068,9 @@ def test_each_spec_kind_validates_with_its_keys_or_their_defaults(name, keys, sp
                          [pytest.param(*case[1:], id=case[0]) for case in malformed_spec_cases()])
 def test_malformed_spec_from_the_key_table_exits_two(tmp_path, capsys, name, spec, reason):
     # Generated from scenarios.SPEC_KEYS: a spec that is not an object, a
-    # stray key, a required key left out, any key set to null, a reversed
-    # range and a speed whose low end is zero each exit 2 with one line.
+    # stray key, a required key left out, any key set to null, an array or
+    # object at any depth that is the wrong one or null, a reversed range
+    # and a speed whose low end is zero each exit 2 with one line.
     path, out = tmp_path / "scenario.json", tmp_path / "out"
     path.write_text(json.dumps(spec_doc(name, spec)))
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
